@@ -99,7 +99,7 @@ def main() -> None:
     plan = index.explain(k=3)
     print(
         f"explain(k=3): p={plan['p']} backend={plan['backend']} "
-        f"tier={plan['tier']} schedule={plan['schedule']}"
+        f"schedule={plan['schedule']}"
     )
     planner_health = index.health()["planner"]
     print(

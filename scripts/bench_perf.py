@@ -24,10 +24,7 @@ the wire and per-shard round trips recorded, never gated), a ``kernel_pairwise``
 benchmark (compiled DP kernels vs. the pure-numpy backend on the pairwise
 workloads, best-of-``k`` timed, results asserted identical before timing;
 **gated** at a combined 5x speedup whenever a compiled backend is
-available, recorded as a fallback otherwise), a ``quantized_filter``
-benchmark (float32/int8 filter scans on a database 10x the tracked
-``query_many`` workload, results asserted bit-identical to the float64
-scan, table bytes recorded; never gated), and **appends** the
+available, recorded as a fallback otherwise), and **appends** the
 measurements to a history record in ``BENCH_perf.json`` so regressions
 are visible across PRs.
 
@@ -81,20 +78,17 @@ from repro.distances import (  # noqa: E402
     EditDistance,
     pairwise_distances,
 )
-from repro.datasets.gaussian import make_gaussian_clusters  # noqa: E402
 from repro.distances.base import DistanceMeasure  # noqa: E402
 from repro.distances.kernels import (  # noqa: E402
     available_kernel_backends,
     get_kernel_backend,
 )
-from repro.distances.lp import L2Distance  # noqa: E402
 from repro.embeddings.lipschitz import build_lipschitz_embedding  # noqa: E402
 from repro.distances.parallel import resolve_jobs  # noqa: E402
 from repro.retrieval.evaluation import retrieval_recall  # noqa: E402
 from repro.retrieval.filter_refine import FilterRefineRetriever  # noqa: E402
 from repro.retrieval.knn import ground_truth_neighbors  # noqa: E402
 from repro.retrieval.planner import PlannedRetriever  # noqa: E402
-from repro.retrieval.quantized import QUANTIZED_DTYPES, QuantizedVectors  # noqa: E402
 from repro.retrieval.sharded import ShardedRetriever  # noqa: E402
 
 #: The hot paths whose engine time is gated against the previous record.
@@ -964,88 +958,6 @@ def bench_kernel_pairwise(
     return record
 
 
-def bench_quantized_filter(
-    n_database: int,
-    n_queries: int,
-    n_dims: int,
-    dim: int,
-    k: int,
-    p: int,
-) -> dict:
-    """Quantized filter scans vs. float64 on a 10x-scale vector database.
-
-    The point is *capacity*, not raw speed: the float32/int8 tables hold a
-    database 10x the tracked ``query_many`` workload in 2-8x less filter
-    memory while the served results stay **bit-identical** to the float64
-    scan (asserted per dtype, per query: neighbors, distances, candidate
-    order, and exact-evaluation counts).  Never gated — the bit-identity
-    assertions are the contract; the recorded bytes and widened-p' figures
-    are the trail.
-    """
-    dataset = make_gaussian_clusters(
-        n_objects=n_database, n_clusters=8, n_dims=n_dims, seed=3
-    )
-    distance = L2Distance()
-    embedding = build_lipschitz_embedding(
-        distance, dataset, dim=dim, set_size=1, seed=5
-    )
-    database_vectors = embedding.embed_many(list(dataset))
-    rng = np.random.default_rng(19)
-    queries = [
-        dataset[int(i)] + rng.normal(0.0, 0.05, size=n_dims)
-        for i in rng.integers(0, n_database, size=n_queries)
-    ]
-
-    baseline = FilterRefineRetriever(
-        distance, dataset, embedding, database_vectors=database_vectors
-    )
-    baseline_results, float64_seconds = _timed(
-        lambda: baseline.query_many(queries, k=k, p=p)
-    )
-    record = {
-        "n_database": n_database,
-        "n_queries": n_queries,
-        "n_dims": n_dims,
-        "embedding_dim": dim,
-        "k": k,
-        "p": p,
-        "database_scale_vs_tracked": n_database / 300.0,
-        "float64_seconds": float64_seconds,
-        "float64_bytes": int(database_vectors.nbytes),
-        "speedup": 1.0,  # updated below from the fastest quantized scan
-    }
-    for dtype in QUANTIZED_DTYPES:
-        quantized = QuantizedVectors.quantize(database_vectors, dtype)
-        retriever = FilterRefineRetriever(
-            distance,
-            dataset,
-            embedding,
-            database_vectors=database_vectors,
-            quantized=quantized,
-        )
-        results, seconds = _timed(lambda: retriever.query_many(queries, k=k, p=p))
-        for lhs, rhs in zip(baseline_results, results):
-            assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices), (
-                f"{dtype} filter scan changed the served neighbors"
-            )
-            assert np.array_equal(lhs.neighbor_distances, rhs.neighbor_distances)
-            assert np.array_equal(lhs.candidate_indices, rhs.candidate_indices)
-            assert (
-                lhs.refine_distance_computations == rhs.refine_distance_computations
-            )
-        record[dtype] = {
-            "seconds": seconds,
-            "bytes": int(quantized.nbytes),
-            "compression": database_vectors.nbytes / quantized.nbytes,
-            "widened_queries": retriever.filter_widened_queries,
-            "widened_total": retriever.filter_widened_total,
-            "mean_widened_p": retriever.filter_widened_total / max(1, n_queries),
-            "speedup_vs_float64": float64_seconds / seconds,
-        }
-        record["speedup"] = max(record["speedup"], float64_seconds / seconds)
-    return record
-
-
 def bench_planned_query_many(
     n_database: int,
     n_queries: int,
@@ -1391,9 +1303,6 @@ def main() -> int:
             "kernel_pairwise": dict(
                 n_dtw=50, dtw_length=40, n_edit=60, edit_length=25, repeats=3,
             ),
-            "quantized_filter": dict(
-                n_database=600, n_queries=6, n_dims=12, dim=8, k=5, p=30,
-            ),
             "planned_query_many": dict(
                 n_database=80, n_queries=8, length=40, dim=10, k=3, p=30,
             ),
@@ -1435,9 +1344,6 @@ def main() -> int:
             "kernel_pairwise": dict(
                 n_dtw=200, dtw_length=64, n_edit=200, edit_length=40, repeats=3,
             ),
-            "quantized_filter": dict(
-                n_database=3000, n_queries=12, n_dims=12, dim=8, k=5, p=30,
-            ),
             "planned_query_many": dict(
                 n_database=300, n_queries=25, length=50, dim=16, k=5, p=40,
             ),
@@ -1475,7 +1381,6 @@ def main() -> int:
         ("degraded_serve", bench_degraded_serve),
         ("remote_serve", bench_remote_serve),
         ("kernel_pairwise", bench_kernel_pairwise),
-        ("quantized_filter", bench_quantized_filter),
         ("planned_query_many", bench_planned_query_many),
     ]:
         print(f"[bench_perf] {name} {sizes[name]} ...", flush=True)
@@ -1484,7 +1389,6 @@ def main() -> int:
         baseline_keys = (
             "seed_seconds", "single_process_seconds", "cold_seconds",
             "blocking_seconds", "healthy_seconds", "numpy_seconds",
-            "float64_seconds",
         )
         engine_keys = (
             "engine_seconds", "sharded_seconds", "warm_seconds",

@@ -117,7 +117,7 @@ def main() -> int:
     check(index.backend == "planned", "enable_planner switches the backend")
     plan = index.explain(k=3)
     check(
-        all(key in plan for key in ("p", "backend", "tier", "schedule")),
+        all(key in plan for key in ("p", "backend", "schedule")),
         "explain exposes the planned operating point",
     )
     planned = index.query_many(queries, k=3)

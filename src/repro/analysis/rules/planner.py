@@ -3,7 +3,7 @@
 The query planner's exactness contract (see :mod:`repro.retrieval.planner`)
 rests on a strict split: cost-model *inputs* are wall-clock values measured
 by the serving code and fed in through ``observe_*`` methods, while every
-*decision* — which ``p``, which tier, which backend, how much fan-out — is
+*decision* — which ``p``, which backend, how much fan-out — is
 a pure function of the fitted model state.  A clock or RNG call inside a
 decision function would make two identical queries plan differently, which
 breaks both the bit-identity story (RP004's concern, extended here) and

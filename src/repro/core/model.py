@@ -204,17 +204,26 @@ class QuerySensitiveModel:
         x = np.asarray(other_vector, dtype=float)
         if q.shape != x.shape:
             raise TrainingError("query and database vectors must have equal shape")
-        return float(np.abs(q - x).dot(self.weights(q)))
+        return float(self.distances_to(q, x[None, :])[0])
 
     def distances_to(self, query_vector: np.ndarray, database_vectors: np.ndarray) -> np.ndarray:
-        """``D_out`` from one query vector to every row of ``database_vectors``."""
+        """``D_out`` from one query vector to every row of ``database_vectors``.
+
+        Each row is reduced on its own, in a fixed order, so a row's score
+        does not depend on how many rows one call scores: a shard, a subset
+        or a duplicated row scores bit-identically to the full table.  (A
+        BLAS ``.dot`` sums rows in an order that depends on the row count.)
+        """
         q = np.asarray(query_vector, dtype=float)
         matrix = np.atleast_2d(np.asarray(database_vectors, dtype=float))
         if matrix.shape[1] != q.shape[0]:
             raise TrainingError(
                 f"database vectors have {matrix.shape[1]} columns, expected {q.shape[0]}"
             )
-        return np.abs(matrix - q[None, :]).dot(self.weights(q))
+        # C order keeps each row contiguous, so einsum reduces every row
+        # with the same loop whatever the caller's memory layout.
+        diff = np.abs(np.subtract(matrix, q[None, :], order="C"))
+        return np.einsum("ij,j->i", diff, self.weights(q))
 
     # ------------------------------------------------------------------ #
     # Classifier view (Proposition 1)                                    #

@@ -229,8 +229,8 @@ class _DenseBlock:
         self.rows = np.asarray(rows, dtype=int)
         self.cols = np.asarray(cols, dtype=int)
         # Preserve reduced-precision float blocks (and the memmap backing of
-        # blocks loaded with mmap_mode): a float32 quantized table must not
-        # silently double its memory by upcasting to float64 on (re)open.
+        # blocks loaded with mmap_mode): a float32 table must not silently
+        # double its memory by upcasting to float64 on (re)open.
         # Non-float inputs still normalise to float64.
         values_arr = np.asarray(values)
         if not np.issubdtype(values_arr.dtype, np.floating):

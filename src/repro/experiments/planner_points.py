@@ -10,11 +10,11 @@ the operating points that calibrated planner would choose across the same
 ``(k, accuracy)`` grid, so they can be plotted on (or tabulated against)
 the figure curves.
 
-The planner runs the full-dimensional embedding (it plans ``p``, the
-filter tier and the backend — not ``d``), so its points are directly
-comparable to the curve only where the oracle also picked the full
-dimensionality; :attr:`PlannerOperatingPoint.curve_cost` carries the
-oracle's number either way so the gap is visible.
+The planner runs the full-dimensional embedding (it plans ``p`` and the
+backend — not ``d``), so its points are directly comparable to the curve
+only where the oracle also picked the full dimensionality;
+:attr:`PlannerOperatingPoint.curve_cost` carries the oracle's number either
+way so the gap is visible.
 """
 
 from __future__ import annotations

@@ -14,9 +14,6 @@ re-embedding**.  Layout (format version 1)::
       distance.pkl    the pickled base distance measure
       extras.pkl      universe objects beyond the database (registered
                       queries), present only when there are any
-      filter.npz      the quantized filter tier (low-precision codes +
-                      per-dimension scale/offset/error bounds), present
-                      only when ``config.filter_dtype != "float64"``
 
 Integrity rules
 ---------------
@@ -86,8 +83,6 @@ __all__ = [
     "read_model_payload",
     "write_arrays",
     "read_arrays",
-    "write_filter_payload",
-    "read_filter_payload",
     "write_pickle",
     "read_pickle",
     "shard_layout",
@@ -103,7 +98,6 @@ ARRAYS_NAME = "arrays.npz"
 STORE_NAME = "store.npz"
 DISTANCE_NAME = "distance.pkl"
 EXTRAS_NAME = "extras.pkl"
-FILTER_NAME = "filter.npz"
 
 
 def artifact_paths(directory: Union[str, Path]) -> Dict[str, Path]:
@@ -116,7 +110,6 @@ def artifact_paths(directory: Union[str, Path]) -> Dict[str, Path]:
         "store": directory / STORE_NAME,
         "distance": directory / DISTANCE_NAME,
         "extras": directory / EXTRAS_NAME,
-        "filter": directory / FILTER_NAME,
     }
 
 
@@ -223,44 +216,6 @@ def read_arrays(directory: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
     except NPZ_CORRUPTION_ERRORS as exc:
         raise ArtifactError(
             f"unreadable arrays file {path} (truncated or corrupt): {exc}"
-        ) from exc
-
-
-def write_filter_payload(
-    directory: Union[str, Path], payload: Dict[str, np.ndarray]
-) -> None:
-    """Persist the quantized filter tier (``QuantizedVectors.to_payload()``).
-
-    Written uncompressed: the codes are the point of the file — a float32
-    or int8 table already 2-8x smaller than the float64 matrix — and an
-    uncompressed ``.npz`` keeps the open path a plain read.
-    """
-    import io
-
-    buffer = io.BytesIO()
-    np.savez(buffer, **payload)
-    _atomic_write_bytes(Path(directory) / FILTER_NAME, buffer.getvalue())
-
-
-def read_filter_payload(directory: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """Load the quantized filter payload written by :func:`write_filter_payload`.
-
-    A missing file is an :class:`ArtifactError`: the manifest promised a
-    quantized tier (``config.filter_dtype``), so serving without it would
-    silently change the scan the artifact was saved to perform.
-    """
-    path = Path(directory) / FILTER_NAME
-    if not path.is_file():
-        raise ArtifactError(
-            f"index artifact is missing its quantized filter table at {path} "
-            "(the manifest's filter_dtype promises one); re-save the index"
-        )
-    try:
-        with np.load(path) as data:
-            return {key: np.asarray(data[key]) for key in data.files}
-    except NPZ_CORRUPTION_ERRORS as exc:
-        raise ArtifactError(
-            f"unreadable quantized filter file {path} (truncated or corrupt): {exc}"
         ) from exc
 
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import contextlib
 import datetime as _datetime
-import inspect
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -79,7 +78,6 @@ from repro.retrieval.brute_force import BruteForceRetriever
 from repro.retrieval.engine import build_scan_result
 from repro.retrieval.filter_refine import FilterRefineRetriever, RetrievalResult
 from repro.retrieval.planner import PlannedRetriever
-from repro.retrieval.quantized import QUANTIZED_DTYPES, QuantizedVectors
 from repro.retrieval.sharded import Shard, ShardedRetriever
 
 __all__ = [
@@ -119,14 +117,6 @@ class IndexConfig:
         Optional LRU bound on the store's sparse entries (dense training /
         ground-truth blocks are never evicted) so a long-serving index
         cannot grow its cache without limit.
-    filter_dtype:
-        Storage dtype of the filter-stage scan table: ``"float64"`` (the
-        default — scan the exact embedding matrix) or ``"float32"`` /
-        ``"int8"`` (scan a quantized copy and re-score an error-bounded
-        candidate superset with the exact rows; results stay bit-identical
-        to the float64 scan — see :mod:`repro.retrieval.quantized`).  The
-        quantized table is persisted with the artifact and reloaded on
-        :meth:`EmbeddingIndex.open`.
     register_queries:
         Whether served query objects join the context universe (default
         ``True``): their refine pairs then cache under stable keys, which
@@ -156,7 +146,6 @@ class IndexConfig:
     symmetric: bool = True
     max_sparse_entries: Optional[int] = None
     register_queries: bool = True
-    filter_dtype: str = "float64"
     planner: str = "off"
     planner_target_accuracy: float = 0.95
     planner_cost_budget: Optional[int] = None
@@ -173,11 +162,6 @@ class IndexConfig:
             raise ConfigurationError("n_shards must be at least 1")
         if self.max_sparse_entries is not None and self.max_sparse_entries < 1:
             raise ConfigurationError("max_sparse_entries must be positive")
-        if self.filter_dtype not in ("float64",) + QUANTIZED_DTYPES:
-            raise ConfigurationError(
-                f"filter_dtype must be one of "
-                f"{('float64',) + QUANTIZED_DTYPES}, got {self.filter_dtype!r}"
-            )
         if self.planner not in ("off", "adaptive"):
             raise ConfigurationError(
                 f"planner must be 'off' or 'adaptive', got {self.planner!r}"
@@ -205,7 +189,6 @@ class IndexConfig:
             "symmetric": self.symmetric,
             "max_sparse_entries": self.max_sparse_entries,
             "register_queries": self.register_queries,
-            "filter_dtype": self.filter_dtype,
             "planner": self.planner,
             "planner_target_accuracy": self.planner_target_accuracy,
             "planner_cost_budget": self.planner_cost_budget,
@@ -213,7 +196,11 @@ class IndexConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "IndexConfig":
-        """Rebuild a config from its ``to_dict()`` payload (manifest round-trip)."""
+        """Rebuild a config from its ``to_dict()`` payload (manifest round-trip).
+
+        Keys this version no longer uses are ignored, so older artifacts
+        keep opening.
+        """
         try:
             training_payload = dict(payload["training"])
             if training_payload.get("seed") is None:
@@ -226,9 +213,6 @@ class IndexConfig:
                 symmetric=bool(payload["symmetric"]),
                 max_sparse_entries=payload.get("max_sparse_entries"),
                 register_queries=bool(payload.get("register_queries", True)),
-                # Artifacts from before the quantized filter tier carry no
-                # filter_dtype: they scanned the float64 table.
-                filter_dtype=str(payload.get("filter_dtype", "float64")),
                 # Pre-planner artifacts carry no planner fields: off.
                 planner=str(payload.get("planner", "off")),
                 planner_target_accuracy=float(
@@ -295,31 +279,12 @@ def _make_backend(
     embedder: Any,
     database_vectors: np.ndarray,
     config: IndexConfig,
-    quantized: Optional[QuantizedVectors] = None,
 ) -> Any:
     factory = _BACKEND_REGISTRY.get(name)
     if factory is None:
         raise ConfigurationError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
         )
-    if quantized is not None:
-        # Pass the quantized filter table only to factories that understand
-        # it; a backend that ignores it scans the float64 table — slower at
-        # scale but bit-identical, so skipping is safe (brute force, for
-        # one, has no filter step at all).
-        try:
-            accepts = "quantized" in inspect.signature(factory).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            accepts = False
-        if accepts:
-            return factory(
-                distance,
-                database,
-                embedder,
-                database_vectors,
-                config,
-                quantized=quantized,
-            )
     return factory(distance, database, embedder, database_vectors, config)
 
 
@@ -374,21 +339,13 @@ class _BruteForceBackend:
         ]
 
 
-def _filter_refine_factory(
-    distance, database, embedder, database_vectors, config, quantized=None
-):
+def _filter_refine_factory(distance, database, embedder, database_vectors, config):
     return FilterRefineRetriever(
-        distance,
-        database,
-        embedder,
-        database_vectors=database_vectors,
-        quantized=quantized,
+        distance, database, embedder, database_vectors=database_vectors
     )
 
 
-def _sharded_factory(
-    distance, database, embedder, database_vectors, config, quantized=None
-):
+def _sharded_factory(distance, database, embedder, database_vectors, config):
     return ShardedRetriever(
         distance,
         database,
@@ -396,13 +353,10 @@ def _sharded_factory(
         n_shards=config.n_shards,
         database_vectors=database_vectors,
         n_jobs=config.n_jobs,
-        quantized=quantized,
     )
 
 
-def _planned_factory(
-    distance, database, embedder, database_vectors, config, quantized=None
-):
+def _planned_factory(distance, database, embedder, database_vectors, config):
     return PlannedRetriever(
         distance,
         database,
@@ -410,7 +364,6 @@ def _planned_factory(
         database_vectors=database_vectors,
         n_shards=config.n_shards,
         n_jobs=config.n_jobs,
-        quantized=quantized,
         mode=config.planner,
         target_accuracy=config.planner_target_accuracy,
         cost_budget=config.planner_cost_budget,
@@ -447,7 +400,6 @@ class EmbeddingIndex:
         candidate_distances: Optional[np.ndarray] = None,
         pool: Optional[PersistentPool] = None,
         owns_pool: bool = False,
-        quantized: Optional[QuantizedVectors] = None,
     ) -> None:
         if not isinstance(context, DistanceContext):
             raise RetrievalError("an EmbeddingIndex needs a DistanceContext")
@@ -479,32 +431,9 @@ class EmbeddingIndex:
         #: Set by ``open(..., shard=...)``: the validated (shard_index,
         #: n_shards, start, stop) this process is responsible for.
         self._shard_spec: Optional[Tuple[int, int, int, int]] = None
-        # The quantized filter tier: built here on a fresh build, restored
-        # from filter.npz on open.  Quantization is deterministic, so both
-        # paths produce identical codes; loading just keeps open at zero
-        # recomputation.
-        if config.filter_dtype == "float64":
-            self._quantized = None
-        elif quantized is not None:
-            if len(quantized) != self.database_vectors.shape[0]:
-                raise RetrievalError(
-                    f"quantized table has {len(quantized)} rows, database "
-                    f"has {self.database_vectors.shape[0]}"
-                )
-            self._quantized = quantized
-        else:
-            self._quantized = QuantizedVectors.quantize(
-                self.database_vectors, config.filter_dtype
-            )
         self._backend_name = config.backend
         self._backend = _make_backend(
-            config.backend,
-            context,
-            database,
-            embedder,
-            self.database_vectors,
-            config,
-            quantized=self._quantized,
+            config.backend, context, database, embedder, self.database_vectors, config
         )
 
     # -- construction ---------------------------------------------------
@@ -726,18 +655,6 @@ class EmbeddingIndex:
             model_payload, context, candidate_objects, candidate_distances
         )
 
-        quantized = None
-        if config.filter_dtype != "float64":
-            quantized = QuantizedVectors.from_payload(
-                artifacts.read_filter_payload(directory)
-            )
-            if quantized.dtype != config.filter_dtype:
-                raise ArtifactError(
-                    f"index artifact {directory} promises a "
-                    f"{config.filter_dtype!r} filter tier but filter.npz "
-                    f"holds {quantized.dtype!r}; re-save the index"
-                )
-
         owns_pool = False
         if pool is None and resolve_jobs(config.n_jobs) > 1:
             pool = PersistentPool(config.n_jobs)
@@ -754,7 +671,6 @@ class EmbeddingIndex:
             candidate_distances=candidate_distances,
             pool=pool,
             owns_pool=owns_pool,
-            quantized=quantized,
         )
         index._shard_spec = shard_spec
         return index
@@ -820,12 +736,6 @@ class EmbeddingIndex:
         artifacts.write_arrays(
             directory, self.database_vectors, self._candidate_distances
         )
-        if self._quantized is not None:
-            artifacts.write_filter_payload(directory, self._quantized.to_payload())
-        elif paths["filter"].exists():
-            # A stale quantized table from an earlier save with a different
-            # filter_dtype must not outlive the manifest that described it.
-            paths["filter"].unlink()
         artifacts.write_model_payload(
             directory, self.embedder.to_dict(), self._candidate_indices
         )
@@ -848,15 +758,6 @@ class EmbeddingIndex:
                     "dim": int(self.dim),
                     "embedding_cost": int(self.embedding_cost),
                     "n_terms": len(self.embedder.terms),
-                },
-                "filter": None
-                if self._quantized is None
-                else {
-                    "dtype": self._quantized.dtype,
-                    "nbytes": int(self._quantized.nbytes),
-                    "max_dim_error": float(self._quantized.dim_error.max())
-                    if self._quantized.dim
-                    else 0.0,
                 },
             },
         )
@@ -1139,7 +1040,6 @@ class EmbeddingIndex:
             self.embedder,
             self.database_vectors,
             self.config,
-            quantized=self._quantized,
         )
         with self._serving_guard():
             self._backend = backend
@@ -1223,11 +1123,6 @@ class EmbeddingIndex:
         return self.context.distance_evaluations
 
     @property
-    def quantized(self) -> Optional[QuantizedVectors]:
-        """The quantized filter tier (``None`` when ``filter_dtype="float64"``)."""
-        return self._quantized
-
-    @property
     def fingerprint(self) -> Optional[str]:
         """Content fingerprint of the context universe."""
         return self.context.fingerprint
@@ -1269,31 +1164,15 @@ class EmbeddingIndex:
         async server; both are ``None`` until the corresponding component
         exists.  ``degraded=True`` means refine work currently bypasses
         the pool and runs serially in the parent — slower, never wrong.
-        ``quantization`` (``None`` without a quantized filter tier)
-        reports the tier's dtype, table bytes, worst per-dimension
-        quantization error, and the honest widened-``p'`` accounting —
-        how many exact float64 filter rows were re-scored to keep results
-        bit-identical to the float64 scan.  ``remote`` (``None`` unless a
-        ``repro.remote`` scatter/gather backend is active) reports the
-        per-shard connection supervision state — live/dead peers, retries,
-        local fallbacks, bytes on the wire — and folds a dead shard into
-        the top-level ``degraded`` flag: its work runs serially in the
-        parent, slower but never wrong.  ``planner`` (``None`` unless the
+        ``remote`` (``None`` unless a ``repro.remote`` scatter/gather
+        backend is active) reports the per-shard connection supervision
+        state — live/dead peers, retries, local fallbacks, bytes on the
+        wire — and folds a dead shard into the top-level ``degraded``
+        flag: its work runs serially in the parent, slower but never
+        wrong.  ``planner`` (``None`` unless the
         ``"planned"`` backend is active) reports the query planner's mode,
         calibration state, fitted cost-model snapshot and last decision.
         """
-        quantization = None
-        if self._quantized is not None:
-            stage = getattr(getattr(self._backend, "engine", None), "filter", None)
-            quantization = {
-                "dtype": self._quantized.dtype,
-                "nbytes": int(self._quantized.nbytes),
-                "max_dim_error": float(self._quantized.dim_error.max())
-                if self._quantized.dim
-                else 0.0,
-                "widened_queries": int(getattr(stage, "widened_queries", 0)),
-                "widened_total": int(getattr(stage, "widened_total", 0)),
-            }
         remote = None
         backend_health = getattr(self._backend, "health", None)
         if callable(backend_health):
@@ -1309,7 +1188,6 @@ class EmbeddingIndex:
             or bool(remote is not None and remote.get("degraded")),
             "pool": self.pool.health() if self.pool is not None else None,
             "serving": self._server.health() if self._server is not None else None,
-            "quantization": quantization,
             "remote": remote,
             "planner": planner,
         }

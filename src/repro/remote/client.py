@@ -248,11 +248,11 @@ class ShardConnection:
 
     def request_filter(
         self, vectors: np.ndarray, p: int
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[int]]:
+    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """The shard's filter cuts for a batch of embedded query vectors.
 
-        Returns ``(local_indices, filter_distances, widened)`` lists, one
-        entry per query, validated for shape before anything is returned.
+        Returns ``(local_indices, filter_distances)`` lists, one entry per
+        query, validated for shape before anything is returned.
         """
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=float))
         n_queries = vectors.shape[0]
@@ -266,14 +266,11 @@ class ShardConnection:
             )
             locals_ = reply.get("locals")
             distances = reply.get("distances")
-            widened = reply.get("widened")
             if (
                 not isinstance(locals_, list)
                 or not isinstance(distances, list)
                 or len(locals_) != n_queries
                 or len(distances) != n_queries
-                or not isinstance(widened, np.ndarray)
-                or widened.shape != (n_queries,)
             ):
                 raise RemoteProtocolError(
                     f"malformed FILTER_RESULT from shard {self.shard_index}: "
@@ -296,7 +293,7 @@ class ShardConnection:
                     )
                 cuts.append(local)
                 dists.append(dist)
-            return cuts, dists, [int(w) for w in widened]
+            return cuts, dists
 
         return self._with_retries(_run)
 
@@ -418,7 +415,6 @@ class RemoteShardedBackend:
         database_vectors: np.ndarray,
         config: IndexConfig,
         addresses: Sequence[Tuple[str, int]],
-        quantized: Optional[Any] = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         read_timeout: float = DEFAULT_READ_TIMEOUT,
         retries: int = DEFAULT_RETRIES,
@@ -436,7 +432,6 @@ class RemoteShardedBackend:
             n_shards=config.n_shards,
             database_vectors=database_vectors,
             n_jobs=None,
-            quantized=quantized,
         )
         shards = self.retriever.engine.filter.shards
         if len(addresses) != len(shards):
@@ -519,7 +514,7 @@ class RemoteShardedBackend:
         vectors = np.asarray(plan.query_vectors, dtype=float)
         n_queries = vectors.shape[0]
         p = plan.p_eff
-        per_shard: List[Tuple[List[np.ndarray], List[np.ndarray], List[int]]] = []
+        per_shard: List[Tuple[List[np.ndarray], List[np.ndarray]]] = []
         for sid, conn in enumerate(self.connections):
             result = None
             if conn.alive:
@@ -530,30 +525,21 @@ class RemoteShardedBackend:
             if result is None:
                 # Serial local fallback: the same shard_cut the server runs.
                 conn.fallbacks += 1
-                cuts, dists, widened = [], [], []
+                cuts, dists = [], []
                 for vector in vectors:
-                    local, dist, wide = stage.shard_cut(sid, vector, p)
+                    local, dist = stage.shard_cut(sid, vector, p)
                     cuts.append(local)
                     dists.append(dist)
-                    widened.append(int(wide))
-                result = (cuts, dists, widened)
+                result = (cuts, dists)
             per_shard.append(result)
         plan.candidate_lists = []
-        widened_total = 0
         for qi in range(n_queries):
             indices = [
                 stage.shards[sid].offset + per_shard[sid][0][qi]
                 for sid in range(len(self.connections))
             ]
             dists = [per_shard[sid][1][qi] for sid in range(len(self.connections))]
-            widened_total += sum(
-                per_shard[sid][2][qi] for sid in range(len(self.connections))
-            )
             plan.candidate_lists.append(merge_shard_cuts(indices, dists, p))
-        if stage.shard_quantized is not None:
-            # Same honest superset accounting as the in-process merge.
-            stage.widened_queries += n_queries
-            stage.widened_total += widened_total
         plan.shard_work = [stage.split(c) for c in plan.candidate_lists]
 
     def _charge_entry(
@@ -694,9 +680,7 @@ def configure(
     }
 
 
-def _remote_factory(
-    distance, database, embedder, database_vectors, config, quantized=None
-):
+def _remote_factory(distance, database, embedder, database_vectors, config):
     if _SETTINGS is None:
         raise ConfigurationError(
             "the remote_sharded backend has no shard addresses; call "
@@ -704,13 +688,7 @@ def _remote_factory(
             "use_remote_backend) first"
         )
     return RemoteShardedBackend(
-        distance,
-        database,
-        embedder,
-        database_vectors,
-        config,
-        quantized=quantized,
-        **_SETTINGS,
+        distance, database, embedder, database_vectors, config, **_SETTINGS
     )
 
 

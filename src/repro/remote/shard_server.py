@@ -15,8 +15,8 @@ allows it, and then serves two operations for its shard over the
 * **filter** — the shard's stable top-``min(p, shard_size)`` filter cut for
   a batch of embedded query vectors, through the exact same
   :meth:`~repro.retrieval.engine.ShardedFilterStage.shard_cut` the
-  in-process backend uses (quantized tier included), so the scatter/gather
-  merge in the parent is bit-identical to the local merge.
+  in-process backend uses, so the scatter/gather merge in the parent is
+  bit-identical to the local merge.
 * **refine** — exact distances from query objects to the shard's surviving
   candidates, streamed back as (global database index, distance) entries.
   Refine goes through the worker's own warm
@@ -124,7 +124,6 @@ class ShardServer:
             n_shards=index.config.n_shards,
             database_vectors=index.database_vectors,
             n_jobs=None,
-            quantized=index.quantized,
         )
         self.host = host
         self.port = int(port)
@@ -205,22 +204,16 @@ class ShardServer:
             )
         locals_: List[np.ndarray] = []
         distances: List[np.ndarray] = []
-        widened: List[int] = []
         stage = self.retriever.engine.filter
         for vector in np.asarray(vectors, dtype=float):
-            local, dist, wide = stage.shard_cut(self.shard_index, vector, p)
+            local, dist = stage.shard_cut(self.shard_index, vector, p)
             locals_.append(np.asarray(local, dtype=np.int64))
             distances.append(np.asarray(dist, dtype=float))
-            widened.append(int(wide))
         self.served_filter += len(locals_)
         self._send(
             conn,
             FrameType.FILTER_RESULT,
-            {
-                "locals": locals_,
-                "distances": distances,
-                "widened": np.asarray(widened, dtype=np.int64),
-            },
+            {"locals": locals_, "distances": distances},
         )
 
     def _handle_refine(self, conn: socket.socket, payload: Dict[str, Any]) -> None:

@@ -12,9 +12,9 @@ This subpackage implements Sec. 8 and the evaluation protocol of Sec. 9:
 * the accuracy-versus-cost evaluation with the paper's optimal-parameter
   search over the embedding dimensionality ``d`` and the filter size ``p``
   (:mod:`repro.retrieval.evaluation`, :mod:`repro.retrieval.sweep`);
-* the cost-based adaptive query planner that chooses ``p``, the filter
-  tier, the execution backend and the refine fan-out per query from a
-  fitted cost model (:mod:`repro.retrieval.planner`);
+* the cost-based adaptive query planner that chooses ``p``, the execution
+  backend and the refine fan-out per query from a fitted cost model
+  (:mod:`repro.retrieval.planner`);
 * dynamic-database maintenance and drift detection
   (:mod:`repro.retrieval.dynamic`, Sec. 7.1).
 """
@@ -32,7 +32,6 @@ from repro.retrieval.engine import (
 )
 from repro.retrieval.brute_force import BruteForceRetriever
 from repro.retrieval.filter_refine import FilterRefineRetriever, RetrievalResult
-from repro.retrieval.quantized import QuantizedVectors, quantized_filter_cut
 from repro.retrieval.sharded import Shard, ShardedRetriever
 from repro.retrieval.evaluation import (
     FilterRankResult,
@@ -71,8 +70,6 @@ __all__ = [
     "MergeStage",
     "BruteForceRetriever",
     "FilterRefineRetriever",
-    "QuantizedVectors",
-    "quantized_filter_cut",
     "RetrievalResult",
     "Shard",
     "ShardedRetriever",

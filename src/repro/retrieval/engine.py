@@ -71,7 +71,6 @@ from repro.distances.parallel import (
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
 from repro.retrieval.context_binding import ContextBinding, bind_context
-from repro.retrieval.quantized import QuantizedVectors, quantized_filter_cut
 
 __all__ = [
     "RetrievalResult",
@@ -151,8 +150,9 @@ def filter_vector_distances(
 ) -> np.ndarray:
     """Filter-step distances from one embedded query to database vectors.
 
-    Row-wise over ``database_vectors``, so evaluating it per shard and
-    concatenating yields bit-identical values to one full-database call.
+    Each row's score depends only on that row and the query, so evaluating
+    it per shard or on a row subset yields bit-identical values to one
+    full-database call.
     """
     query_vector = np.asarray(query_vector, dtype=float)
     if isinstance(embedder, QuerySensitiveModel):
@@ -387,15 +387,7 @@ class EmbedStage:
 
 
 class FilterStage:
-    """Stable top-``p`` cut of the database by the cheap filter distance.
-
-    With a :class:`~repro.retrieval.quantized.QuantizedVectors` table bound
-    (``quantized``), the scan reads the low-precision copy and re-scores
-    only an error-bounded candidate superset with the exact float64 rows —
-    candidates, tie order and downstream refine counts stay bit-identical
-    to the float64 scan, and the superset size is charged honestly in
-    :attr:`widened_total` (see :func:`repro.retrieval.quantized.quantized_filter_cut`).
-    """
+    """Stable top-``p`` cut of the database by the cheap filter distance."""
 
     stat_name = "filter"
 
@@ -403,22 +395,9 @@ class FilterStage:
         self,
         embedder: Union[QuerySensitiveModel, Embedding],
         database_vectors: np.ndarray,
-        quantized: Optional["QuantizedVectors"] = None,
     ) -> None:
         self.embedder = embedder
         self.database_vectors = database_vectors
-        if quantized is not None and len(quantized) != database_vectors.shape[0]:
-            raise RetrievalError(
-                f"quantized table has {len(quantized)} rows, float64 table "
-                f"has {database_vectors.shape[0]}"
-            )
-        self.quantized = quantized
-        #: Queries answered through the quantized scan so far.
-        self.widened_queries = 0
-        #: Total widened candidate count ``sum of p'`` across those queries
-        #: — the exact float64 filter rows evaluated to absorb quantization
-        #: error (``p' >= p`` per query).
-        self.widened_total = 0
 
     def distances(self, query_vector: np.ndarray) -> np.ndarray:
         """Vector distances from an embedded query to every database vector."""
@@ -426,24 +405,12 @@ class FilterStage:
             self.embedder, query_vector, self.database_vectors
         )
 
-    def order(self, query_vector: np.ndarray, p: Optional[int] = None) -> np.ndarray:
-        """Database indices sorted by increasing filter distance (top ``p``).
+    def cut(self, query_vector: np.ndarray, p: Optional[int] = None) -> np.ndarray:
+        """Database indices of the ``p`` best filter distances (all if ``None``).
 
-        Always the exact float64 scan; the quantized path of :meth:`run`
-        produces bit-identical candidates, so the two never diverge.
+        Sorted by increasing filter distance, ties by database index.
         """
         return stable_smallest(self.distances(query_vector), p)
-
-    def cut(self, query_vector: np.ndarray, p: Optional[int]) -> np.ndarray:
-        """One query's candidate cut, through the quantized tier when bound."""
-        if self.quantized is None:
-            return self.order(query_vector, p)
-        candidates, _exact, widened = quantized_filter_cut(
-            self.quantized, self.embedder, query_vector, self.database_vectors, p
-        )
-        self.widened_queries += 1
-        self.widened_total += widened
-        return candidates
 
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Rank the database per query vector into ``plan.candidate_lists``."""
@@ -466,82 +433,43 @@ class ShardedFilterStage:
         self,
         embedder: Union[QuerySensitiveModel, Embedding],
         shards: Sequence[Any],
-        quantized: Optional["QuantizedVectors"] = None,
     ) -> None:
         self.embedder = embedder
         self.shards = list(shards)
-        #: Per-shard slices of the quantized table (views; shared error
-        #: bounds), aligned with :attr:`shards`.  ``None`` = exact scan.
-        self.shard_quantized: Optional[List["QuantizedVectors"]] = None
-        if quantized is not None:
-            total = sum(len(shard) for shard in self.shards)
-            if len(quantized) != total:
-                raise RetrievalError(
-                    f"quantized table has {len(quantized)} rows, shards "
-                    f"cover {total}"
-                )
-            self.shard_quantized = [
-                quantized.slice(shard.offset, shard.offset + len(shard))
-                for shard in self.shards
-            ]
-        #: Same accounting as :class:`FilterStage`: queries served through
-        #: the quantized scan, and their total widened candidate count
-        #: (summed across shards per query).
-        self.widened_queries = 0
-        self.widened_total = 0
 
     def shard_cut(
         self, shard_id: int, query_vector: np.ndarray, p: int
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """One shard's stable top-``min(p, shard_size)`` filter cut.
 
-        Returns ``(local_indices, filter_distances, widened)`` in stable
-        (distance, local index) order; ``widened`` is the quantized scan's
-        honestly-charged superset size (``0`` on the exact scan).  Pure —
-        the per-query widened accounting happens in :meth:`merged` — so a
-        remote shard server (or a local fallback for a dead one) can call it
-        for a single shard and stay bit-identical to the in-process merge.
+        Returns ``(local_indices, filter_distances)`` in stable (distance,
+        local index) order.  Pure, so a remote shard server (or a local
+        fallback for a dead one) can call it for a single shard and stay
+        bit-identical to the in-process merge.
         """
         shard = self.shards[shard_id]
-        if self.shard_quantized is not None:
-            local, exact, widened = quantized_filter_cut(
-                self.shard_quantized[shard_id],
-                self.embedder,
-                query_vector,
-                shard.vectors,
-                min(p, len(shard)),
-            )
-            return local, exact, widened
         distances = filter_vector_distances(
             self.embedder, query_vector, shard.vectors
         )
         local = stable_smallest(distances, min(p, len(shard)))
-        return local, distances[local], 0
+        return local, distances[local]
 
     def merged(self, query_vector: np.ndarray, p: int) -> np.ndarray:
         """Global top-``p`` filter candidates, merged across shards.
 
         Identical — including tie-breaking by database index — to the
-        unsharded ``FilterStage.order(query_vector, p)``: each shard list is
-        stable-ordered and shard order equals global index order, so
-        concatenation order breaks distance ties by ascending global index
-        (see :func:`merge_shard_cuts`).  With a quantized table bound, each
-        shard's cut goes through
-        :func:`~repro.retrieval.quantized.quantized_filter_cut` — the
-        per-shard candidates and their exact float64 distances are
-        bit-identical to the exact scan, so the merge is too.
+        unsharded ``FilterStage.cut(query_vector, p)``: per-shard scores
+        equal the full-table scores, each shard list is stable-ordered and
+        shard order equals global index order, so concatenation order
+        breaks distance ties by ascending global index (see
+        :func:`merge_shard_cuts`).
         """
         shard_distances: List[np.ndarray] = []
         shard_indices: List[np.ndarray] = []
-        widened = 0
         for sid, shard in enumerate(self.shards):
-            local, exact, spent = self.shard_cut(sid, query_vector, p)
-            widened += spent
-            shard_distances.append(exact)
+            local, distances = self.shard_cut(sid, query_vector, p)
+            shard_distances.append(distances)
             shard_indices.append(shard.offset + local)
-        if self.shard_quantized is not None:
-            self.widened_queries += 1
-            self.widened_total += widened
         return merge_shard_cuts(shard_indices, shard_distances, p)
 
     def split(self, candidates: np.ndarray) -> List[ShardWork]:
@@ -911,12 +839,11 @@ class QueryEngine:
         database: Dataset,
         embedder: Union[QuerySensitiveModel, Embedding],
         database_vectors: np.ndarray,
-        quantized: Optional[QuantizedVectors] = None,
     ) -> "QueryEngine":
         """The unsharded filter-and-refine pipeline."""
         return cls(
             embed=EmbedStage(embedder),
-            filter=FilterStage(embedder, database_vectors, quantized=quantized),
+            filter=FilterStage(embedder, database_vectors),
             refine=RefineStage(distance, database),
             merge=MergeStage(),
             n_database=len(database),
@@ -929,12 +856,11 @@ class QueryEngine:
         database: Dataset,
         embedder: Union[QuerySensitiveModel, Embedding],
         shards: Sequence[Any],
-        quantized: Optional[QuantizedVectors] = None,
     ) -> "QueryEngine":
         """The sharded filter-and-refine pipeline (store-aware refine)."""
         return cls(
             embed=EmbedStage(embedder),
-            filter=ShardedFilterStage(embedder, shards, quantized=quantized),
+            filter=ShardedFilterStage(embedder, shards),
             refine=RefineStage(distance, database, shards=shards),
             merge=MergeStage(),
             n_database=len(database),

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.model import QuerySensitiveModel
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
+from repro.retrieval.engine import filter_vector_distances
 from repro.retrieval.knn import NeighborTable
 
 
@@ -130,14 +131,11 @@ def filter_ranks(
     k_max = ground_truth.k_max
     n_database = database_vectors.shape[0]
     rank_matrix = np.empty((n_queries, k_max), dtype=int)
-    is_model = isinstance(embedder, QuerySensitiveModel)
     database_positions = np.arange(n_database)
     for qi in range(n_queries):
-        qvec = query_vectors[qi]
-        if is_model:
-            filter_dists = embedder.distances_to(qvec, database_vectors)
-        else:
-            filter_dists = np.abs(database_vectors - qvec[None, :]).sum(axis=1)
+        filter_dists = filter_vector_distances(
+            embedder, query_vectors[qi], database_vectors
+        )
         # rank of database object j in the stable filter ordering = number of
         # objects with strictly smaller filter distance + number of equal
         # distances at smaller indices + 1 (ties broken by database index,

@@ -59,26 +59,9 @@ from repro.datasets.base import Dataset
 from repro.distances.base import CountingDistance, DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
-from repro.retrieval.engine import (
-    QueryEngine,
-    RetrievalResult,
-    build_retrieval_result,
-    clamp_query_params,
-    filter_vector_distances,
-    refine_order,
-    stable_smallest,
-)
-from repro.retrieval.quantized import QuantizedVectors
+from repro.retrieval.engine import QueryEngine, RetrievalResult
 
 __all__ = ["FilterRefineRetriever", "RetrievalResult"]
-
-# Backwards-compatible aliases: these helpers started life as this module's
-# private functions and are imported elsewhere under their old names.
-_stable_smallest = stable_smallest
-_clamp_query_params = clamp_query_params
-_filter_distances = filter_vector_distances
-_refine_order = refine_order
-_build_retrieval_result = build_retrieval_result
 
 
 class FilterRefineRetriever:
@@ -106,14 +89,6 @@ class FilterRefineRetriever:
         Optional precomputed ``(n, d)`` matrix of database embeddings.  When
         omitted, the whole database is embedded at construction time (a
         one-time preprocessing cost, not charged to queries).
-    quantized:
-        Optional :class:`~repro.retrieval.quantized.QuantizedVectors` copy
-        of the embedded database.  The filter scan then reads the
-        low-precision table and re-scores only an error-bounded candidate
-        superset with the exact float64 rows — results, tie order and
-        per-query exact-distance counts stay bit-identical to the float64
-        scan, and the superset size is charged in
-        :attr:`filter_widened_total`.
     """
 
     def __init__(
@@ -122,7 +97,6 @@ class FilterRefineRetriever:
         database: Dataset,
         embedder: Union[QuerySensitiveModel, Embedding],
         database_vectors: Optional[np.ndarray] = None,
-        quantized: Optional["QuantizedVectors"] = None,
     ) -> None:
         if not isinstance(distance, DistanceMeasure):
             raise RetrievalError("distance must be a DistanceMeasure instance")
@@ -143,32 +117,13 @@ class FilterRefineRetriever:
                 f"got {self.database_vectors.shape}"
             )
         self.engine = QueryEngine.filter_refine(
-            distance, database, embedder, self.database_vectors, quantized=quantized
+            distance, database, embedder, self.database_vectors
         )
 
     @property
     def dim(self) -> int:
         """Dimensionality of the embedding used for filtering."""
         return self.embedder.dim
-
-    @property
-    def quantized(self) -> Optional["QuantizedVectors"]:
-        """The quantized filter table, when one is bound (else ``None``)."""
-        return self.engine.filter.quantized
-
-    @property
-    def filter_widened_queries(self) -> int:
-        """Queries answered through the quantized filter scan so far."""
-        return self.engine.filter.widened_queries
-
-    @property
-    def filter_widened_total(self) -> int:
-        """Total widened candidate count ``sum of p'`` across those queries.
-
-        The exact float64 filter rows evaluated to absorb quantization
-        error (``p' >= p`` per query); ``0`` without a quantized table.
-        """
-        return self.engine.filter.widened_total
 
     @property
     def embedding_cost(self) -> int:
@@ -205,7 +160,7 @@ class FilterRefineRetriever:
         over the whole database.  The result is identical — including tie
         breaking by database index — to ``filter_order(...)[:p]``.
         """
-        return self.engine.filter.order(query_vector, p)
+        return self.engine.filter.cut(query_vector, p)
 
     def query(self, obj: Any, k: int, p: int) -> RetrievalResult:
         """Retrieve the approximate ``k`` nearest neighbors of ``obj``.

@@ -6,8 +6,8 @@ This module turns it into a per-query decision made by a fitted cost model,
 the way a database optimizer chooses a physical plan:
 
 * :class:`CostModel` — fitted online from *observed* stage timings: exact
-  evaluations per second, filter scan seconds per row (per tier), the store
-  hit rate (globally and per shard), and the remote round-trip overhead.
+  evaluations per second, filter scan seconds per row, the store hit rate
+  (globally and per shard), and the remote round-trip overhead.
   Calibrated from a few probe queries
   (:meth:`PlannedRetriever.calibrate`) and updated from every served
   batch.  All ``observe_*`` methods ingest values measured by the caller;
@@ -16,13 +16,12 @@ the way a database optimizer chooses a physical plan:
   are deterministic given the model.
 * :class:`PlannedRetriever` — the ``"planned"`` index backend.  Per query
   it (a) picks ``p`` to hit a target accuracy or cost budget, (b) chooses
-  the filter tier (float64/quantized) and execution backend (flat,
-  sharded, remote scatter/gather, full scan for tiny residuals) from
-  predicted cost, (c) sets ``n_jobs`` from pool occupancy, and (d) shrinks
-  the refine set adaptively: candidates are refined in prefix-extending
-  slices and refinement stops as soon as the top-``k`` is stable across an
-  extension (the incremental-refine early exit), charging only the pairs
-  actually evaluated.
+  the execution backend (flat, sharded, remote scatter/gather, full scan
+  for tiny residuals) from predicted cost, (c) sets ``n_jobs`` from pool
+  occupancy, and (d) shrinks the refine set adaptively: candidates are
+  refined in prefix-extending slices and refinement stops as soon as the
+  top-``k`` is stable across an extension (the incremental-refine early
+  exit), charging only the pairs actually evaluated.
 
 Exactness contract
 ------------------
@@ -48,7 +47,6 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import (
-    FilterStage,
     QueryEngine,
     RetrievalResult,
     build_retrieval_result,
@@ -61,7 +59,6 @@ from repro.retrieval.evaluation import (
     filter_ranks,
 )
 from repro.retrieval.knn import knn_from_distances
-from repro.retrieval.quantized import QuantizedVectors
 from repro.retrieval.sharded import ShardedRetriever
 
 __all__ = [
@@ -168,8 +165,7 @@ class CostModel:
     * ``exact_eval_seconds`` — seconds per exact refine evaluation (the
       active kernel backend's throughput shows up here);
     * ``embed_seconds`` — seconds to embed one query;
-    * ``filter_row_seconds`` — filter scan seconds per database row, keyed
-      by tier (``"float64"`` or the quantized dtype);
+    * ``filter_row_seconds`` — filter scan seconds per database row;
     * ``store_hit_rate`` — fraction of routed refine pairs absorbed by the
       distance store (and ``shard_hit_rates``, the same per shard);
     * ``remote_round_trip_seconds`` — scatter/gather seconds per query.
@@ -182,7 +178,7 @@ class CostModel:
         self.observations = 0
         self.exact_eval_seconds = 0.0
         self.embed_seconds = 0.0
-        self.filter_row_seconds: Dict[str, float] = {}
+        self.filter_row_seconds = 0.0
         self.store_hit_rate = 0.0
         self.shard_hit_rates: Dict[int, float] = {}
         self.remote_round_trip_seconds = 0.0
@@ -203,7 +199,6 @@ class CostModel:
         *,
         n_queries: int,
         n_rows: int,
-        tier: str,
         embed_seconds: float,
         filter_seconds: float,
         refine_seconds: float,
@@ -223,8 +218,8 @@ class CostModel:
                 self.embed_seconds, embed_seconds / n_queries
             )
         if n_rows > 0 and filter_seconds > 0.0:
-            self.filter_row_seconds[tier] = self._blend(
-                self.filter_row_seconds.get(tier, 0.0), filter_seconds / n_rows
+            self.filter_row_seconds = self._blend(
+                self.filter_row_seconds, filter_seconds / n_rows
             )
         if refine_evaluations > 0 and refine_seconds > 0.0:
             self.exact_eval_seconds = self._blend(
@@ -256,41 +251,22 @@ class CostModel:
 
     # -- prediction and choice (pure over fitted state; RP012) -----------
 
-    def predict_filter_seconds(self, n_rows: int, tier: str) -> float:
-        """Predicted scan seconds for ``n_rows`` filter rows on one tier."""
-        return n_rows * self.filter_row_seconds.get(tier, 0.0)
+    def predict_filter_seconds(self, n_rows: int) -> float:
+        """Predicted scan seconds for ``n_rows`` filter rows."""
+        return n_rows * self.filter_row_seconds
 
     def predict_refine_seconds(self, n_candidates: int) -> float:
         """Predicted refine seconds: store-miss fraction times eval cost."""
         misses = (1.0 - self.store_hit_rate) * n_candidates
         return misses * self.exact_eval_seconds
 
-    def predict_query_seconds(self, p: int, n_rows: int, tier: str) -> float:
+    def predict_query_seconds(self, p: int, n_rows: int) -> float:
         """Predicted wall-clock of one local filter-and-refine query."""
         return (
             self.embed_seconds
-            + self.predict_filter_seconds(n_rows, tier)
+            + self.predict_filter_seconds(n_rows)
             + self.predict_refine_seconds(p)
         )
-
-    def choose_filter_tier(self, tiers: Sequence[str]) -> str:
-        """Pick the cheapest filter tier by fitted per-row scan cost.
-
-        ``tiers`` lists the available tiers in preference order (the
-        configured quantized tier first); an unfitted tier keeps its
-        place — the planner only overrides the configuration once it has
-        measured both tiers and found the preferred one slower.
-        """
-        tiers = list(tiers)
-        if not tiers:
-            raise RetrievalError("choose_filter_tier needs at least one tier")
-        best = tiers[0]
-        for tier in tiers[1:]:
-            best_cost = self.filter_row_seconds.get(best)
-            cost = self.filter_row_seconds.get(tier)
-            if best_cost is not None and cost is not None and cost < best_cost:
-                best = tier
-        return best
 
     def choose_n_jobs(
         self, n_queries: int, p: int, pool_workers: int
@@ -313,7 +289,6 @@ class CostModel:
         self,
         p: int,
         n_rows: int,
-        tier: str,
         sharded_available: bool,
         remote_available: bool,
     ) -> str:
@@ -327,7 +302,7 @@ class CostModel:
         *where* the same work runs.
         """
         if remote_available:
-            local = self.predict_query_seconds(p, n_rows, tier)
+            local = self.predict_query_seconds(p, n_rows)
             if self.remote_round_trip_seconds <= local:
                 return "remote_sharded"
         if sharded_available and self.store_hit_rate >= SHARDED_HIT_RATE:
@@ -340,7 +315,7 @@ class CostModel:
             "observations": self.observations,
             "exact_eval_seconds": self.exact_eval_seconds,
             "embed_seconds": self.embed_seconds,
-            "filter_row_seconds": dict(self.filter_row_seconds),
+            "filter_row_seconds": self.filter_row_seconds,
             "store_hit_rate": self.store_hit_rate,
             "shard_hit_rates": {
                 int(k): float(v) for k, v in self.shard_hit_rates.items()
@@ -363,7 +338,7 @@ class PlannedRetriever:
 
     Parameters
     ----------
-    distance, database, embedder, database_vectors, quantized:
+    distance, database, embedder, database_vectors:
         As for :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`.
     n_shards:
         When > 1, a sharded execution path is kept available and chosen by
@@ -389,7 +364,6 @@ class PlannedRetriever:
         database_vectors: Optional[np.ndarray] = None,
         n_shards: int = 1,
         n_jobs: Optional[int] = None,
-        quantized: Optional[QuantizedVectors] = None,
         mode: str = "off",
         target_accuracy: float = 0.95,
         cost_budget: Optional[int] = None,
@@ -411,15 +385,7 @@ class PlannedRetriever:
             database_vectors = embedder.embed_many(list(database))
         self.database_vectors = np.asarray(database_vectors, dtype=float)
         self.engine = QueryEngine.filter_refine(
-            distance, database, embedder, self.database_vectors, quantized=quantized
-        )
-        # The exact-scan filter stage backs the float64 tier when the
-        # engine's stage is quantized (same vectors, so cuts are prefixes
-        # of the same stable order either way).
-        self._exact_filter = (
-            self.engine.filter
-            if quantized is None
-            else FilterStage(embedder, self.database_vectors)
+            distance, database, embedder, self.database_vectors
         )
         self._sharded: Optional[ShardedRetriever] = None
         if int(n_shards) > 1:
@@ -430,7 +396,6 @@ class PlannedRetriever:
                 n_shards=int(n_shards),
                 database_vectors=self.database_vectors,
                 n_jobs=n_jobs,
-                quantized=quantized,
             )
         #: Optional remote scatter/gather delegate (see :meth:`attach_remote`).
         self.remote: Optional[Any] = None
@@ -499,13 +464,6 @@ class PlannedRetriever:
             cost_budget=self.cost_budget,
         )
 
-    def choose_tier(self) -> str:
-        """The filter tier the planner scans with (``"float64"`` or quantized)."""
-        quantized = self.engine.filter.quantized
-        if quantized is None:
-            return "float64"
-        return self.model.choose_filter_tier([quantized.dtype, "float64"])
-
     # -- measurement helpers (read live state; never used in choosers) ---
 
     def _pool_workers(self) -> int:
@@ -524,7 +482,7 @@ class PlannedRetriever:
         except Exception:  # repro-lint: disable=RP003 -- supervision probe: a health check that raises IS the degraded signal; the planner re-plans locally instead of propagating
             return True
 
-    def _observe_stats(self, stats: Optional[Dict[str, Any]], tier: str) -> None:
+    def _observe_stats(self, stats: Optional[Dict[str, Any]]) -> None:
         """Fold an engine batch's ``plan.stats`` into the cost model."""
         if not stats:
             return
@@ -532,7 +490,6 @@ class PlannedRetriever:
         self.model.observe_batch(
             n_queries=int(stats.get("n_queries", 0)),
             n_rows=self.engine.n_database * int(stats.get("n_queries", 0)),
-            tier=tier,
             embed_seconds=float(seconds.get("embed", 0.0)),
             filter_seconds=float(seconds.get("filter", 0.0)),
             refine_seconds=float(seconds.get("refine", 0.0)),
@@ -574,15 +531,8 @@ class PlannedRetriever:
 
         t0 = time.perf_counter()
         for vector in vectors:
-            self._exact_filter.distances(vector)
-        float64_seconds = time.perf_counter() - t0
-        quantized = self.engine.filter.quantized
-        quantized_seconds = 0.0
-        if quantized is not None:
-            t0 = time.perf_counter()
-            for vector in vectors:
-                self.engine.filter.cut(vector, min(n, max(k_max, DEFAULT_P_MIN)))
-            quantized_seconds = time.perf_counter() - t0
+            self.engine.filter.distances(vector)
+        filter_seconds = time.perf_counter() - t0
 
         refine = self.engine.refine
         all_positions = np.arange(n)
@@ -609,18 +559,12 @@ class PlannedRetriever:
         self.model.observe_batch(
             n_queries=len(probes),
             n_rows=n * len(probes),
-            tier="float64",
             embed_seconds=embed_seconds,
-            filter_seconds=float64_seconds,
+            filter_seconds=filter_seconds,
             refine_seconds=refine_seconds,
             refine_evaluations=spent_total,
             refine_pairs=n * len(probes),
         )
-        if quantized is not None and quantized_seconds > 0.0:
-            self.model.filter_row_seconds[quantized.dtype] = self.model._blend(
-                self.model.filter_row_seconds.get(quantized.dtype, 0.0),
-                quantized_seconds / (n * len(probes)),
-            )
         record = {
             "probes": len(probes),
             "k_max": k_max,
@@ -628,7 +572,7 @@ class PlannedRetriever:
             + self.engine.embed.cost * len(probes),
             "fit_seconds": time.perf_counter() - started,
             "exact_eval_seconds": self.model.exact_eval_seconds,
-            "filter_row_seconds": dict(self.model.filter_row_seconds),
+            "filter_row_seconds": self.model.filter_row_seconds,
         }
         self.model.calibration = record
         return record
@@ -647,11 +591,10 @@ class PlannedRetriever:
         adaptive = p is None and self.mode == "adaptive"
         ceiling = self.choose_p(k) if p is None else int(p)
         k_eff, p_eff = clamp_query_params(k, ceiling, n)
-        tier = self.choose_tier()
         remote_usable = self.remote is not None and not self._remote_degraded()
         backend = (
             self.model.choose_backend(
-                p_eff, n, tier, self._sharded is not None, remote_usable
+                p_eff, n, self._sharded is not None, remote_usable
             )
             if adaptive
             else "flat"
@@ -662,10 +605,9 @@ class PlannedRetriever:
             "k": k_eff,
             "p": p_eff,
             "backend": backend,
-            "tier": tier,
             "n_jobs": self.model.choose_n_jobs(1, p_eff, self._pool_workers()),
             "schedule": refine_schedule(p_eff, k_eff) if adaptive else [p_eff],
-            "predicted_seconds": self.model.predict_query_seconds(p_eff, n, tier),
+            "predicted_seconds": self.model.predict_query_seconds(p_eff, n),
             "calibrated": self.rank_profile is not None,
             "model": self.model.to_dict(),
         }
@@ -713,7 +655,7 @@ class PlannedRetriever:
                     n_jobs = self.n_jobs
             results = self.engine.query_many(objects, k, p, n_jobs=n_jobs)
             if results:
-                self._observe_stats(results[0].stats, self.choose_tier())
+                self._observe_stats(results[0].stats)
             return results
         self._require_adaptive()
         return self._run_adaptive(objects, k)
@@ -735,14 +677,12 @@ class PlannedRetriever:
         k_eff, p_eff = clamp_query_params(k, ceiling, n)
         if not objects:
             return []
-        tier = self.choose_tier()
         remote_usable = self.remote is not None and not self._remote_degraded()
         backend = self.model.choose_backend(
-            p_eff, n, tier, self._sharded is not None, remote_usable
+            p_eff, n, self._sharded is not None, remote_usable
         )
         decision = {
             "backend": backend,
-            "tier": tier,
             "p": p_eff,
             "k": k_eff,
             "n_queries": len(objects),
@@ -751,7 +691,7 @@ class PlannedRetriever:
         self._last_decision = decision
         if backend == "remote_sharded":
             return self._run_remote(objects, k, p_eff, decision)
-        return self._run_local(objects, k_eff, p_eff, tier, backend, decision)
+        return self._run_local(objects, k_eff, p_eff, backend, decision)
 
     def _run_remote(
         self,
@@ -788,7 +728,6 @@ class PlannedRetriever:
         objects: List[Any],
         k_eff: int,
         p_eff: int,
-        tier: str,
         backend: str,
         decision: Dict[str, Any],
     ) -> List[RetrievalResult]:
@@ -799,9 +738,7 @@ class PlannedRetriever:
         else:
             backend = "flat"
             refine = self.engine.refine
-            filter_stage = (
-                self.engine.filter if tier != "float64" else self._exact_filter
-            )
+            filter_stage = self.engine.filter
         embed_seconds = 0.0
         filter_seconds = 0.0
         refine_seconds = 0.0
@@ -848,7 +785,6 @@ class PlannedRetriever:
         self.model.observe_batch(
             n_queries=len(objects),
             n_rows=self.engine.n_database * len(objects),
-            tier=tier,
             embed_seconds=embed_seconds,
             filter_seconds=filter_seconds,
             refine_seconds=refine_seconds,

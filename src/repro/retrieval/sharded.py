@@ -92,7 +92,6 @@ from repro.distances.base import CountingDistance, DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import QueryEngine, RetrievalResult
-from repro.retrieval.quantized import QuantizedVectors
 
 __all__ = ["Shard", "ShardedRetriever"]
 
@@ -148,13 +147,6 @@ class ShardedRetriever:
     n_jobs:
         Default worker-process count for queries; ``None``/``0``/``1`` =
         serial, ``-1`` = all CPUs.  Overridable per call.
-    quantized:
-        Optional :class:`~repro.retrieval.quantized.QuantizedVectors` copy
-        of the embedded database; each shard scans its slice of the
-        low-precision table and re-scores an error-bounded superset with
-        its exact float64 rows, so the merged candidates — and every
-        downstream result — stay bit-identical to the exact scan (the
-        superset cost is charged in :attr:`filter_widened_total`).
     """
 
     def __init__(
@@ -165,7 +157,6 @@ class ShardedRetriever:
         n_shards: int = 2,
         database_vectors: Optional[np.ndarray] = None,
         n_jobs: Optional[int] = None,
-        quantized: Optional[QuantizedVectors] = None,
     ) -> None:
         if not isinstance(distance, DistanceMeasure):
             raise RetrievalError("distance must be a DistanceMeasure instance")
@@ -180,7 +171,6 @@ class ShardedRetriever:
         self.database = database
         self.embedder = embedder
         self.n_jobs = n_jobs
-        self._quantized = quantized
         if database_vectors is None:
             database_vectors = embedder.embed_many(list(database))
         self.database_vectors = np.asarray(database_vectors, dtype=float)
@@ -200,9 +190,7 @@ class ShardedRetriever:
             for chunk in splits
             if chunk.size
         ]
-        self.engine = QueryEngine.sharded(
-            distance, database, embedder, self.shards, quantized=quantized
-        )
+        self.engine = QueryEngine.sharded(distance, database, embedder, self.shards)
 
     @property
     def n_shards(self) -> int:
@@ -240,27 +228,6 @@ class ShardedRetriever:
         performed (store hits are free).
         """
         return self.engine.refine.calls
-
-    @property
-    def quantized(self) -> Optional[QuantizedVectors]:
-        """The (whole-table) quantized filter tier, when one is bound."""
-        if self.engine.filter.shard_quantized is None:
-            return None
-        return self._quantized
-
-    @property
-    def filter_widened_queries(self) -> int:
-        """Queries answered through the quantized filter scan so far."""
-        return self.engine.filter.widened_queries
-
-    @property
-    def filter_widened_total(self) -> int:
-        """Total widened candidate count across those queries (all shards).
-
-        The exact float64 filter rows evaluated to absorb quantization
-        error; ``0`` without a quantized table.
-        """
-        return self.engine.filter.widened_total
 
     @property
     def shard_refine_evaluations(self) -> np.ndarray:

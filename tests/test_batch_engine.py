@@ -42,7 +42,8 @@ from repro.embeddings.fastmap import build_fastmap_embedding
 from repro.embeddings.lipschitz import build_lipschitz_embedding
 from repro.embeddings.pivot import PivotEmbedding
 from repro.embeddings.reference import ReferenceEmbedding
-from repro.retrieval.filter_refine import FilterRefineRetriever, _stable_smallest
+from repro.retrieval.engine import stable_smallest
+from repro.retrieval.filter_refine import FilterRefineRetriever
 
 ATOL = 1e-9
 
@@ -469,7 +470,7 @@ class TestBatchedRetrieval:
             values = rng.integers(0, 6, size=int(rng.integers(1, 40))).astype(float)
             p = int(rng.integers(1, values.size + 1))
             np.testing.assert_array_equal(
-                _stable_smallest(values, p),
+                stable_smallest(values, p),
                 np.argsort(values, kind="stable")[:p],
             )
 

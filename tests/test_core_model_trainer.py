@@ -92,7 +92,7 @@ class TestModelBasics:
         q = model.embed(np.array([1.0, 0.0]))
         db = np.array([[0.0, 4.0], [2.0, 2.0], [5.0, 1.0]])
         batch = model.distances_to(q, db)
-        assert np.allclose(batch, [model.distance(q, row) for row in db])
+        assert np.array_equal(batch, [model.distance(q, row) for row in db])
 
     def test_global_weights_sum_alphas(self):
         model = _hand_built_model()

@@ -109,7 +109,7 @@ class TestDistanceStore:
 
     def test_float32_blocks_round_trip_without_upcast(self, tmp_path, rng):
         # Regression: _DenseBlock used to normalise every block to float64,
-        # so a float32 quantized table silently doubled its memory on every
+        # so a float32 table silently doubled its memory on every
         # (re)open.  Reduced-precision float blocks must survive put_block,
         # save(compress=False) and load(mmap_mode="r") unchanged.
         values = rng.normal(size=(3, 4)).astype(np.float32)

@@ -246,6 +246,26 @@ class TestArtifactLifecycle:
         with pytest.raises(ArtifactError, match="format version"):
             EmbeddingIndex.open(tmp_path / "artifact", l2_split.database)
 
+    def test_open_ignores_retired_filter_tier(self, tmp_path, built_index, l2_split):
+        """Artifacts saved with the retired quantized filter tier still open.
+
+        Their config names a ``filter_dtype`` and a ``filter.npz`` lies
+        beside ``arrays.npz``; both are ignored, and the index serves from
+        the float64 table the artifact always held.
+        """
+        directory = tmp_path / "artifact"
+        built_index.save(directory)
+        queries = list(l2_split.queries)
+        with EmbeddingIndex.open(directory, l2_split.database) as saved:
+            expected = saved.query_many(queries, k=3, p=10)
+        manifest = read_manifest(directory)
+        manifest["config"]["filter_dtype"] = "int8"
+        write_manifest(directory, manifest)
+        (directory / "filter.npz").write_bytes(b"not an npz archive")
+        with EmbeddingIndex.open(directory, l2_split.database) as reopened:
+            served = reopened.query_many(queries, k=3, p=10)
+        assert_results_identical(expected, served)
+
     def test_open_checks_supplied_distance_name(
         self, tmp_path, built_index, l2_split
     ):

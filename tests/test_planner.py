@@ -147,7 +147,6 @@ class TestCostModel:
         model.observe_batch(
             n_queries=2,
             n_rows=200,
-            tier="float64",
             embed_seconds=2.0,
             filter_seconds=4.0,
             refine_seconds=3.0,
@@ -155,7 +154,7 @@ class TestCostModel:
             refine_pairs=60,
         )
         assert model.embed_seconds == 1.0
-        assert model.filter_row_seconds["float64"] == 0.02
+        assert model.filter_row_seconds == 0.02
         assert model.exact_eval_seconds == 0.1
         assert model.store_hit_rate == 0.5
         assert model.observations == 1
@@ -174,31 +173,25 @@ class TestCostModel:
 
     def test_choose_backend_prefers_warm_sharded(self):
         model = CostModel()
-        assert model.choose_backend(10, 100, "float64", True, False) == "flat"
+        assert model.choose_backend(10, 100, True, False) == "flat"
         model.store_hit_rate = 0.5
         assert (
-            model.choose_backend(10, 100, "float64", True, False) == "sharded"
+            model.choose_backend(10, 100, True, False) == "sharded"
         )
-        assert model.choose_backend(10, 100, "float64", False, False) == "flat"
+        assert model.choose_backend(10, 100, False, False) == "flat"
 
     def test_choose_backend_remote_only_when_round_trip_wins(self):
         model = CostModel()
         model.exact_eval_seconds = 1e-3
         model.remote_round_trip_seconds = 10.0
         assert (
-            model.choose_backend(10, 100, "float64", False, True) == "flat"
+            model.choose_backend(10, 100, False, True) == "flat"
         )
         model.remote_round_trip_seconds = 1e-9
         assert (
-            model.choose_backend(10, 100, "float64", False, True)
+            model.choose_backend(10, 100, False, True)
             == "remote_sharded"
         )
-
-    def test_choose_filter_tier_keeps_preference_until_both_fitted(self):
-        model = CostModel()
-        assert model.choose_filter_tier(["int8", "float64"]) == "int8"
-        model.filter_row_seconds = {"int8": 2.0, "float64": 1.0}
-        assert model.choose_filter_tier(["int8", "float64"]) == "float64"
 
     def test_to_dict_snapshot(self):
         snapshot = CostModel().to_dict()
