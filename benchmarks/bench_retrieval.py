@@ -1,9 +1,8 @@
 """Micro-benchmarks of the retrieval pipelines.
 
-Compares, on the same database, the per-query cost of brute-force retrieval,
-filter-and-refine retrieval through a trained query-sensitive embedding, and
-a VP-tree (the metric-index baseline the paper argues against for non-metric
-measures).
+Compares, on the same database, the per-query cost of brute-force retrieval
+and filter-and-refine retrieval (flat and sharded) through a trained
+query-sensitive embedding.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro import (
     FilterRefineRetriever,
     L2Distance,
     ShardedRetriever,
-    VPTree,
 )
 
 
@@ -48,14 +46,6 @@ def test_sharded_query_many(benchmark, trained_model_bench, gaussian_split_bench
     queries = list(gaussian_split_bench.queries)[:10]
     results = benchmark(retriever.query_many, queries, 5, 20)
     assert len(results) == len(queries)
-
-
-def test_vptree_query(benchmark, gaussian_split_bench):
-    """Exact 5-NN through a VP-tree (valid here because L2 is a metric)."""
-    tree = VPTree(L2Distance(), list(gaussian_split_bench.database), leaf_size=8, seed=0)
-    query = gaussian_split_bench.queries[0]
-    indices, _ = benchmark(tree.query, query, 5)
-    assert indices.shape == (5,)
 
 
 def test_dynamic_insertion(benchmark, trained_model_bench, gaussian_split_bench):

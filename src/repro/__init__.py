@@ -63,7 +63,6 @@ from repro.distances import (
     DistanceMeasure,
     FunctionDistance,
     CountingDistance,
-    CachedDistance,
     DistanceContext,
     DistanceStore,
     LpDistance,
@@ -137,7 +136,6 @@ from repro.index import (
     PersistentPool,
     QueryStream,
     QueryTicket,
-    VPTree,
     available_backends,
     register_backend,
 )
@@ -167,7 +165,6 @@ __all__ = [
     "DistanceMeasure",
     "FunctionDistance",
     "CountingDistance",
-    "CachedDistance",
     "DistanceContext",
     "DistanceStore",
     "LpDistance",
@@ -238,5 +235,4 @@ __all__ = [
     "QueryTicket",
     "available_backends",
     "register_backend",
-    "VPTree",
 ]

@@ -32,10 +32,8 @@ subpackage distinguishes three layers of distance objects:
   per process (:func:`~repro.distances.kernels.set_default_kernel_backend`)
   or per environment (``REPRO_KERNEL_BACKEND``).  Measures pickle the
   backend *name*, never the backend, so pool workers resolve their own;
-* **wrappers** (:class:`~repro.distances.base.CountingDistance`,
-  :class:`~repro.distances.base.CachedDistance`) — per-call-site
-  accounting or memoisation; identity-keyed caches are process-local and
-  deprecated in favour of the context below;
+* **the counting wrapper** (:class:`~repro.distances.base.CountingDistance`)
+  — per-call-site accounting;
 * **the shared context** (:class:`~repro.distances.context.DistanceContext`)
   — one per experiment, owning the raw measure, a
   :class:`~repro.distances.context.DistanceStore` keyed by *stable dataset
@@ -62,7 +60,6 @@ from repro.distances.base import (
     DistanceMeasure,
     FunctionDistance,
     CountingDistance,
-    CachedDistance,
 )
 from repro.distances.lp import (
     LpDistance,
@@ -105,7 +102,6 @@ __all__ = [
     "DistanceMeasure",
     "FunctionDistance",
     "CountingDistance",
-    "CachedDistance",
     "DistanceContext",
     "DistanceStore",
     "fingerprint_objects",

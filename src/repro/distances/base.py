@@ -5,7 +5,7 @@ over objects of an arbitrary space ``X``.  The paper explicitly targets
 measures that may be non-Euclidean and non-metric (no triangle inequality,
 possibly asymmetric), so the base class makes no metric assumptions; metric
 properties, when present, are advertised through the :attr:`is_metric` flag
-so that components that need them (e.g. the VP-tree index) can check.
+so that components that need them can check.
 
 Batch API
 ---------
@@ -21,16 +21,15 @@ the base class exposes a *batch protocol* next to the scalar :meth:`compute`:
 The base implementations fall back to a scalar loop, so every measure
 supports the batch API out of the box; the cheap vector measures and the
 DP-based sequence measures override them with truly vectorised kernels.
-Wrappers (:class:`CountingDistance`, :class:`CachedDistance`) override the
-batch methods too so that cost accounting and caching remain *exactly*
-equivalent to the scalar path while delegating the heavy lifting to the
-wrapped measure's vectorised kernels.
+The :class:`CountingDistance` wrapper overrides the batch methods too so
+that cost accounting remains *exactly* equivalent to the scalar path while
+delegating the heavy lifting to the wrapped measure's vectorised kernels.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -179,181 +178,3 @@ class CountingDistance(DistanceMeasure):
         previous = self.calls
         self.calls = 0
         return previous
-
-
-class CachedDistance(DistanceMeasure):
-    """Memoise distance evaluations keyed by object identifiers.
-
-    Useful during training, where the same pairs (candidate object, training
-    object) are needed by many weak classifiers.  The cache requires a
-    ``key`` function mapping objects to hashable identifiers — there is no
-    default.  The historical bare-``id()`` default was removed (it was
-    deprecated first): identity keys cannot cross a process boundary or an
-    experiment run, and their silent failure modes (dead cache, id-reuse
-    collisions) are exactly what
-    :class:`repro.distances.context.DistanceContext` — the supported shared
-    cache, keyed by stable dataset indices with disk persistence — exists
-    to fix.  Constructing a ``CachedDistance`` without a ``key`` now raises
-    :class:`~repro.exceptions.DistanceError`.
-
-    Passing ``key=id`` *explicitly* is still accepted for single-process,
-    single-run memoisation, but such a cache is flagged
-    (:attr:`uses_identity_keys`): identity keys do not survive pickling — a
-    worker process unpickles *copies* of every object, so ``id()`` keys
-    computed there never match the entries pickled with the cache (dead
-    weight), and once the parent's originals are garbage collected a reused
-    id can collide with a stale entry and return a wrong distance.  An
-    identity-keyed cache therefore refuses to be pickled
-    (:meth:`__getstate__` raises) and every ``n_jobs`` pipeline rejects it
-    up front through :func:`repro.distances.parallel.ensure_parallel_safe`.
-
-    Note that caching sits *above* counting when composed as
-    ``CachedDistance(CountingDistance(d), key=...)``: cache hits are then
-    free, which models the paper's setting where precomputed training
-    distances are a one-time preprocessing cost.
-    """
-
-    def __init__(
-        self,
-        base: DistanceMeasure,
-        key: Optional[Callable[[Any], Hashable]] = None,
-        symmetric: bool = True,
-    ) -> None:
-        if not isinstance(base, DistanceMeasure):
-            raise DistanceError("CachedDistance wraps a DistanceMeasure")
-        if key is None:
-            raise DistanceError(
-                "CachedDistance requires an explicit key function: the old "
-                "bare key=id default has been removed because identity keys "
-                "cannot cross a process boundary or an experiment run. Use "
-                "repro.distances.DistanceContext — the supported shared "
-                "cache, keyed by stable dataset indices with disk "
-                "persistence — or pass a stable key function (a dataset "
-                "index or content hash; key=id explicitly for "
-                "single-process memoisation)."
-            )
-        self.base = base
-        self.name = f"cached({base.name})"
-        self.is_metric = base.is_metric
-        self._key = key
-        self._identity_keys = key is id
-        self._symmetric = bool(symmetric)
-        self._cache: Dict[Tuple[Hashable, Hashable], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def uses_identity_keys(self) -> bool:
-        """``True`` when the cache relies on ``key=id``.
-
-        Identity keys are only valid inside one process while the original
-        objects are alive; parallel pipelines check this flag to reject the
-        cache before shipping it to workers.
-        """
-        return self._identity_keys
-
-    def __getstate__(self) -> Dict[str, Any]:
-        if self._identity_keys:
-            raise DistanceError(
-                "cannot pickle a CachedDistance that uses identity (key=id) keys: "
-                "identity keys do not survive the process boundary (unpickled "
-                "object copies get fresh ids, and reused ids can collide with "
-                "stale entries). Use repro.distances.DistanceContext — the "
-                "supported n_jobs cache, keyed by stable dataset indices — or "
-                "construct the cache with an explicit stable key function to "
-                "make it picklable."
-            )
-        return self.__dict__.copy()
-
-    def compute(self, x: Any, y: Any) -> float:
-        cache_key = self._cache_key(self._key(x), self._key(y))
-        if cache_key in self._cache:
-            self.hits += 1
-            return self._cache[cache_key]
-        self.misses += 1
-        value = self.base.compute(x, y)
-        self._cache[cache_key] = value
-        return value
-
-    def _cache_key(self, kx: Hashable, ky: Hashable) -> Tuple[Hashable, Hashable]:
-        if self._symmetric and ky < kx:
-            return (ky, kx)
-        return (kx, ky)
-
-    def compute_many(self, x: Any, ys: Sequence[Any]) -> np.ndarray:
-        """Batch lookup: cached values are reused, misses are batch-computed.
-
-        Hit/miss accounting matches the scalar loop exactly: an uncached key
-        appearing several times in one batch is computed (and counted as a
-        miss) once, with the repeats counted as hits.
-        """
-        ys = list(ys)
-        kx = self._key(x)
-        values = np.empty(len(ys), dtype=float)
-        pending: List[Tuple[int, Tuple[Hashable, Hashable]]] = []
-        miss_index: Dict[Tuple[Hashable, Hashable], int] = {}
-        miss_objects: List[Any] = []
-        for i, y in enumerate(ys):
-            cache_key = self._cache_key(kx, self._key(y))
-            if cache_key in self._cache:
-                self.hits += 1
-                values[i] = self._cache[cache_key]
-                continue
-            if cache_key in miss_index:
-                self.hits += 1
-            else:
-                miss_index[cache_key] = len(miss_objects)
-                miss_objects.append(y)
-                self.misses += 1
-            pending.append((i, cache_key))
-        if miss_objects:
-            fresh = self.base.compute_many(x, miss_objects)
-            for cache_key, slot in miss_index.items():
-                self._cache[cache_key] = float(fresh[slot])
-            for i, cache_key in pending:
-                values[i] = self._cache[cache_key]
-        return values
-
-    def compute_pairs(self, xs: Sequence[Any], ys: Sequence[Any]) -> np.ndarray:
-        """Element-wise lookup with batched computation of unique misses."""
-        xs = list(xs)
-        ys = list(ys)
-        if len(xs) != len(ys):
-            raise DistanceError(
-                f"compute_pairs needs equally long sequences, got {len(xs)} and {len(ys)}"
-            )
-        values = np.empty(len(xs), dtype=float)
-        pending: List[Tuple[int, Tuple[Hashable, Hashable]]] = []
-        miss_index: Dict[Tuple[Hashable, Hashable], int] = {}
-        miss_xs: List[Any] = []
-        miss_ys: List[Any] = []
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            cache_key = self._cache_key(self._key(x), self._key(y))
-            if cache_key in self._cache:
-                self.hits += 1
-                values[i] = self._cache[cache_key]
-                continue
-            if cache_key in miss_index:
-                self.hits += 1
-            else:
-                miss_index[cache_key] = len(miss_xs)
-                miss_xs.append(x)
-                miss_ys.append(y)
-                self.misses += 1
-            pending.append((i, cache_key))
-        if miss_xs:
-            fresh = self.base.compute_pairs(miss_xs, miss_ys)
-            for cache_key, slot in miss_index.items():
-                self._cache[cache_key] = float(fresh[slot])
-            for i, cache_key in pending:
-                values[i] = self._cache[cache_key]
-        return values
-
-    def clear(self) -> None:
-        """Drop all cached values and reset the hit/miss counters."""
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)

@@ -15,14 +15,13 @@ is persisted to disk.
 
 Why stable indices (and not ``id()``)
 -------------------------------------
-:class:`~repro.distances.base.CachedDistance` keyed by object identity
-cannot cross a process boundary or an experiment run: unpickled copies get
-fresh ids and reused ids can collide with stale entries.  The context
-instead keys every cached value by the object's *index in the context's
-object universe* — the dataset ordering — which survives pickling, worker
-fan-out and disk round-trips.  A content fingerprint of the universe is
-recorded with the store, so a store saved under one dataset ordering
-refuses to load against a different one.
+A cache keyed by object identity cannot cross a process boundary or an
+experiment run: unpickled copies get fresh ids and reused ids can collide
+with stale entries.  The context instead keys every cached value by the
+object's *index in the context's object universe* — the dataset ordering —
+which survives pickling, worker fan-out and disk round-trips.  A content
+fingerprint of the universe is recorded with the store, so a store saved
+under one dataset ordering refuses to load against a different one.
 
 Lifecycle
 ---------
@@ -1223,8 +1222,9 @@ class DistanceContext(DistanceMeasure):
 
         ``fresh`` must hold one value per ``pending.miss_targets`` entry,
         evaluated with the *base* measure (workers evaluate the inner
-        measure; this method charges the context's counter one evaluation
-        per pair, exactly like the pooled paths).  Resolutions this one
+        measure; this method charges every counter :func:`split_counting`
+        peels — the context's own and a caller's — one evaluation per
+        pair, exactly like the pooled paths).  Resolutions this one
         deferred onto must have been completed first; pairs whose owner
         was force-released without delivering are evaluated here directly
         and included in the returned ``spent`` count, so the per-query
@@ -1252,7 +1252,8 @@ class DistanceContext(DistanceMeasure):
                 # store may already have evicted the earliest entries.
                 for pos, j in pending.pending:
                     pending.values[pos] = float(fresh[pending.miss_slot[j]])
-            self.counting.calls += len(pending.miss_targets)
+            for counter in split_counting(self.counting)[1]:
+                counter.calls += len(pending.miss_targets)
         fallback_evaluations = 0
         for pos, j, owner in pending.deferred:
             cached = self.store.get(query_index, j)

@@ -20,9 +20,7 @@ pipelines through :mod:`repro.distances.parallel`: top-level
 :class:`~repro.distances.base.CountingDistance` wrappers are peeled off so
 that cost accounting stays *exact* (the wrapped measure is shipped to the
 workers and the parent-process counters are charged one evaluation per
-computed pair, exactly as in the serial path), and a
-:class:`~repro.distances.base.CachedDistance` keyed by object identity is
-rejected up front because identity keys cannot survive the process boundary.
+computed pair, exactly as in the serial path).
 Any other per-instance state mutated inside workers stays in the workers and
 is discarded.
 

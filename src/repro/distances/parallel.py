@@ -13,13 +13,9 @@ way:
   evaluate the inner measure and the parent process charges each peeled
   counter one evaluation per computed pair, exactly as the serial path
   would have.
-* **Caching** — a :class:`~repro.distances.base.CachedDistance` keyed by
-  object identity (the default ``key=id``) is rejected up front
-  (:func:`ensure_parallel_safe`): workers unpickle *copies* of every object,
-  so identity keys never match and, after garbage collection reuses an id,
-  can silently collide with a stale entry.  Caches with user-supplied stable
-  keys are allowed; their worker-side state is discarded when the pool shuts
-  down.
+* **Caching** — a :class:`~repro.distances.context.DistanceContext` is
+  rejected up front (:func:`ensure_parallel_safe`): its store and counters
+  must stay in the parent, which pools only the missing pairs itself.
 
 Two pool shapes are provided:
 
@@ -64,7 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distances.base import CachedDistance, CountingDistance, DistanceMeasure
+from repro.distances.base import CountingDistance, DistanceMeasure
 from repro.exceptions import DistanceError
 
 ProgressCallback = Callable[[int, int], None]
@@ -110,23 +106,14 @@ def split_counting(
 def ensure_parallel_safe(distance: DistanceMeasure) -> None:
     """Reject measures whose state cannot survive a process boundary.
 
-    Walks the wrapper chain (``CountingDistance.base`` / ``CachedDistance.base``)
-    and raises :class:`~repro.exceptions.DistanceError` if a
-    :class:`CachedDistance` relying on the default identity (``id``) keys is
-    found: worker processes see unpickled copies of every object, so identity
-    keys never match (the cache is dead weight) and, once the original objects
-    are garbage collected, a reused id can collide with a stale entry and
-    return a wrong distance.  Use
-    :class:`repro.distances.context.DistanceContext` (stable dataset-index
-    keys, the supported ``n_jobs`` cache) or pass an explicit content-based
-    ``key`` function to :class:`CachedDistance`.
-
-    A :class:`~repro.distances.context.DistanceContext` itself is also
-    rejected — not because it cannot be pickled (it can), but because
-    shipping it would copy its store into every worker and discard the
-    worker-side updates and counter charges.  Context-managed evaluation
-    must stay in the parent: use the context's own ``pairwise`` / ``cross``
-    / ``distances_to_many`` primitives, which resolve cached pairs first and
+    Walks the wrapper chain (``CountingDistance.base``) and raises
+    :class:`~repro.exceptions.DistanceError` if a
+    :class:`~repro.distances.context.DistanceContext` is found — not
+    because it cannot be pickled (it can), but because shipping it would
+    copy its store into every worker and discard the worker-side updates
+    and counter charges.  Context-managed evaluation must stay in the
+    parent: use the context's own ``pairwise`` / ``cross`` /
+    ``distances_to_many`` primitives, which resolve cached pairs first and
     fan only the missing work out over the pool.
     """
     seen = set()
@@ -141,17 +128,6 @@ def ensure_parallel_safe(distance: DistanceMeasure) -> None:
                 "distances_to, distances_to_many) — they keep the store and "
                 "accounting in the parent and pool only the missing pairs — "
                 "or pass context.base to evaluate without caching."
-            )
-        if isinstance(distance, CachedDistance) and distance.uses_identity_keys:
-            raise DistanceError(
-                "CachedDistance with identity (key=id) keys cannot be used with "
-                "n_jobs > 1: worker processes unpickle copies of every object, "
-                "so identity keys never match across the process boundary and "
-                "can collide after id reuse. Use repro.distances."
-                "DistanceContext — the supported n_jobs cache, keyed by "
-                "stable dataset indices — or construct the cache with an "
-                "explicit stable key function (e.g. a dataset index or a "
-                "content hash) to parallelise."
             )
         distance = getattr(distance, "base", None)
 

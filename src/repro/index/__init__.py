@@ -1,4 +1,4 @@
-"""Index structures: the embedding-index facade and metric baselines.
+"""The embedding-index facade and its serving machinery.
 
 :class:`~repro.index.embedding_index.EmbeddingIndex` is the library's top
 level deliverable — the paper's trained filter-and-refine index as one
@@ -6,12 +6,6 @@ build → save → open → query session object (see that module's docstring).
 :class:`~repro.index.pool.PersistentPool` provides the long-lived worker
 processes it serves from, and :mod:`repro.index.artifacts` defines the
 versioned on-disk format.
-
-A vantage-point tree is included as a comparison point: the paper argues
-that metric index structures cannot be applied when the distance measure
-violates the triangle inequality — on metric data the VP-tree prunes, on
-the paper's non-metric measures it either loses correctness or degenerates
-to a linear scan.
 """
 
 from repro.index.embedding_index import (
@@ -22,7 +16,6 @@ from repro.index.embedding_index import (
 )
 from repro.index.pool import PersistentPool, PoolJob
 from repro.index.serving import QueryStream, QueryTicket
-from repro.index.vptree import VPTree
 
 __all__ = [
     "EmbeddingIndex",
@@ -33,5 +26,4 @@ __all__ = [
     "QueryTicket",
     "available_backends",
     "register_backend",
-    "VPTree",
 ]

@@ -63,6 +63,7 @@ from repro.distances.parallel import (
 )
 from repro.exceptions import RetrievalError, ServingError, ServingTimeout
 from repro.index.pool import WORKER_FAILURES
+from repro.retrieval.context_binding import ContextBinding
 from repro.retrieval.engine import (
     QueryEngine,
     RetrievalResult,
@@ -461,7 +462,7 @@ class AsyncServer:
         with self._lock:
             index._register([obj])
             engine = self._engine()
-            plan = engine.make_plan([obj], k, p, n_jobs=effective_jobs, single=True)
+            plan = engine.make_plan([obj], k, p, n_jobs=effective_jobs)
             engine.prepare(plan)
             ticket._k_eff = plan.k_eff
             ticket._p_eff = plan.p_eff
@@ -474,17 +475,12 @@ class AsyncServer:
             ticket._candidates = candidates
             ticket._exact = np.empty(candidates.shape[0], dtype=float)
             binding = engine.refine.binding
-            if binding is None:
+            if not isinstance(binding, ContextBinding):
                 raise RetrievalError(
                     "async serving requires a context-backed backend (an "
                     "EmbeddingIndex always builds one)"
                 )
-            if plan.shard_work is not None:
-                units = [
-                    (sid, positions) for sid, _local, positions in plan.shard_work[0]
-                ]
-            else:
-                units = [(None, None)]
+            units = plan.shard_work[0] if plan.shard_work is not None else [(None, None)]
             deps: List[QueryTicket] = []
             for sid, positions in units:
                 targets = candidates if positions is None else candidates[positions]
@@ -519,8 +515,8 @@ class AsyncServer:
         pool = self._context._pool_for(n_workers) if n_workers > 1 else None
         if pool is None:
             return
-        ensure_parallel_safe(self._context.counting)
-        inner, _counters = split_counting(self._context.counting)
+        ensure_parallel_safe(self._context.base)
+        inner, _counters = split_counting(self._context.base)
         shards = [self._context.objects]
         items = []
         if len(groups_with_misses) == 1:
@@ -611,10 +607,9 @@ class AsyncServer:
                         ticket._exact[:] = values
                     else:
                         ticket._exact[group.positions] = values
-                    if group.shard_id is not None and stage.shard_evaluations is not None:
-                        stage.shard_evaluations[group.shard_id] += spent
-                if stage.binding is not None:
-                    stage.binding.calls += spent_total
+                    if group.shard_id is not None:
+                        stage.record_shard(group.shard_id, group.positions.size, spent)
+                stage.binding.calls += spent_total
                 ticket._result = self._build_result(ticket, spent_total)
                 ticket._state = "done"
         except ServingTimeout:
@@ -711,7 +706,7 @@ class AsyncServer:
 
     def _inline_group(self, ticket: QueryTicket, group: _Group) -> np.ndarray:
         """Serial refine of one group's misses, bit-identical to a worker's."""
-        inner, _counters = split_counting(self._context.counting)
+        inner, _counters = split_counting(self._context.base)
         return np.asarray(
             inner.compute_many(
                 ticket.obj, self._context.miss_objects(group.pending)

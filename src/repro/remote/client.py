@@ -25,7 +25,10 @@ with the streamed distance.  Because installation keeps the parent store
 evolving exactly as if the parent had computed every pair itself, the
 counts match the local path unconditionally — across batches, across
 repeated queries, and across shard deaths (the serial local fallback then
-sees exactly the store a purely local run would have seen).
+sees exactly the store a purely local run would have seen).  Both kinds of
+charge also feed the per-shard routing counters of the local twin's
+refine stage, so :meth:`RemoteShardedBackend.cost_signals` reports the
+same routed pairs and evaluations as the in-process backend.
 
 Supervision (PR 6 semantics: fail fast, degrade, never answer wrongly)
 ----------------------------------------------------------------------
@@ -34,8 +37,9 @@ deadlines and a bounded retry budget; a retriable failure (timeout,
 connection death, corrupt frame) closes and reconnects the socket and
 replays the idempotent request.  When the budget is exhausted the shard is
 marked dead and its filter cut and refine work run serially in the parent
-(:meth:`~repro.retrieval.engine.ShardedFilterStage.shard_cut` and the
-context binding — the same code, so results are unchanged).  A dead shard
+(:meth:`~repro.retrieval.engine.ShardedFilterStage.shard_cut` and
+:meth:`~repro.retrieval.engine.RefineStage.run` — the same code, so
+results are unchanged).  A dead shard
 is offered one revival attempt per subsequent batch, and the whole state is
 surfaced through ``index.health()["remote"]``.
 """
@@ -60,7 +64,11 @@ from repro.exceptions import (
 from repro.index.embedding_index import IndexConfig, register_backend
 from repro.remote import protocol
 from repro.remote.protocol import FrameType
-from repro.retrieval.engine import RetrievalResult, merge_shard_cuts
+from repro.retrieval.engine import (
+    RetrievalResult,
+    merge_shard_cuts,
+    refine_candidates,
+)
 from repro.retrieval.sharded import ShardedRetriever
 
 __all__ = [
@@ -567,57 +575,55 @@ class RemoteShardedBackend:
         return spent
 
     def _gather_refine(self, plan) -> None:
-        """Fill ``plan.exact_lists``/``refine_costs`` via remote entries."""
+        """Fill ``plan.exact_lists``/``refine_costs`` via remote entries.
+
+        Streamed and fallback charges both land in the local twin's refine
+        stage, per shard, exactly as the in-process backend records them.
+        """
         refine = self.engine.refine
-        binding = refine.binding
-        objects = plan.objects
         plan.exact_lists = [
             np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
         ]
-        plan.refine_costs = [0] * len(objects)
+        plan.refine_costs = [0] * len(plan.objects)
         for sid, conn in enumerate(self.connections):
             groups = [
                 (qi, positions)
                 for qi, work in enumerate(plan.shard_work)
-                for work_sid, _local, positions in work
+                for work_sid, positions in work
                 if work_sid == sid
             ]
             if not groups:
                 continue
+            objects = [plan.objects[qi] for qi, _ in groups]
+            targets = [plan.candidate_lists[qi][positions] for qi, positions in groups]
             entries = None
             if conn.alive:
-                index_lists = [
-                    plan.candidate_lists[qi][positions] for qi, positions in groups
-                ]
                 try:
                     entries = conn.request_refine(
-                        [objects[qi] for qi, _ in groups],
-                        index_lists,
-                        self.register_queries,
+                        objects, targets, self.register_queries
                     )
                 except _RETRIABLE:
                     conn.mark_dead()
             if entries is None:
-                # Serial local fallback through the parent's own binding —
-                # the exact store-aware path the in-process backend runs.
+                # Serial local fallback through the parent's own refine
+                # stage — the exact store-aware path the in-process backend
+                # runs.
                 conn.fallbacks += 1
-                for qi, positions in groups:
-                    values, spent = binding.distances_to(
-                        objects[qi], plan.candidate_lists[qi][positions]
-                    )
-                    plan.exact_lists[qi][positions] = values
-                    plan.refine_costs[qi] += spent
-                    refine.shard_evaluations[sid] += spent
-                continue
-            for (qi, positions), entry in zip(groups, entries):
-                values = np.asarray(entry["values"], dtype=float)
-                spent = self._charge_entry(
-                    objects[qi], plan.candidate_lists[qi][positions], values
-                )
+                refined = [
+                    refine_candidates(refine, obj, target, [(sid, slice(None))])
+                    for obj, target in zip(objects, targets)
+                ]
+            else:
+                refined = []
+                for obj, target, entry in zip(objects, targets, entries):
+                    values = np.asarray(entry["values"], dtype=float)
+                    spent = self._charge_entry(obj, target, values)
+                    refine.binding.calls += spent
+                    refine.record_shard(sid, values.size, spent)
+                    refined.append((values, spent))
+            for (qi, positions), (values, spent) in zip(groups, refined):
                 plan.exact_lists[qi][positions] = values
                 plan.refine_costs[qi] += spent
-                refine.shard_evaluations[sid] += spent
-                binding.calls += spent
 
     def _run(self, plan) -> List[RetrievalResult]:
         for conn in self.connections:
@@ -632,7 +638,7 @@ class RemoteShardedBackend:
 
     def query(self, obj: Any, k: int, p: int) -> RetrievalResult:
         """One query, scatter/gathered across the shard servers."""
-        plan = self.engine.make_plan([obj], k, p, single=True)
+        plan = self.engine.make_plan([obj], k, p)
         return self._run(plan)[0]
 
     def query_many(

@@ -58,6 +58,7 @@ from repro.index import artifacts
 from repro.index.embedding_index import EmbeddingIndex
 from repro.remote import protocol
 from repro.remote.protocol import FrameType
+from repro.retrieval.engine import refine_candidates
 from repro.retrieval.sharded import ShardedRetriever
 from repro.testing.faults import FaultPlan
 
@@ -227,7 +228,7 @@ class ShardServer:
             # Content matching re-adopts equal query objects onto the warm
             # store's keys, exactly like a reopened local index would.
             self.index.context.register(list(queries), match_content=True)
-        binding = self.retriever.engine.refine.binding
+        refine = self.retriever.engine.refine
         total_spent = 0
         entries = 0
         for qi, (obj, indices) in enumerate(zip(queries, index_lists)):
@@ -240,7 +241,7 @@ class ShardServer:
                     f"{self.shard_index}/{self.n_shards} "
                     f"[{self.start}, {self.stop})"
                 )
-            values, spent = binding.distances_to(obj, indices)
+            values, spent = refine_candidates(refine, obj, indices)
             total_spent += int(spent)
             entries += 1
             self.served_refine += 1

@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import QueryEngine
 
@@ -58,15 +58,6 @@ class BruteForceRetriever:
             raise RetrievalError("database must be a Dataset")
         self.database = database
         self.engine = QueryEngine.brute_force(distance, database)
-        self._all_positions = self.engine.filter.all_positions
-
-    @property
-    def _binding(self):
-        return self.engine.refine.binding
-
-    @property
-    def _counting(self) -> Optional[CountingDistance]:
-        return self.engine.refine.counting
 
     @property
     def distance_computations(self) -> int:
@@ -107,25 +98,17 @@ class BruteForceRetriever:
             return [], []
         plan = self.engine.make_plan(objects, k=1, p=None, n_jobs=n_jobs)
         plan = self.engine.run(plan)
-        n = len(self.database)
-        return (
-            plan.exact_lists,
-            [n if spent is None else int(spent) for spent in plan.refine_costs],
-        )
+        return plan.exact_lists, plan.refine_costs
 
     def query(self, obj: Any, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return the indices and distances of the ``k`` nearest neighbors.
 
-        The cost is exactly ``len(database)`` distance computations,
-        evaluated through one batched ``compute_many`` call.
+        One :meth:`scan_many` over the whole database: ``len(database)``
+        evaluations for a plain measure, fewer through a warm context
+        store (see :attr:`distance_computations`).
         """
         self._check_k(k)
-        if self._binding is not None:
-            distances, _ = self._binding.distances_to(obj, self._all_positions)
-        else:
-            distances = np.asarray(
-                self._counting.compute_many(obj, list(self.database)), dtype=float
-            )
+        distances = self.scan_many([obj])[0][0]
         order = np.argsort(distances, kind="stable")[:k]
         return order, distances[order]
 

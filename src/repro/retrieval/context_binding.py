@@ -1,26 +1,37 @@
-"""Shared glue between the retrievers and a :class:`DistanceContext`.
+"""The refine stage's access to exact distances: one binding per measure.
 
-All three retrieval pipelines (brute force, filter-and-refine, sharded)
-support being built on a :class:`~repro.distances.context.DistanceContext`
-instead of a raw measure: exact evaluations then charge against the
-context's shared store, so cached pairs are free.  The mapping from the
-retriever's database positions to the context's universe indices, and the
-"actual evaluations performed" accounting, are identical across the three —
-:class:`ContextBinding` holds them once so the retrievers cannot drift.
+Every retrieval pipeline refines through one object with one method,
+``distances_to_many(objects, position_lists, n_jobs)``, returning the exact
+distances from each object to its database positions plus the evaluations
+each list actually performed.  :func:`bind_context` picks the binding:
+
+* :class:`ContextBinding` for a
+  :class:`~repro.distances.context.DistanceContext` — the mapping from the
+  retriever's database positions to the context's universe indices lives
+  here, and store hits are free;
+* :class:`MeasureBinding` for any other measure — no store, every pair is
+  evaluated and charged, and ``n_jobs`` fans the work out over worker
+  processes with the caller's counters charged in the parent.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.datasets.base import Dataset
 from repro.distances.base import DistanceMeasure
 from repro.distances.context import DistanceContext
+from repro.distances.parallel import (
+    ensure_parallel_safe,
+    parallel_refine,
+    resolve_jobs,
+    split_counting,
+)
 from repro.exceptions import DistanceError, RetrievalError
 
-__all__ = ["ContextBinding", "bind_context"]
+__all__ = ["ContextBinding", "MeasureBinding", "Binding", "bind_context"]
 
 
 class ContextBinding:
@@ -51,21 +62,51 @@ class ContextBinding:
         self.context = context
         self.calls = 0
 
-    def distances_to(
-        self, obj: Any, positions: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        """Exact distances from ``obj`` to the database ``positions``.
+    def distances_to_many(
+        self,
+        objects: Sequence[Any],
+        position_lists: Sequence[np.ndarray],
+        n_jobs: Optional[int] = None,
+    ) -> Tuple[List[np.ndarray], List[int]]:
+        """Exact distances from each object to its database positions.
 
-        Returns ``(values, spent)`` where ``spent`` is the number of fresh
-        evaluations the call performed (0 when every pair was cached).
+        Returns ``(values_list, spent_list)``; ``spent_list[i]`` counts the
+        fresh evaluations list ``i`` performed (0 when every pair was
+        cached).  The context resolves store hits in the parent and pools
+        only the missing pairs.
         """
-        before = self.context.distance_evaluations
-        values = np.asarray(
-            self.context.distances_to(obj, self.indices[positions]), dtype=float
+        values, computed = self.context.distances_to_many(
+            objects, [self.indices[p] for p in position_lists], n_jobs=n_jobs
         )
-        spent = self.context.distance_evaluations - before
-        self.calls += spent
-        return values, spent
+        self.calls += sum(computed)
+        return [np.asarray(v, dtype=float) for v in values], list(computed)
+
+
+class MeasureBinding:
+    """A store-less measure bound to a database: every pair is charged.
+
+    ``database`` is read at call time, so a mutable list (the
+    :class:`~repro.retrieval.dynamic.DynamicDatabase` contents) stays valid
+    as it grows and shrinks.  Top-level
+    :class:`~repro.distances.base.CountingDistance` wrappers are peeled:
+    the inner measure evaluates, serially or over worker processes, and
+    each peeled counter — the caller's — is charged one evaluation per
+    pair in the parent, exactly as a serial ``compute_many`` would.
+
+    Attributes
+    ----------
+    distance:
+        The measure as the caller passed it.
+    database:
+        The objects positions refer to.
+    calls:
+        Exact evaluations performed through this binding.
+    """
+
+    def __init__(self, distance: DistanceMeasure, database: Sequence[Any]) -> None:
+        self.distance = distance
+        self.database = database
+        self.calls = 0
 
     def distances_to_many(
         self,
@@ -73,18 +114,42 @@ class ContextBinding:
         position_lists: Sequence[np.ndarray],
         n_jobs: Optional[int] = None,
     ) -> Tuple[List[np.ndarray], List[int]]:
-        """Batched :meth:`distances_to`; the context pools missing pairs."""
-        values, computed = self.context.distances_to_many(
-            objects, [self.indices[p] for p in position_lists], n_jobs=n_jobs
-        )
-        self.calls += sum(computed)
-        return values, computed
+        """Exact distances from each object to its database positions.
+
+        Same contract as :meth:`ContextBinding.distances_to_many`; every
+        list spends exactly its length.  With ``n_jobs > 1`` and more than
+        one list, the lists fan out over a process pool.
+        """
+        inner, counters = split_counting(self.distance)
+        n_workers = resolve_jobs(n_jobs)
+        if n_workers > 1 and len(objects) > 1:
+            ensure_parallel_safe(self.distance)
+            items = [
+                (i, obj, 0, np.asarray(positions, dtype=int))
+                for i, (obj, positions) in enumerate(zip(objects, position_lists))
+            ]
+            by_key = parallel_refine(inner, [list(self.database)], items, n_workers)
+            values = [np.asarray(by_key[i], dtype=float) for i in range(len(items))]
+        else:
+            values = [
+                np.asarray(
+                    inner.compute_many(obj, [self.database[int(i)] for i in positions]),
+                    dtype=float,
+                )
+                for obj, positions in zip(objects, position_lists)
+            ]
+        spent = [int(np.size(positions)) for positions in position_lists]
+        for counter in counters:
+            counter.calls += sum(spent)
+        self.calls += sum(spent)
+        return values, spent
 
 
-def bind_context(
-    distance: DistanceMeasure, database: Dataset
-) -> Optional[ContextBinding]:
-    """Bind ``distance`` to ``database`` if it is a context, else ``None``."""
+Binding = Union[ContextBinding, MeasureBinding]
+
+
+def bind_context(distance: DistanceMeasure, database: Sequence[Any]) -> Binding:
+    """Bind ``distance`` to ``database``: through its store if it is a context."""
     if isinstance(distance, DistanceContext):
         return ContextBinding(distance, database)
-    return None
+    return MeasureBinding(distance, database)

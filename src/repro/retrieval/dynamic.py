@@ -19,9 +19,10 @@ import numpy as np
 from repro.core.model import QuerySensitiveModel
 from repro.core.training_data import make_sampler
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import RetrievalError
+from repro.retrieval.context_binding import MeasureBinding
 from repro.retrieval.engine import MergeStage, QueryPlan, RefineStage, stable_smallest
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -54,12 +55,11 @@ class DynamicDatabase:
         self.objects: List[Any] = []
         # The refine/merge stages are shared with every other retrieval
         # pipeline, so tie-breaking and accounting cannot drift from them.
-        # ``bind=False``: the database mutates, so a frozen context binding
-        # would be invalid — exact distances always go through the stage's
-        # counting wrapper.
-        self._refine = RefineStage(distance, self.objects, bind=False)
+        # The binding is store-less even for a context: a ContextBinding
+        # freezes the position-to-universe mapping, which this mutable
+        # list would invalidate.  The binding reads the list at call time.
+        self._refine = RefineStage(MeasureBinding(distance, self.objects))
         self._merge = MergeStage()
-        self._counting = self._refine.counting
         self._vectors: List[np.ndarray] = []
         self.insertion_distance_computations = 0
         for obj in initial_objects or []:
@@ -118,7 +118,7 @@ class DynamicDatabase:
         query_vector = self.model.embed(obj)
         filter_dists = self.model.distances_to(query_vector, self.vectors)
         candidates = stable_smallest(filter_dists, p)
-        plan = QueryPlan(objects=[obj], k=k, p=p, single=True)
+        plan = QueryPlan(objects=[obj], k=k, p=p)
         plan.k_eff, plan.p_eff = int(k), int(p)
         plan.embedding_cost = self.model.cost
         plan.candidate_lists = [candidates]

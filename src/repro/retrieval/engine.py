@@ -8,9 +8,8 @@ distances — yet the repo used to implement that pipeline three times over
 explicit, composable *stages*, each a small object with a ``run(plan) ->
 plan`` step over a shared :class:`QueryPlan`:
 
-* :class:`EmbedStage` — clamp ``(k, p)`` and embed the queries (batched
-  ``embed_many``; a single query keeps the scalar ``embed`` call so store
-  interactions are unchanged);
+* :class:`EmbedStage` — embed the queries with one batched ``embed_many``
+  call (a single query included);
 * :class:`FilterStage` — rank database vectors by the cheap filter distance
   and keep the stable top-``p`` cut (no exact distances);
 * :class:`ShardedFilterStage` — the same cut evaluated per contiguous shard
@@ -19,10 +18,11 @@ plan`` step over a shared :class:`QueryPlan`:
 * :class:`ScanStage` — the degenerate "filter" of brute force: every
   database position is a candidate;
 * :class:`RefineStage` — evaluate the exact distances from each query to
-  its candidates, through a shared
+  its candidates with one call on the stage's binding
+  (:mod:`repro.retrieval.context_binding`): through a shared
   :class:`~repro.distances.context.DistanceContext` store when one is
-  bound (cached pairs are free) and over worker processes when ``n_jobs``
-  asks for them, with the library's exact cost-accounting rules;
+  bound (cached pairs are free), every pair charged otherwise, and over
+  worker processes when ``n_jobs`` asks for them;
 * :class:`MergeStage` — order the refined candidates (ties by database
   index, the brute-force-identical order) into
   :class:`RetrievalResult` objects.
@@ -34,21 +34,23 @@ plan`` step over a shared :class:`QueryPlan`:
 configurations of it, so the tie-breaking, clamping, accounting and
 parallel fan-out rules exist exactly once.  The async serving layer
 (:mod:`repro.index.serving`) reuses the embed/filter stages to prepare
-queries in the parent while refine batches run on the persistent pool.
+queries in the parent while refine batches run on the persistent pool;
+the adaptive planner and the ``p`` sweep prepare their batches the same
+way and refine their prefix slices through :meth:`RefineStage.run`.
 
 Store-aware sharded refine
 --------------------------
-When the sharded pipeline runs on a ``DistanceContext``, the refine stage
-routes work *per (query, shard) group*: store hits are resolved in the
-parent, and only each shard's missing pairs become refine work, so a shard
-whose pairs are already cached receives **zero** exact evaluations — the
-ROADMAP's "store-aware shard placement" in its single-process form.  The
-per-shard evaluation counts are accumulated in
-:attr:`RefineStage.shard_evaluations` (surfaced as
-``ShardedRetriever.shard_refine_evaluations``), which is exactly the
-hit-rate signal a remote-shard placement policy needs.  Results and
-per-query costs stay bit-identical to the ungrouped path because a query's
-candidates are unique and shard ranges are disjoint.
+In the sharded pipeline the refine stage routes work *per (query, shard)
+group*.  On a ``DistanceContext`` store hits are resolved in the parent and
+only each shard's missing pairs become refine work, so a shard whose pairs
+are already cached receives **zero** exact evaluations — the ROADMAP's
+"store-aware shard placement" in its single-process form.  The per-shard
+counts are accumulated in :attr:`RefineStage.shard_evaluations` and
+:attr:`RefineStage.shard_routed` (surfaced as
+``ShardedRetriever.shard_cost_signals``), which is exactly the hit-rate
+signal a remote-shard placement policy needs.  Results and per-query costs
+stay bit-identical to the ungrouped path because a query's candidates are
+unique and shard ranges are disjoint.
 """
 
 from __future__ import annotations
@@ -61,16 +63,10 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
-from repro.distances.parallel import (
-    ensure_parallel_safe,
-    parallel_refine,
-    resolve_jobs,
-    split_counting,
-)
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
-from repro.retrieval.context_binding import ContextBinding, bind_context
+from repro.retrieval.context_binding import Binding, bind_context
 
 __all__ = [
     "RetrievalResult",
@@ -90,6 +86,7 @@ __all__ = [
     "build_retrieval_result",
     "build_scan_result",
     "collect_plan_stats",
+    "refine_candidates",
 ]
 
 
@@ -200,17 +197,18 @@ def build_retrieval_result(
     k_eff: int,
     p_eff: int,
     embedding_cost: int,
-    refine_cost: Optional[int] = None,
+    refine_cost: int,
     partial: bool = False,
 ) -> "RetrievalResult":
     """Assemble a :class:`RetrievalResult` from refined candidate distances.
 
     Shared by every pipeline configuration so the neighbor ordering and
-    cost accounting can never diverge between paths.  ``refine_cost``
-    defaults to the nominal ``p``; context-backed pipelines pass the number
-    of evaluations actually performed (cached pairs are free).  ``partial``
-    marks a deadline-expired serving result ranked over the candidates
-    that were resolved in time (see :meth:`EmbeddingIndex.submit`).
+    cost accounting can never diverge between paths.  ``refine_cost`` is
+    the number of exact evaluations the refine actually performed (``p``
+    for a plain measure; cached pairs are free through a context).
+    ``partial`` marks a deadline-expired serving result ranked over the
+    candidates that were resolved in time (see
+    :meth:`EmbeddingIndex.submit`).
     """
     order = refine_order(exact, candidates, k_eff)
     return RetrievalResult(
@@ -218,9 +216,7 @@ def build_retrieval_result(
         neighbor_distances=exact[order],
         candidate_indices=candidates,
         embedding_distance_computations=int(embedding_cost),
-        refine_distance_computations=int(
-            p_eff if refine_cost is None else refine_cost
-        ),
+        refine_distance_computations=int(refine_cost),
         partial=partial,
     )
 
@@ -308,10 +304,11 @@ class RetrievalResult:
 # The plan                                                                    #
 # --------------------------------------------------------------------------- #
 
-#: One (shard_id, local_indices, positions) unit of per-shard refine work:
-#: ``positions`` locates each shard candidate inside the filter-ordered
-#: candidate array, so refined distances can be scattered back.
-ShardWork = Tuple[int, np.ndarray, np.ndarray]
+#: One (shard_id, positions) unit of per-shard refine work: ``positions``
+#: (an index array, or a slice) locates each shard candidate inside the
+#: filter-ordered candidate array, so refined distances can be scattered
+#: back.
+ShardWork = Tuple[int, Union[np.ndarray, slice]]
 
 
 @dataclass
@@ -329,10 +326,6 @@ class QueryPlan:
     k: int
     p: Optional[int]
     n_jobs: Optional[int] = None
-    #: Single-query plans keep the scalar ``embed``/``distances_to`` calls
-    #: of the original per-query paths, so store and counter interactions
-    #: are unchanged.
-    single: bool = False
     k_eff: int = 0
     p_eff: int = 0
     embedding_cost: int = 0
@@ -341,8 +334,8 @@ class QueryPlan:
     #: Per-query per-shard refine routing (sharded pipelines only).
     shard_work: Optional[List[List[ShardWork]]] = None
     exact_lists: List[np.ndarray] = field(default_factory=list)
-    #: Evaluations actually performed per query (``None`` = nominal ``p``).
-    refine_costs: List[Optional[int]] = field(default_factory=list)
+    #: Exact evaluations actually performed per query.
+    refine_costs: List[int] = field(default_factory=list)
     results: List[RetrievalResult] = field(default_factory=list)
     #: Per-stage wall-clock seconds and evaluation counters, filled by
     #: :meth:`QueryEngine.run` (and partially by :meth:`QueryEngine.prepare`).
@@ -376,13 +369,9 @@ class EmbedStage:
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Embed the plan's query objects into ``plan.query_vectors``."""
         plan.embedding_cost = self.embedder.cost
-        if plan.single:
-            vector = self.embedder.embed(plan.objects[0])
-            plan.query_vectors = np.asarray(vector, dtype=float)[None, :]
-        else:
-            plan.query_vectors = np.asarray(
-                self.embedder.embed_many(plan.objects), dtype=float
-            )
+        plan.query_vectors = np.asarray(
+            self.embedder.embed_many(plan.objects), dtype=float
+        )
         return plan
 
 
@@ -481,7 +470,7 @@ class ShardedFilterStage:
             )
             positions = np.flatnonzero(mask)
             if positions.size:
-                work.append((sid, candidates[positions] - shard.offset, positions))
+                work.append((sid, positions))
         return work
 
     def run(self, plan: QueryPlan) -> QueryPlan:
@@ -513,35 +502,19 @@ class ScanStage:
 class RefineStage:
     """Evaluate exact distances from each query to its filter candidates.
 
-    One object owns the pipeline's exact-distance access: the
-    :class:`~repro.retrieval.context_binding.ContextBinding` (store-backed,
-    cached pairs free) or the :class:`CountingDistance` wrapper (plain
-    measures, nominal cost), plus every ``n_jobs`` fan-out rule.  All three
-    retrievers and the async serving layer refine through this stage, so
-    accounting can never drift between them.
+    One object owns the pipeline's exact-distance access: a binding from
+    :func:`~repro.retrieval.context_binding.bind_context` (store-backed
+    through a context, every pair charged for a plain measure) and the
+    per-shard routing counters.  Every retriever, the planner's prefix
+    slices, the sweep and the remote client's fallback refine through
+    :meth:`run`, so accounting can never drift between them.
     """
 
     stat_name = "refine"
 
-    def __init__(
-        self,
-        distance: DistanceMeasure,
-        database: Dataset,
-        shards: Optional[Sequence[Any]] = None,
-        bind: bool = True,
-    ) -> None:
-        self.database = database
+    def __init__(self, binding: Binding, shards: Optional[Sequence[Any]] = None) -> None:
+        self.binding = binding
         self.shards = list(shards) if shards is not None else None
-        # ``bind=False`` forces plain counting mode even for a context:
-        # a ContextBinding freezes the database→universe index mapping at
-        # construction, which a mutable database (DynamicDatabase) would
-        # silently invalidate.
-        self._binding: Optional[ContextBinding] = (
-            bind_context(distance, database) if bind else None
-        )
-        self._counting: Optional[CountingDistance] = (
-            None if self._binding is not None else CountingDistance(distance)
-        )
         #: Exact evaluations routed to each shard so far (sharded pipelines;
         #: store hits are free on the context-backed path).  This is the
         #: per-shard hit-rate signal a store-aware placement policy reads.
@@ -555,195 +528,73 @@ class RefineStage:
             np.zeros(len(self.shards), dtype=int) if self.shards is not None else None
         )
 
-    # -- accounting ------------------------------------------------------
-
-    @property
-    def binding(self) -> Optional[ContextBinding]:
-        """The context binding, when refining through a shared store."""
-        return self._binding
-
-    @property
-    def counting(self) -> Optional[CountingDistance]:
-        """The counting wrapper, when refining a plain measure."""
-        return self._counting
-
     @property
     def calls(self) -> int:
         """Exact evaluations performed by this stage so far."""
-        if self._binding is not None:
-            return self._binding.calls
-        return self._counting.calls
+        return self.binding.calls
 
     def reset(self) -> None:
         """Reset the evaluation counter."""
-        if self._binding is not None:
-            self._binding.calls = 0
-        else:
-            self._counting.reset()
+        self.binding.calls = 0
 
-    # -- running ---------------------------------------------------------
+    def record_shard(self, shard_id: int, routed: int, evaluations: int) -> None:
+        """Charge one (query, shard) group to the per-shard counters."""
+        self.shard_routed[shard_id] += int(routed)
+        self.shard_evaluations[shard_id] += int(evaluations)
 
     def run(self, plan: QueryPlan) -> QueryPlan:
-        """Evaluate exact distances for each query's candidate list."""
-        if not plan.objects:
-            plan.exact_lists = []
-            plan.refine_costs = []
-            return plan
-        if self.shards is not None and plan.shard_work is not None:
-            if self._binding is not None:
-                self._run_sharded_context(plan)
-            else:
-                self._run_sharded_counting(plan)
-        else:
-            if self._binding is not None:
-                self._run_flat_context(plan)
-            else:
-                self._run_flat_counting(plan)
+        """Evaluate exact distances for each query's candidate list.
+
+        Work is grouped per query, or per (query, shard) when the filter
+        routed the candidates to shards (``plan.shard_work``), and resolved
+        in one ``distances_to_many`` call on the binding; a one-query plan
+        stays serial.  Grouping cannot change values or per-query costs: a
+        query's candidates are unique and shard ranges are disjoint, so the
+        groups partition exactly the pairs an ungrouped call would resolve.
+        """
+        n_queries = len(plan.objects)
+        work = plan.shard_work or [[(None, slice(None))]] * n_queries
+        groups = [
+            (qi, sid, positions)
+            for qi, query_work in enumerate(work)
+            for sid, positions in query_work
+        ]
+        values_list, spent_list = self.binding.distances_to_many(
+            [plan.objects[qi] for qi, _sid, _positions in groups],
+            [plan.candidate_lists[qi][positions] for qi, _sid, positions in groups],
+            n_jobs=plan.n_jobs if n_queries > 1 else 1,
+        )
+        plan.exact_lists = [
+            np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
+        ]
+        plan.refine_costs = [0] * n_queries
+        for (qi, sid, positions), values, spent in zip(groups, values_list, spent_list):
+            plan.exact_lists[qi][positions] = values
+            plan.refine_costs[qi] += int(spent)
+            if sid is not None:
+                self.record_shard(sid, len(values), spent)
         return plan
 
-    # -- flat (unsharded) paths -----------------------------------------
 
-    def _run_flat_context(self, plan: QueryPlan) -> None:
-        if plan.single:
-            exact, spent = self._binding.distances_to(
-                plan.objects[0], plan.candidate_lists[0]
-            )
-            plan.exact_lists = [exact]
-            plan.refine_costs = [spent]
-            return
-        # The context resolves store hits in the parent and pools only the
-        # missing (query, candidate) pairs; per-query refine cost is the
-        # number of evaluations actually performed.
-        exact_lists, computed = self._binding.distances_to_many(
-            plan.objects, plan.candidate_lists, n_jobs=plan.n_jobs
-        )
-        plan.exact_lists = [np.asarray(exact, dtype=float) for exact in exact_lists]
-        plan.refine_costs = list(computed)
+def refine_candidates(
+    refine: RefineStage,
+    obj: Any,
+    candidates: np.ndarray,
+    shard_work: Optional[List[ShardWork]] = None,
+) -> Tuple[np.ndarray, int]:
+    """Exact distances from one object to ``candidates`` through ``refine.run``.
 
-    def _run_flat_counting(self, plan: QueryPlan) -> None:
-        objects = plan.objects
-        n_workers = resolve_jobs(plan.n_jobs)
-        if not plan.single and n_workers > 1 and len(objects) > 1:
-            ensure_parallel_safe(self._counting)
-            inner, counters = split_counting(self._counting)
-            items = [
-                (qi, obj, 0, candidates)
-                for qi, (obj, candidates) in enumerate(
-                    zip(objects, plan.candidate_lists)
-                )
-            ]
-            exact_by_query = parallel_refine(
-                inner, [list(self.database)], items, n_workers
-            )
-            for counting in counters:
-                counting.calls += plan.p_eff * len(objects)
-            plan.exact_lists = [
-                np.asarray(exact_by_query[qi], dtype=float)
-                for qi in range(len(objects))
-            ]
-        else:
-            plan.exact_lists = [
-                np.asarray(
-                    self._counting.compute_many(
-                        obj, [self.database[int(i)] for i in candidates]
-                    ),
-                    dtype=float,
-                )
-                for obj, candidates in zip(objects, plan.candidate_lists)
-            ]
-        plan.refine_costs = [None] * len(objects)
-
-    # -- sharded paths ---------------------------------------------------
-
-    def _run_sharded_context(self, plan: QueryPlan) -> None:
-        """Store-aware per-(query, shard) refine through the shared store.
-
-        Work is grouped query-major, then shard by shard: the context
-        resolves each group's store hits in the parent and evaluates only
-        the missing pairs, so a shard whose pairs are fully cached performs
-        zero exact evaluations (recorded in :attr:`shard_evaluations`).
-        Grouping cannot change results or per-query costs — a query's
-        candidates are unique and shard ranges are disjoint, so the groups
-        partition exactly the pairs the ungrouped call would resolve.
-        """
-        objects = plan.objects
-        plan.exact_lists = [
-            np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
-        ]
-        plan.refine_costs = [0] * len(objects)
-        if plan.single:
-            # Preserve the serial scalar path of the original per-query
-            # code: one store-resolved evaluation batch per shard group.
-            obj = objects[0]
-            candidates = plan.candidate_lists[0]
-            for sid, _local, positions in plan.shard_work[0]:
-                values, spent = self._binding.distances_to(
-                    obj, candidates[positions]
-                )
-                plan.exact_lists[0][positions] = values
-                plan.refine_costs[0] += spent
-                self.shard_evaluations[sid] += spent
-                self.shard_routed[sid] += positions.size
-            return
-        flat_keys: List[Tuple[int, int, np.ndarray]] = []
-        flat_objects: List[Any] = []
-        flat_targets: List[np.ndarray] = []
-        for qi, (obj, work) in enumerate(zip(objects, plan.shard_work)):
-            for sid, _local, positions in work:
-                flat_keys.append((qi, sid, positions))
-                flat_objects.append(obj)
-                flat_targets.append(plan.candidate_lists[qi][positions])
-        values_list, computed = self._binding.distances_to_many(
-            flat_objects, flat_targets, n_jobs=plan.n_jobs
-        )
-        for (qi, sid, positions), values, spent in zip(
-            flat_keys, values_list, computed
-        ):
-            plan.exact_lists[qi][positions] = values
-            plan.refine_costs[qi] += spent
-            self.shard_evaluations[sid] += spent
-            self.shard_routed[sid] += positions.size
-
-    def _run_sharded_counting(self, plan: QueryPlan) -> None:
-        objects = plan.objects
-        shards = self.shards
-        plan.exact_lists = [
-            np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
-        ]
-        plan.refine_costs = [None] * len(objects)
-        n_workers = resolve_jobs(plan.n_jobs)
-        n_units = (
-            len(plan.shard_work[0])
-            if plan.single
-            else len(objects) * len(shards)
-        )
-        if n_workers > 1 and n_units > 1:
-            ensure_parallel_safe(self._counting)
-            inner, counters = split_counting(self._counting)
-            items = [
-                ((qi, sid), obj, sid, local)
-                for qi, (obj, work) in enumerate(zip(objects, plan.shard_work))
-                for sid, local, _ in work
-            ]
-            by_key: Dict[Any, np.ndarray] = parallel_refine(
-                inner, [shard.objects for shard in shards], items, n_workers
-            )
-            for counting in counters:
-                counting.calls += int(plan.p_eff) * len(objects)
-            for qi, work in enumerate(plan.shard_work):
-                for sid, local, positions in work:
-                    plan.exact_lists[qi][positions] = by_key[(qi, sid)]
-                    self.shard_evaluations[sid] += int(local.size)
-                    self.shard_routed[sid] += int(local.size)
-        else:
-            for qi, (obj, work) in enumerate(zip(objects, plan.shard_work)):
-                for sid, local, positions in work:
-                    shard = shards[sid]
-                    plan.exact_lists[qi][positions] = self._counting.compute_many(
-                        obj, [shard.objects[int(i)] for i in local]
-                    )
-                    self.shard_evaluations[sid] += int(local.size)
-                    self.shard_routed[sid] += int(local.size)
+    Returns ``(values, spent)``.  ``shard_work`` (a sharded filter stage's
+    ``split(candidates)``) routes the groups to the per-shard counters.
+    The planner's prefix slices, the sweep's blocks, the shard server and
+    the remote client's dead-shard fallback use this, so they refine
+    exactly as a one-query pipeline batch does.
+    """
+    plan = QueryPlan(objects=[obj], k=1, p=None)
+    plan.candidate_lists = [candidates]
+    plan.shard_work = None if shard_work is None else [shard_work]
+    refine.run(plan)
+    return plan.exact_lists[0], plan.refine_costs[0]
 
 
 class MergeStage:
@@ -844,7 +695,7 @@ class QueryEngine:
         return cls(
             embed=EmbedStage(embedder),
             filter=FilterStage(embedder, database_vectors),
-            refine=RefineStage(distance, database),
+            refine=RefineStage(bind_context(distance, database)),
             merge=MergeStage(),
             n_database=len(database),
         )
@@ -861,7 +712,7 @@ class QueryEngine:
         return cls(
             embed=EmbedStage(embedder),
             filter=ShardedFilterStage(embedder, shards),
-            refine=RefineStage(distance, database, shards=shards),
+            refine=RefineStage(bind_context(distance, database), shards=shards),
             merge=MergeStage(),
             n_database=len(database),
         )
@@ -878,7 +729,7 @@ class QueryEngine:
         return cls(
             embed=None,
             filter=ScanStage(len(database)),
-            refine=RefineStage(distance, database),
+            refine=RefineStage(bind_context(distance, database)),
             merge=None,
             n_database=len(database),
         )
@@ -891,14 +742,12 @@ class QueryEngine:
         k: int,
         p: Optional[int],
         n_jobs: Optional[int] = None,
-        single: bool = False,
     ) -> QueryPlan:
         """Clamp the parameters and seed a plan for one query batch."""
         objects = list(objects)
-        plan = QueryPlan(objects=objects, k=k, p=p, n_jobs=n_jobs, single=single)
+        plan = QueryPlan(objects=objects, k=k, p=p, n_jobs=n_jobs)
         if p is None:
-            # Scan pipelines refine everything; the nominal per-query cost
-            # is the database size.
+            # Scan pipelines refine every database position.
             plan.k_eff = min(int(k), self.n_database)
             plan.p_eff = self.n_database
         else:
@@ -951,11 +800,9 @@ class QueryEngine:
 
     # -- conveniences ----------------------------------------------------
 
-    def query(
-        self, obj: Any, k: int, p: int, n_jobs: Optional[int] = None
-    ) -> RetrievalResult:
-        """Run the full pipeline for one query object."""
-        plan = self.run(self.make_plan([obj], k, p, n_jobs=n_jobs, single=True))
+    def query(self, obj: Any, k: int, p: int) -> RetrievalResult:
+        """Run the full pipeline for one query object (refined serially)."""
+        plan = self.run(self.make_plan([obj], k, p))
         return plan.results[0]
 
     def query_many(
@@ -968,7 +815,7 @@ class QueryEngine:
         """Run the full pipeline for a batch of query objects."""
         objects = list(objects)
         # Clamping validates (k, p) even for an empty batch, exactly like
-        # the scalar path.
+        # a one-query call.
         plan = self.make_plan(objects, k, p, n_jobs=n_jobs)
         if not objects:
             return []

@@ -39,7 +39,7 @@ every retriever because they are the *same code*:
   the refine work fans out over worker processes
   (:func:`repro.distances.parallel.parallel_refine`), with parent-side
   :class:`~repro.distances.base.CountingDistance` wrappers charged exactly
-  as in the serial path and identity-keyed caches rejected.
+  as in the serial path.
 * Shared store: built on a
   :class:`~repro.distances.context.DistanceContext` (whose universe must
   contain the database), refine evaluations charge against the context's
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import QueryEngine, RetrievalResult
@@ -131,14 +131,6 @@ class FilterRefineRetriever:
         return self.embedder.cost
 
     @property
-    def _binding(self):
-        return self.engine.refine.binding
-
-    @property
-    def _refine_distance(self) -> Optional[CountingDistance]:
-        return self.engine.refine.counting
-
-    @property
     def refine_distance_evaluations(self) -> int:
         """Total exact distances spent refining, across all queries so far.
 
@@ -165,9 +157,10 @@ class FilterRefineRetriever:
     def query(self, obj: Any, k: int, p: int) -> RetrievalResult:
         """Retrieve the approximate ``k`` nearest neighbors of ``obj``.
 
-        The refine step evaluates all ``p`` exact distances in one batched
-        ``compute_many`` call (the counting wrapper charges exactly ``p``
-        evaluations, as in the scalar path).
+        The query runs the same pipeline as a one-query :meth:`query_many`
+        batch: one ``embed_many`` call, then all ``p`` exact distances in
+        one batched refine call (``p`` evaluations for a plain measure;
+        pairs already in a context's store are free).
 
         Parameters
         ----------

@@ -40,7 +40,7 @@ flat, sharded and remote backends.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,8 +49,10 @@ from repro.exceptions import RetrievalError
 from repro.retrieval.engine import (
     QueryEngine,
     RetrievalResult,
+    ShardWork,
     build_retrieval_result,
     clamp_query_params,
+    refine_candidates,
     refine_order,
 )
 from repro.retrieval.evaluation import (
@@ -508,9 +510,11 @@ class PlannedRetriever:
         """Fit the cost model and accuracy profile from a few probe queries.
 
         Each probe is embedded, filter-scanned and exact-scanned against
-        the whole database — charged honestly through the engine's
-        accounting (through a shared store the scans also warm it).  The
-        exact scans yield ground truth, from which the filter-rank profile
+        the whole database through the engine's stages — charged honestly
+        through its accounting (through a shared store the scans also warm
+        it).  The filter timing the cost model sees includes the stage's
+        cut, here a full-length sort.  The exact scans yield ground truth,
+        from which the filter-rank profile
         (:func:`~repro.retrieval.evaluation.filter_ranks`) drives the
         accuracy-targeted ``p`` choice for any ``k`` up to ``k_max``.
         Returns the calibration record (probe cost, fit seconds), which is
@@ -524,46 +528,22 @@ class PlannedRetriever:
         if k_max < 1:
             raise RetrievalError(f"k_max must be a positive integer, got {k_max}")
         started = time.perf_counter()
-
+        # At p = n every probe's candidate list is the whole database in
+        # filter order, so the refine is an exact scan: the ground truth.
+        plan = self.engine.prepare(self.engine.make_plan(probes, 1, n, n_jobs=n_jobs))
         t0 = time.perf_counter()
-        vectors = np.asarray(self.embedder.embed_many(probes), dtype=float)
-        embed_seconds = time.perf_counter() - t0
+        self.engine.refine.run(plan)
+        spent_total = int(sum(plan.refine_costs))
+        plan.stats["stage_seconds"]["refine"] = time.perf_counter() - t0
+        plan.stats["refine_evaluations"] = spent_total
+        self._observe_stats(plan.stats)
 
-        t0 = time.perf_counter()
-        for vector in vectors:
-            self.engine.filter.distances(vector)
-        filter_seconds = time.perf_counter() - t0
-
-        refine = self.engine.refine
-        all_positions = np.arange(n)
-        rows: List[np.ndarray] = []
-        spent_total = 0
-        t0 = time.perf_counter()
-        for obj in probes:
-            if refine.binding is not None:
-                values, spent = refine.binding.distances_to(obj, all_positions)
-            else:
-                values = np.asarray(
-                    refine.counting.compute_many(obj, list(self.database)),
-                    dtype=float,
-                )
-                spent = n
-            rows.append(np.asarray(values, dtype=float))
-            spent_total += int(spent)
-        refine_seconds = time.perf_counter() - t0
-
-        ground_truth = knn_from_distances(np.vstack(rows), k_max)
+        exact = np.empty((len(probes), n))
+        for row, candidates, values in zip(exact, plan.candidate_lists, plan.exact_lists):
+            row[candidates] = values
+        ground_truth = knn_from_distances(exact, k_max)
         self.rank_profile = filter_ranks(
-            self.embedder, self.database_vectors, vectors, ground_truth
-        )
-        self.model.observe_batch(
-            n_queries=len(probes),
-            n_rows=n * len(probes),
-            embed_seconds=embed_seconds,
-            filter_seconds=filter_seconds,
-            refine_seconds=refine_seconds,
-            refine_evaluations=spent_total,
-            refine_pairs=n * len(probes),
+            self.embedder, self.database_vectors, plan.query_vectors, ground_truth
         )
         record = {
             "probes": len(probes),
@@ -627,12 +607,10 @@ class PlannedRetriever:
 
     # -- querying --------------------------------------------------------
 
-    def query(
-        self, obj: Any, k: int, p: Optional[int] = None, n_jobs: Optional[int] = None
-    ) -> RetrievalResult:
+    def query(self, obj: Any, k: int, p: Optional[int] = None) -> RetrievalResult:
         """One query: fixed pass-through with explicit ``p``, planned without."""
         if p is not None:
-            return self.engine.query(obj, k, p, n_jobs=n_jobs)
+            return self.engine.query(obj, k, p)
         self._require_adaptive()
         return self._run_adaptive([obj], k)[0]
 
@@ -731,34 +709,23 @@ class PlannedRetriever:
         backend: str,
         decision: Dict[str, Any],
     ) -> List[RetrievalResult]:
-        """The adaptive local path: cut at the ceiling, refine in slices."""
-        if backend == "sharded" and self._sharded is not None:
-            filter_stage: Any = self._sharded.engine.filter
-            refine = self._sharded.engine.refine
-        else:
-            backend = "flat"
-            refine = self.engine.refine
-            filter_stage = self.engine.filter
-        embed_seconds = 0.0
-        filter_seconds = 0.0
+        """The adaptive local path: cut the batch at the ceiling, refine in slices.
+
+        Embed and filter run once for the whole batch through the chosen
+        engine's stages; each query's candidates are then refined in
+        prefix slices.
+        """
+        engine = self._sharded.engine if backend == "sharded" else self.engine
+        plan = engine.prepare(engine.make_plan(objects, k_eff, p_eff))
+        split = engine.filter.split if backend == "sharded" else None
         refine_seconds = 0.0
         charged_total = 0
         refined_total = 0
         results: List[RetrievalResult] = []
-        embedding_cost = self.engine.embed.cost
-        for obj in objects:
-            t0 = time.perf_counter()
-            vector = np.asarray(self.embedder.embed(obj), dtype=float)
-            embed_seconds += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            if backend == "sharded":
-                candidates = filter_stage.merged(vector, p_eff)
-            else:
-                candidates = filter_stage.cut(vector, p_eff)
-            filter_seconds += time.perf_counter() - t0
+        for obj, candidates in zip(plan.objects, plan.candidate_lists):
             t0 = time.perf_counter()
             exact, charged, chosen, early = self._refine_slices(
-                obj, candidates, k_eff, refine, sharded=backend == "sharded"
+                obj, candidates, k_eff, engine.refine, split
             )
             refine_seconds += time.perf_counter() - t0
             charged_total += charged
@@ -771,8 +738,8 @@ class PlannedRetriever:
                 exact,
                 k_eff,
                 chosen,
-                embedding_cost,
-                refine_cost=charged if refine.binding is not None else None,
+                plan.embedding_cost,
+                refine_cost=charged,
             )
             result.stats = {
                 **decision,
@@ -782,16 +749,11 @@ class PlannedRetriever:
                 "refine_evaluations": charged,
             }
             results.append(result)
-        self.model.observe_batch(
-            n_queries=len(objects),
-            n_rows=self.engine.n_database * len(objects),
-            embed_seconds=embed_seconds,
-            filter_seconds=filter_seconds,
-            refine_seconds=refine_seconds,
-            refine_evaluations=charged_total,
-            refine_pairs=refined_total,
-        )
-        if backend == "sharded" and self._sharded is not None:
+        plan.stats["stage_seconds"]["refine"] = refine_seconds
+        plan.stats["refine_evaluations"] = charged_total
+        plan.stats["candidates"] = refined_total
+        self._observe_stats(plan.stats)
+        if backend == "sharded":
             self.model.observe_shards(self._sharded.shard_cost_signals())
         return results
 
@@ -801,7 +763,7 @@ class PlannedRetriever:
         candidates: np.ndarray,
         k_eff: int,
         refine: Any,
-        sharded: bool = False,
+        split: Optional[Callable[[np.ndarray], List[ShardWork]]] = None,
     ) -> Tuple[np.ndarray, int, int, bool]:
         """Refine a filter-ordered candidate list in prefix-extending slices.
 
@@ -812,40 +774,21 @@ class PlannedRetriever:
         ``p'``.  Because stable cuts are prefix-closed and the refined
         pairs are exactly the fixed-``p'`` run's pairs, result and
         accounting are bit-identical to that run by construction.
+        ``split`` (a sharded filter stage's) routes each slice per shard,
+        so the per-shard hit-rate counters keep feeding the model.
         """
         p_ceiling = int(candidates.shape[0])
         exact = np.empty(p_ceiling, dtype=float)
-        binding = refine.binding
         charged = 0
         done = 0
         previous_top: Optional[np.ndarray] = None
         early = False
         for target in refine_schedule(p_ceiling, k_eff):
             block = candidates[done:target]
-            if sharded:
-                # Route the slice per shard so the per-shard hit-rate
-                # counters keep feeding the model; pairs are unique, so
-                # the grouping cannot change values or charge.
-                block_values = np.empty(block.shape[0], dtype=float)
-                for sid, _local, positions in self._shard_split(block):
-                    values, spent = binding.distances_to(obj, block[positions])
-                    block_values[positions] = values
-                    charged += int(spent)
-                    refine.shard_evaluations[sid] += int(spent)
-                    refine.shard_routed[sid] += int(positions.size)
-                exact[done:target] = block_values
-            elif binding is not None:
-                values, spent = binding.distances_to(obj, block)
-                exact[done:target] = values
-                charged += int(spent)
-            else:
-                exact[done:target] = np.asarray(
-                    refine.counting.compute_many(
-                        obj, [self.database[int(i)] for i in block]
-                    ),
-                    dtype=float,
-                )
-                charged += int(block.size)
+            exact[done:target], spent = refine_candidates(
+                refine, obj, block, None if split is None else split(block)
+            )
+            charged += spent
             done = target
             order = refine_order(exact[:done], candidates[:done], k_eff)
             top = candidates[:done][order]
@@ -854,7 +797,3 @@ class PlannedRetriever:
                 break
             previous_top = top
         return exact[:done], charged, done, early
-
-    def _shard_split(self, block: np.ndarray):
-        """Per-shard split of one refine slice (sharded adaptive path)."""
-        return self._sharded.engine.filter.split(block)

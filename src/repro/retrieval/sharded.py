@@ -36,28 +36,25 @@ database index and global tie-breaking by index is preserved.  Per query:
    (A shard's local top-``min(p, shard_size)`` necessarily contains every
    global top-``p`` member of that shard, so no candidate is lost.)
 3. **Refine per shard** — evaluate the exact distances from the query to its
-   surviving candidates shard by shard (one batched ``compute_many`` per
-   shard), scatter them back into filter order, and keep the best
-   ``min(k, n)`` with ties again resolved by global database index — the
-   same brute-force-identical order as the unsharded path.
+   surviving candidates shard by shard (one group per shard in the refine
+   stage's single batched call), scatter them back into filter order, and
+   keep the best ``min(k, n)`` with ties again resolved by global database
+   index — the same brute-force-identical order as the unsharded path.
 
 The per-query cost is unchanged: ``embedding.cost`` exact distances to embed
 plus exactly ``p`` to refine, regardless of the shard count.
 
 Parallelism and accounting
 --------------------------
-``n_jobs`` fans the refine work out over a process pool — per shard for
-:meth:`ShardedRetriever.query`, per (query, shard) pair for
-:meth:`ShardedRetriever.query_many` — through
-:func:`repro.distances.parallel.parallel_refine`.  Accounting follows the
-matrix builders' rule: top-level
+``n_jobs`` fans the refine work of a :meth:`ShardedRetriever.query_many`
+batch out over a process pool, one unit per (query, shard) pair, through
+:func:`repro.distances.parallel.parallel_refine`; a one-query call stays
+serial.  Accounting follows the matrix builders' rule: top-level
 :class:`~repro.distances.base.CountingDistance` wrappers stay in the parent
 and are charged one evaluation per refined candidate (so per-query counts
-are identical to the serial path), workers receive the inner measure, and an
-identity-keyed :class:`~repro.distances.base.CachedDistance` is rejected
-because its keys cannot survive the process boundary — use a
-:class:`~repro.distances.context.DistanceContext` (stable dataset-index
-keys) or supply a stable ``key`` function to cache under ``n_jobs``.
+are identical to the serial path), and workers receive the inner measure.
+A :class:`~repro.distances.context.DistanceContext` is never shipped: it
+pools only its missing pairs itself (see below).
 
 Store-aware refine routing
 --------------------------
@@ -88,7 +85,7 @@ import numpy as np
 
 from repro.core.model import QuerySensitiveModel
 from repro.datasets.base import Dataset
-from repro.distances.base import CountingDistance, DistanceMeasure
+from repro.distances.base import DistanceMeasure
 from repro.embeddings.base import Embedding
 from repro.exceptions import RetrievalError
 from repro.retrieval.engine import QueryEngine, RetrievalResult
@@ -145,8 +142,9 @@ class ShardedRetriever:
         same matrix an unsharded retriever would use; it is sliced per
         shard).  When omitted, the database is embedded at construction time.
     n_jobs:
-        Default worker-process count for queries; ``None``/``0``/``1`` =
-        serial, ``-1`` = all CPUs.  Overridable per call.
+        Default worker-process count for :meth:`query_many`;
+        ``None``/``0``/``1`` = serial, ``-1`` = all CPUs.  Overridable per
+        call.
     """
 
     def __init__(
@@ -213,14 +211,6 @@ class ShardedRetriever:
         return self.embedder.cost
 
     @property
-    def _binding(self):
-        return self.engine.refine.binding
-
-    @property
-    def _refine_distance(self) -> Optional[CountingDistance]:
-        return self.engine.refine.counting
-
-    @property
     def refine_distance_evaluations(self) -> int:
         """Total exact distances spent refining, across all queries so far.
 
@@ -236,8 +226,8 @@ class ShardedRetriever:
         On the context-backed path store hits are free, so a shard whose
         candidate pairs are already cached accumulates zero — the signal a
         store-aware placement policy uses to route refine work to warm
-        shards.  On the plain-measure path this is the nominal per-shard
-        candidate count.
+        shards.  On the plain-measure path this is the per-shard candidate
+        count.
         """
         return self.engine.refine.shard_evaluations.copy()
 
@@ -251,16 +241,11 @@ class ShardedRetriever:
         turns these into per-shard store hit rates.
         """
         refine = self.engine.refine
-        routed = (
-            refine.shard_routed
-            if refine.shard_routed is not None
-            else np.zeros(self.n_shards, dtype=int)
-        )
         return [
             {
                 "shard": sid,
                 "size": len(shard),
-                "routed_pairs": int(routed[sid]),
+                "routed_pairs": int(refine.shard_routed[sid]),
                 "evaluations": int(refine.shard_evaluations[sid]),
             }
             for sid, shard in enumerate(self.shards)
@@ -279,32 +264,18 @@ class ShardedRetriever:
         """
         return self.engine.filter.merged(query_vector, p)
 
-    def _split_by_shard(self, candidates: np.ndarray):
-        """Partition a global candidate list into per-shard refine work.
-
-        Returns ``(shard_id, local_indices, positions)`` triples, where
-        ``positions`` locates each shard candidate inside the filter-ordered
-        candidate array, so refined distances can be scattered back.
-        """
-        return self.engine.filter.split(candidates)
-
     # ------------------------------------------------------------------ #
     # Queries                                                            #
     # ------------------------------------------------------------------ #
 
-    def query(
-        self, obj: Any, k: int, p: int, n_jobs: Optional[int] = None
-    ) -> RetrievalResult:
+    def query(self, obj: Any, k: int, p: int) -> RetrievalResult:
         """Retrieve the approximate ``k`` nearest neighbors of ``obj``.
 
         ``k`` and ``p`` are clamped exactly like the unsharded retriever
         (``p`` into ``[min(k, n), n]``), so exactly ``min(k, n)`` neighbors
-        come back.  With ``n_jobs > 1`` the per-shard refine batches fan out
-        over a process pool.
+        come back.  A one-query call refines serially.
         """
-        return self.engine.query(
-            obj, k, p, n_jobs=self.n_jobs if n_jobs is None else n_jobs
-        )
+        return self.engine.query(obj, k, p)
 
     def query_many(
         self,

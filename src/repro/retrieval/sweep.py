@@ -29,6 +29,7 @@ from repro.retrieval.engine import (
     RetrievalResult,
     build_retrieval_result,
     clamp_query_params,
+    refine_candidates,
 )
 from repro.retrieval.evaluation import (
     AccuracyCostPoint,
@@ -152,12 +153,13 @@ def run_sweep(
 ) -> Dict[int, List[RetrievalResult]]:
     """Sweep the filter size ``p`` over one warm retrieval pipeline.
 
-    Runs every query once through a single shared engine: the embedding and
-    the filter cut at the *largest* swept ``p`` are computed once per query,
-    and each smaller sweep point reuses a prefix of that cut (stable
-    top-``p`` cuts are prefix-closed), refining only the candidate block
-    each point adds.  A naive sweep re-pays the embed + filter scan — and,
-    without a shared store, the whole refine — for every point.
+    Runs every query once through a single shared engine: the batch is
+    embedded and filter-cut at the *largest* swept ``p`` once
+    (:meth:`~repro.retrieval.engine.QueryEngine.prepare`), and each smaller
+    sweep point reuses a prefix of that cut (stable top-``p`` cuts are
+    prefix-closed), refining only the candidate block each point adds.  A
+    naive sweep re-pays the embed + filter scan — and, without a shared
+    store, the whole refine — for every point.
 
     Returns ``{p: [RetrievalResult, ...]}`` keyed by the requested ``p``
     values, results in query order.  Every point is bit-identical —
@@ -189,31 +191,22 @@ def run_sweep(
         else database_vectors,
     )
     n = engine.n_database
-    refine = engine.refine
     results: Dict[int, List[RetrievalResult]] = {p: [] for p in ps_clean}
-    _, p_max_eff = clamp_query_params(k, ps_clean[-1], n)
-    for obj in queries:
-        vector = np.asarray(engine.embed.embedder.embed(obj), dtype=float)
-        candidates = engine.filter.cut(vector, p_max_eff)
-        exact = np.empty(p_max_eff, dtype=float)
+    plan = engine.make_plan(queries, k, ps_clean[-1])
+    if not queries:
+        return results
+    plan = engine.prepare(plan)
+    for obj, candidates in zip(plan.objects, plan.candidate_lists):
+        exact = np.empty(plan.p_eff, dtype=float)
         done = 0
         charged = 0
         for p in ps_clean:
             k_eff, p_eff = clamp_query_params(k, p, n)
             if p_eff > done:
-                block = candidates[done:p_eff]
-                if refine.binding is not None:
-                    values, spent = refine.binding.distances_to(obj, block)
-                    exact[done:p_eff] = values
-                    charged += int(spent)
-                else:
-                    exact[done:p_eff] = np.asarray(
-                        refine.counting.compute_many(
-                            obj, [database[int(i)] for i in block]
-                        ),
-                        dtype=float,
-                    )
-                    charged += int(block.size)
+                exact[done:p_eff], spent = refine_candidates(
+                    engine.refine, obj, candidates[done:p_eff]
+                )
+                charged += spent
                 done = p_eff
             results[p].append(
                 build_retrieval_result(
@@ -221,8 +214,8 @@ def run_sweep(
                     exact[:p_eff],
                     k_eff,
                     p_eff,
-                    engine.embed.cost,
-                    refine_cost=charged if refine.binding is not None else None,
+                    plan.embedding_cost,
+                    refine_cost=charged,
                 )
             )
     return results

@@ -19,6 +19,7 @@ import pytest
 import time
 
 from repro import (
+    CountingDistance,
     EmbeddingIndex,
     IndexConfig,
     L2Distance,
@@ -193,6 +194,45 @@ class TestTickets:
         # The duplicate deferred onto the first ticket's in-flight pairs:
         # its refine was free, exactly like query_many's dedup.
         assert results[1].refine_distance_computations == 0
+
+
+class TestCallerCounter:
+    def test_submit_charges_the_callers_counter_like_query(self, timeseries_split, dtw):
+        """Async refine evaluations reach a caller's CountingDistance too.
+
+        The context counter, the result's cost and the caller's counter
+        must move together on every entry point, including the
+        resolve/complete path ``submit`` and ``stream`` refine through.
+        """
+        counting = CountingDistance(dtw)
+        config = IndexConfig(
+            training=TrainingConfig(
+                n_candidates=10,
+                n_training_objects=20,
+                n_triples=80,
+                n_rounds=3,
+                classifiers_per_round=8,
+                kmax=5,
+                seed=7,
+            ),
+            backend="filter_refine",
+        )
+        queries = list(timeseries_split.queries)[:6]
+        with EmbeddingIndex.build(counting, timeseries_split.database, config) as index:
+            serve = [
+                lambda obj: index.query(obj, k=3, p=30),
+                lambda obj: index.submit(obj, k=3, p=30).result(),
+                lambda obj: next(iter(index.stream([obj], k=3, p=30)))[1],
+            ]
+            for entry, obj in zip(serve * 2, queries):
+                caller, context = counting.calls, index.distance_evaluations
+                result = entry(obj)
+                assert result.refine_distance_computations > 0
+                assert (
+                    counting.calls - caller
+                    == index.distance_evaluations - context
+                    == result.total_distance_computations
+                )
 
 
 class TestFailureIsolation:

@@ -18,7 +18,6 @@ import pytest
 from repro.core.trainer import build_training_tables
 from repro.datasets.base import Dataset
 from repro.distances import (
-    CachedDistance,
     ChamferDistance,
     ConstrainedDTW,
     CountingDistance,
@@ -275,20 +274,6 @@ class TestWrapperBatchSemantics:
         ys = [0.0, 2.0, -3.5]
         assert_batch_matches_scalar(distance, x, ys)
 
-    def test_cached_batch_reuses_entries(self, rng):
-        cached = CachedDistance(CountingDistance(L2Distance()), key=id)
-        objects = [rng.normal(size=3) for _ in range(6)]
-        x = objects[0]
-        first = cached.compute_many(x, objects)
-        assert cached.misses == 6
-        second = cached.compute_many(x, objects)
-        np.testing.assert_array_equal(first, second)
-        assert cached.misses == 6
-        assert cached.hits == 6
-        assert cached.base.calls == 6  # misses only
-        scalar = np.array([cached.base.base.compute(x, y) for y in objects])
-        np.testing.assert_allclose(first, scalar, atol=ATOL, rtol=0.0)
-
 
 # --------------------------------------------------------------------------- #
 # Matrix builders                                                             #
@@ -487,9 +472,9 @@ class TestBatchedRetrieval:
         retriever = FilterRefineRetriever(
             L2Distance(), gaussian_split.database, trained_qs.model
         )
-        before = retriever._refine_distance.calls
+        before = retriever.refine_distance_evaluations
         result = retriever.query(gaussian_split.queries[0], k=3, p=12)
-        assert retriever._refine_distance.calls - before == 12
+        assert retriever.refine_distance_evaluations - before == 12
         assert result.refine_distance_computations == 12
         assert result.neighbor_indices.shape == (3,)
 

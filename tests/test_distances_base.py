@@ -1,25 +1,15 @@
-"""Tests for the distance-measure framework (base classes, counting, caching)."""
+"""Tests for the distance-measure framework (base classes and counting)."""
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
 import pytest
 
 from repro.distances import (
-    CachedDistance,
     CountingDistance,
     FunctionDistance,
-    L1Distance,
     L2Distance,
 )
 from repro.exceptions import DistanceError
-
-
-def _content_key(arr):
-    """A stable (content-based) cache key that survives pickling."""
-    return tuple(np.asarray(arr).ravel())
 
 
 class TestFunctionDistance:
@@ -68,100 +58,3 @@ class TestCountingDistance:
 
     def test_metric_flag_propagates(self):
         assert CountingDistance(L2Distance()).is_metric is True
-
-
-def _identity_cached(base, **kwargs):
-    """Build an explicitly identity-keyed cache (single-process only)."""
-    return CachedDistance(base, key=id, **kwargs)
-
-
-class TestCachedDistance:
-    def test_cache_hit_avoids_recomputation(self):
-        counting = CountingDistance(L1Distance())
-        cached = _identity_cached(counting)
-        x, y = np.array([0.0, 0.0]), np.array([1.0, 2.0])
-        first = cached(x, y)
-        second = cached(x, y)
-        assert first == second
-        assert counting.calls == 1
-        assert cached.hits == 1
-        assert cached.misses == 1
-
-    def test_symmetric_cache_shares_both_orders(self):
-        counting = CountingDistance(L1Distance())
-        cached = _identity_cached(counting, symmetric=True)
-        x, y = np.array([0.0]), np.array([3.0])
-        cached(x, y)
-        cached(y, x)
-        assert counting.calls == 1
-
-    def test_asymmetric_cache_keeps_orders_separate(self):
-        counting = CountingDistance(L1Distance())
-        cached = _identity_cached(counting, symmetric=False)
-        x, y = np.array([0.0]), np.array([3.0])
-        cached(x, y)
-        cached(y, x)
-        assert counting.calls == 2
-
-    def test_bare_default_key_raises_pointing_at_context(self):
-        """The bare-id() default was removed: construction fails hard."""
-        with pytest.raises(DistanceError, match="DistanceContext"):
-            CachedDistance(L1Distance())
-        # An explicit key — stable or even id — constructs fine.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            CachedDistance(L1Distance(), key=_content_key)
-            CachedDistance(L1Distance(), key=id)
-
-    def test_custom_key_function(self):
-        counting = CountingDistance(L1Distance())
-        cached = CachedDistance(counting, key=lambda arr: tuple(arr))
-        cached(np.array([1.0]), np.array([2.0]))
-        # Different array objects with identical contents hit the cache.
-        cached(np.array([1.0]), np.array([2.0]))
-        assert counting.calls == 1
-
-    def test_clear(self):
-        cached = _identity_cached(L1Distance())
-        x, y = np.array([0.0]), np.array([1.0])
-        cached(x, y)
-        cached.clear()
-        assert len(cached) == 0
-        assert cached.hits == 0 and cached.misses == 0
-
-    def test_requires_distance_measure(self):
-        with pytest.raises(DistanceError):
-            CachedDistance(lambda a, b: 0.0)
-
-    def test_identity_keyed_cache_flagged_and_unpicklable(self):
-        """Identity (key=id) keys cannot survive a process boundary: unpickled
-        object copies get fresh ids (the cache goes dead) and reused ids can
-        collide with stale entries — so pickling must fail loudly."""
-        import pickle
-
-        cached = _identity_cached(L1Distance())
-        assert cached.uses_identity_keys
-        with pytest.raises(DistanceError, match="key=id"):
-            pickle.dumps(cached)
-
-    def test_stable_keyed_cache_picklable(self):
-        import pickle
-
-        cached = CachedDistance(L1Distance(), key=_content_key)
-        assert not cached.uses_identity_keys
-        x, y = np.array([0.0]), np.array([2.0])
-        cached(x, y)
-        clone = pickle.loads(pickle.dumps(cached))
-        assert clone(np.array([0.0]), np.array([2.0])) == cached(x, y)
-        assert clone.hits >= 1  # the warmed entry survived the round-trip
-
-    def test_identity_keyed_cache_rejected_by_parallel_matrix(self):
-        from repro.distances import pairwise_distances
-
-        cached = _identity_cached(L1Distance())
-        objects = [np.array([float(i)]) for i in range(6)]
-        with pytest.raises(DistanceError, match="n_jobs"):
-            pairwise_distances(cached, objects, n_jobs=2)
-        # Serial builds remain unaffected.
-        matrix = pairwise_distances(cached, objects)
-        assert matrix.shape == (6, 6)

@@ -81,7 +81,7 @@ class TestEngineComposition:
         retriever = FilterRefineRetriever(l2, gaussian_split.database, trained_qs.model)
         engine = retriever.engine
         before = retriever.refine_distance_evaluations
-        plan = engine.prepare(engine.make_plan([gaussian_split.queries[0]], 2, 8, single=True))
+        plan = engine.prepare(engine.make_plan([gaussian_split.queries[0]], 2, 8))
         assert plan.candidate_lists[0].shape == (8,)
         assert plan.exact_lists == []
         # prepare never refines: no exact evaluations charged to the stage.
@@ -194,4 +194,4 @@ class TestDynamicTieOrder:
         dynamic = DynamicDatabase(L2Distance(), trained_qs.model)
         assert isinstance(dynamic._refine, RefineStage)
         # The stage must track the live object list, not a snapshot.
-        assert dynamic._refine.database is dynamic.objects
+        assert dynamic._refine.binding.database is dynamic.objects

@@ -215,6 +215,39 @@ def test_killed_shard_degrades_to_local_fallback_then_revives(world):
         remote.close()
 
 
+def test_remote_cost_signals_match_the_local_backend(world):
+    """Streamed and fallback refine charges feed the per-shard counters.
+
+    The planner reads ``routed_pairs`` vs ``evaluations`` per shard as a
+    store hit rate; the remote backend must report the same counts as the
+    in-process sharded backend for the same batches, healthy or with a
+    shard down.
+    """
+    _, split = world
+    queries = list(split.queries)
+    local = open_local(world)
+    with LocalCluster(world[0], split.database, n_shards=N_SHARDS) as cluster:
+        remote, backend = open_remote(world, cluster)
+        for batch in (queries[:5], queries[:5]):
+            local.query_many(batch, k=K, p=P)
+            remote.query_many(batch, k=K, p=P)
+        cluster.kill(1)
+        local.query_many(queries[5:], k=K, p=P)
+        remote.query_many(queries[5:], k=K, p=P)
+        assert backend.health()["fallbacks"] > 0
+
+        def counts(signals):
+            return [
+                (s["shard"], s["routed_pairs"], s["evaluations"]) for s in signals
+            ]
+
+        signals = backend.cost_signals()
+        assert counts(signals) == counts(local._backend.shard_cost_signals())
+        assert all(s["routed_pairs"] > s["evaluations"] > 0 for s in signals)
+        local.close()
+        remote.close()
+
+
 def test_planner_routes_remote_then_replans_local_when_a_shard_dies(world):
     """The adaptive planner over real sockets keeps the bit-identity bar.
 

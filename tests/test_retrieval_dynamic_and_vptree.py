@@ -1,4 +1,4 @@
-"""Tests for dynamic-database maintenance, drift detection and the VP-tree."""
+"""Tests for dynamic-database maintenance and drift detection."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_gaussian_clusters
-from repro.distances import ConstrainedDTW, L2Distance
 from repro.exceptions import RetrievalError
-from repro.index import VPTree
-from repro.retrieval import BruteForceRetriever, DriftMonitor, DynamicDatabase
+from repro.retrieval import DriftMonitor, DynamicDatabase
 
 
 class TestDynamicDatabase:
@@ -95,58 +93,3 @@ class TestDriftMonitor:
         monitor = DriftMonitor(l2, trained_qs.model, baseline_error=0.1)
         with pytest.raises(RetrievalError):
             monitor.measure_error([np.zeros(6)], n_triples=10)
-
-
-class TestVPTree:
-    @pytest.fixture(scope="class")
-    def euclidean_objects(self):
-        dataset = make_gaussian_clusters(n_objects=120, n_clusters=4, n_dims=5, seed=6)
-        return list(dataset.objects)
-
-    def test_exact_results_match_brute_force(self, euclidean_objects, l2):
-        tree = VPTree(l2, euclidean_objects, leaf_size=4, seed=0)
-        from repro.datasets import Dataset
-
-        brute = BruteForceRetriever(l2, Dataset(objects=euclidean_objects))
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            query = rng.normal(size=5)
-            tree_idx, tree_dist = tree.query(query, k=5)
-            brute_idx, brute_dist = brute.query(query, k=5)
-            assert np.allclose(sorted(tree_dist), sorted(brute_dist))
-
-    def test_prunes_compared_to_brute_force(self, euclidean_objects, l2):
-        tree = VPTree(l2, euclidean_objects, leaf_size=4, seed=0)
-        tree.reset_counter()
-        tree.query(np.zeros(5), k=1)
-        assert tree.distance_computations < len(euclidean_objects)
-
-    def test_construction_cost_recorded(self, euclidean_objects, l2):
-        tree = VPTree(l2, euclidean_objects, leaf_size=8, seed=0)
-        assert tree.construction_distance_computations > 0
-
-    def test_non_metric_distance_rejected_by_default(self):
-        series = [np.random.default_rng(i).normal(size=(10, 1)) for i in range(10)]
-        with pytest.raises(RetrievalError):
-            VPTree(ConstrainedDTW(), series)
-        # ... but can be forced for demonstration purposes.
-        tree = VPTree(ConstrainedDTW(), series, require_metric=False)
-        indices, _ = tree.query(series[0], k=1)
-        assert indices.shape == (1,)
-
-    def test_k_bounds(self, euclidean_objects, l2):
-        tree = VPTree(l2, euclidean_objects[:10], seed=0)
-        with pytest.raises(RetrievalError):
-            tree.query(np.zeros(5), k=0)
-        with pytest.raises(RetrievalError):
-            tree.query(np.zeros(5), k=11)
-
-    def test_empty_collection_rejected(self, l2):
-        with pytest.raises(RetrievalError):
-            VPTree(l2, [])
-
-    def test_duplicate_heavy_data_handled(self, l2):
-        objects = [np.zeros(3)] * 20 + [np.ones(3)]
-        tree = VPTree(l2, objects, leaf_size=2, seed=0)
-        indices, distances = tree.query(np.ones(3), k=1)
-        assert distances[0] == pytest.approx(0.0)

@@ -18,13 +18,12 @@ import pytest
 
 from repro.datasets import Dataset, make_gaussian_clusters, RetrievalSplit
 from repro.distances import (
-    CachedDistance,
     CountingDistance,
     KLDivergence,
     L2Distance,
 )
 from repro.embeddings import build_lipschitz_embedding
-from repro.exceptions import DistanceError, RetrievalError
+from repro.exceptions import RetrievalError
 from repro.retrieval import (
     BruteForceRetriever,
     FilterRefineRetriever,
@@ -32,11 +31,6 @@ from repro.retrieval import (
     ground_truth_neighbors,
     retrieval_recall,
 )
-
-
-def _content_key(arr):
-    """A stable (content-based) cache key that survives pickling."""
-    return tuple(np.asarray(arr).ravel())
 
 
 def assert_results_identical(lhs, rhs):
@@ -193,23 +187,6 @@ class TestParallelEqualsSerial:
                 serial.query_many(queries, k=5, p=18, n_jobs=2),
             )
 
-    def test_single_query_fan_out(self, l2_setup):
-        distance, split, embedding = l2_setup
-        sharded = ShardedRetriever(
-            distance, split.database, embedding, n_shards=4, n_jobs=2
-        )
-        flat = FilterRefineRetriever(distance, split.database, embedding)
-        obj = split.queries[0]
-        parallel = sharded.query(obj, k=3, p=12)
-        expected = flat.query(obj, k=3, p=12)
-        np.testing.assert_array_equal(parallel.neighbor_indices, expected.neighbor_indices)
-        np.testing.assert_array_equal(
-            parallel.neighbor_distances, expected.neighbor_distances
-        )
-        assert (
-            parallel.total_distance_computations == expected.total_distance_computations
-        )
-
     def test_flat_query_many_n_jobs(self, kl_setup):
         distance, split, embedding = kl_setup
         flat = FilterRefineRetriever(distance, split.database, embedding)
@@ -291,35 +268,3 @@ class TestShardedEdgeCases:
         sharded = ShardedRetriever(distance, split.database, embedding, n_shards=4)
         exact = sharded.query_many(list(split.queries), k=5, p=len(split.database))
         assert retrieval_recall(exact, ground_truth, k=5) == 1.0
-
-
-class TestCacheSafetyUnderParallelism:
-    def test_identity_keyed_cache_rejected_by_n_jobs(self, l2_setup):
-        distance, split, embedding = l2_setup
-        cached = CachedDistance(distance, key=id)
-        sharded = ShardedRetriever(cached, split.database, embedding, n_shards=2)
-        with pytest.raises(DistanceError, match="key"):
-            sharded.query_many(list(split.queries)[:3], k=2, p=8, n_jobs=2)
-        flat = FilterRefineRetriever(cached, split.database, embedding)
-        with pytest.raises(DistanceError, match="key"):
-            flat.query_many(list(split.queries)[:3], k=2, p=8, n_jobs=2)
-
-    def test_identity_keyed_cache_fine_serially(self, l2_setup):
-        distance, split, embedding = l2_setup
-        cached = CachedDistance(distance, key=id)
-        sharded = ShardedRetriever(cached, split.database, embedding, n_shards=2)
-        flat = FilterRefineRetriever(cached, split.database, embedding)
-        assert_results_identical(
-            flat.query_many(list(split.queries)[:3], k=2, p=8),
-            sharded.query_many(list(split.queries)[:3], k=2, p=8),
-        )
-
-    def test_stable_keyed_cache_allowed_under_n_jobs(self, l2_setup):
-        distance, split, embedding = l2_setup
-        cached = CachedDistance(distance, key=_content_key)
-        sharded = ShardedRetriever(cached, split.database, embedding, n_shards=2)
-        flat = FilterRefineRetriever(distance, split.database, embedding)
-        assert_results_identical(
-            flat.query_many(list(split.queries)[:3], k=2, p=8),
-            sharded.query_many(list(split.queries)[:3], k=2, p=8, n_jobs=2),
-        )
