@@ -225,8 +225,15 @@ def main() -> int:
         remote_index = EmbeddingIndex.open(artifact, split.database)
         with LocalCluster(artifact, split.database, n_shards=2) as cluster:
             use_remote_backend(remote_index, cluster.addresses)
+            local_before = local_index.distance_evaluations
+            remote_before = remote_index.distance_evaluations
             local_served = local_index.query_many(queries, k=3, p=12)
             remote_served = remote_index.query_many(queries, k=3, p=12)
+            check(
+                remote_index.distance_evaluations - remote_before
+                == local_index.distance_evaluations - local_before,
+                "remote refine evaluations reach the index counter",
+            )
             check(
                 all(
                     np.array_equal(a.neighbor_indices, b.neighbor_indices)

@@ -47,12 +47,15 @@ Cost accounting
 ---------------
 ``context.distance_evaluations`` counts *actual* evaluations of the base
 measure; store hits are free.  This models the paper's setting where
-precomputed distances are a one-time preprocessing cost.  All parallel
-fan-out keeps the accounting exact: the parent looks cached pairs up
-first, ships only the missing ``(index pair)`` work to workers through
-:func:`repro.distances.parallel.parallel_refine`, merges the returned
-entries into the parent store, and charges the counters one evaluation per
-computed pair — never shipping the context (or its store) itself.
+precomputed distances are a one-time preprocessing cost.  Every (query,
+targets) request takes one path, :meth:`DistanceContext.distances_to_many`:
+resolve the request against the store, evaluate only the missing pairs —
+in the parent, or in worker processes through
+:func:`repro.distances.parallel.parallel_refine`, which never see the
+context or its store — and complete it, storing the fresh values and
+charging the counters one evaluation per computed pair.  The async serving
+layer and the remote shard client run the same resolve and complete steps
+(:class:`PendingDistances`) around evaluations they schedule themselves.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ import numpy as np
 from repro.distances.base import CountingDistance, DistanceMeasure
 from repro.distances.parallel import (
     ProgressCallback,
-    ensure_parallel_safe,
     parallel_refine,
     resolve_jobs,
     split_counting,
@@ -292,7 +294,11 @@ class DistanceStore:
         store; the bound targets the scattered refine/anchor pairs that
         otherwise grow without limit over a serving lifetime.  Evicting a
         pair only costs a potential re-evaluation later; results stay
-        identical.
+        identical.  Within one :meth:`DistanceContext.distances_to_many`
+        call an evicted pair is never evaluated twice (a later request
+        reads it from the request that computed it), so a batch's costs do
+        not depend on ``n_jobs``; a later call, or an async ticket
+        resolved after the pair's owner completed, evaluates it again.
     """
 
     def __init__(
@@ -588,32 +594,32 @@ class DistanceStore:
 
 
 # --------------------------------------------------------------------------- #
-# Pending resolutions (the async serving slice of distances_to_many)          #
+# Pending resolutions (the steps of distances_to_many)                        #
 # --------------------------------------------------------------------------- #
 
 
 class PendingDistances:
-    """One in-flight ``distances_to`` resolution, split into plan/complete.
+    """One in-flight (query, targets) request between resolve and complete.
 
     :meth:`DistanceContext.resolve_distances` resolves the store hits of a
-    (query, targets) request in the parent and records the *missing* pairs
-    here; the caller computes those pairs wherever it likes (inline, or as
-    refine chunks on a :class:`~repro.index.pool.PersistentPool` while the
-    parent moves on) and then calls
+    request in the parent and records the *missing* pairs here; the caller
+    evaluates those pairs wherever it likes and then calls
     :meth:`DistanceContext.complete_distances` to store the fresh values,
-    charge the evaluation counter and obtain the filled value array.  This
-    is exactly the per-query planning step of
-    :meth:`DistanceContext.distances_to_many`, reified so the async serving
-    layer can overlap the compute with other parent work.
+    charge the evaluation counters and obtain the filled value array.
+    :meth:`DistanceContext.distances_to_many` is these two steps around one
+    evaluation of all its requests' misses; the async serving layer runs
+    them around refine chunks on a :class:`~repro.index.pool.PersistentPool`
+    while the parent moves on, and the remote shard client around the
+    values a shard server streams back.
 
-    The optional ``in_flight`` mapping carries the batch-dedup semantics
-    across pending resolutions: a pair another pending resolution is
-    already computing is *deferred* (free for this one, like a store hit in
-    the serial path) and filled at completion time from the store — or from
-    the owning resolution's :attr:`computed` values if a bounded store has
-    already evicted the pair again.  Completion of the owner must therefore
-    happen before completion of the dependent (the serving layer's ticket
-    dependencies guarantee it).
+    The optional ``in_flight`` mapping deduplicates pairs across pending
+    resolutions: a pair another pending resolution is already computing is
+    *deferred* (free for this one, like a store hit) and filled at
+    completion time from the store — or from the owning resolution's
+    :attr:`computed` values if a bounded store has already evicted the pair
+    again.  Completion of the owner must therefore happen before completion
+    of the dependent (``distances_to_many`` completes in request order; the
+    serving layer's ticket dependencies guarantee it).
     """
 
     __slots__ = (
@@ -649,7 +655,8 @@ class PendingDistances:
         #: Store keys this resolution registered in the in-flight map.
         self.owned_keys: List[Tuple[int, int]] = []
         #: key → value for pairs this resolution computed (set on
-        #: completion; outlives bounded-store eviction for dependents).
+        #: completion when others deferred onto it; outlives bounded-store
+        #: eviction for those dependents).
         self.computed: Dict[Tuple[int, int], float] = {}
         #: How many other pending resolutions deferred onto this one (the
         #: serving layer refuses to cancel while nonzero).
@@ -982,60 +989,14 @@ class DistanceContext(DistanceMeasure):
 
     # -- core evaluation ------------------------------------------------
 
-    def _values_for(
-        self,
-        query_obj: Any,
-        query_index: Optional[int],
-        target_indices: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Distances from one object to universe targets, via the store.
-
-        Returns ``(values, n_computed)``; cached pairs are free, missing
-        pairs are evaluated with one batched ``compute_many`` call (charged
-        on :attr:`counting`) and recorded when ``query_index`` is known.
-        """
-        target_indices = np.asarray(target_indices, dtype=int)
-        values = np.empty(target_indices.size, dtype=float)
-        if target_indices.size == 0:
-            return values, 0
-        if query_index is None:
-            values[:] = self.counting.compute_many(
-                query_obj, [self.objects[int(j)] for j in target_indices]
-            )
-            return values, int(target_indices.size)
-        pending: List[Tuple[int, int]] = []
-        miss_slot: Dict[int, int] = {}
-        miss_targets: List[int] = []
-        for pos, j in enumerate(target_indices):
-            j = int(j)
-            cached = self.store.get(query_index, j)
-            if cached is not None:
-                values[pos] = cached
-                continue
-            if j not in miss_slot:
-                miss_slot[j] = len(miss_targets)
-                miss_targets.append(j)
-            pending.append((pos, j))
-        if miss_targets:
-            fresh = self.counting.compute_many(
-                query_obj, [self.objects[j] for j in miss_targets]
-            )
-            for j, slot in miss_slot.items():
-                self.store.put(query_index, j, float(fresh[slot]))
-            # Fill from the computed batch, not the store: a bounded store
-            # may already have evicted the earliest entries of this batch.
-            for pos, j in pending:
-                values[pos] = float(fresh[miss_slot[j]])
-        return values, len(miss_targets)
-
     def distances_to(self, obj: Any, target_indices: Sequence[int]) -> np.ndarray:
         """Distances from ``obj`` to the universe objects at ``target_indices``.
 
         Argument order matches ``D_X(obj, target)`` everywhere, so
         asymmetric measures (with ``symmetric=False`` stores) stay correct.
         """
-        values, _ = self._values_for(obj, self.index_of(obj), target_indices)
-        return values
+        values_list, _ = self.distances_to_many([obj], [target_indices])
+        return values_list[0]
 
     def distances_to_many(
         self,
@@ -1043,125 +1004,53 @@ class DistanceContext(DistanceMeasure):
         target_indices_lists: Sequence[Sequence[int]],
         n_jobs: Optional[int] = None,
     ) -> Tuple[List[np.ndarray], List[int]]:
-        """Batched :meth:`distances_to` over many (query, targets) pairs.
+        """Batched :meth:`distances_to` over many (query, targets) requests.
 
-        This is the primitive the retrieval pipelines fan out on: the
-        parent resolves store hits, ships only the missing index pairs to
-        worker processes, merges the returned entries back into the parent
-        store, and charges the counters one evaluation per computed pair.
-        Returns ``(values_list, computed_counts)`` aligned with the input.
+        The one path from requests to exact distances: every request is
+        resolved against the store (:meth:`resolve_distances`), the misses
+        of all requests are evaluated in one place — in the parent, or over
+        worker processes through
+        :func:`~repro.distances.parallel.parallel_refine` when ``n_jobs >
+        1`` and more than one request has misses — and the requests are
+        completed in order (:meth:`complete_distances`), which stores the
+        fresh values and charges the counters one evaluation per pair.  A
+        pair an earlier request of the same call already claims is
+        deferred onto it, so no pair is evaluated twice in one call and the
+        per-request costs do not depend on ``n_jobs``.  Returns
+        ``(values_list, computed_counts)`` aligned with the input.
         """
         objects = list(objects)
         if len(objects) != len(target_indices_lists):
             raise DistanceError(
                 "distances_to_many needs one target list per query object"
             )
+        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]] = (
+            {} if len(objects) > 1 else None
+        )
+        pendings = [
+            self.resolve_distances(obj, targets, in_flight)
+            for obj, targets in zip(objects, target_indices_lists)
+        ]
+        inner, _counters = split_counting(self.counting)
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
-        if n_workers <= 1 or len(objects) <= 1:
-            values_list: List[np.ndarray] = []
-            counts: List[int] = []
-            for obj, targets in zip(objects, target_indices_lists):
-                values, computed = self._values_for(
-                    obj, self.index_of(obj), np.asarray(targets, dtype=int)
-                )
-                values_list.append(values)
-                counts.append(computed)
-            return values_list, counts
+        fresh = parallel_refine(
+            inner,
+            [self.objects],
+            [
+                (key, pending.obj, 0, pending.miss_targets)
+                for key, pending in enumerate(pendings)
+                if pending.miss_targets
+            ],
+            n_workers,
+            pool=self._pool_for(n_workers),
+        )
+        completed = [
+            self.complete_distances(pending, fresh.get(key), in_flight)
+            for key, pending in enumerate(pendings)
+        ]
+        return [values for values, _ in completed], [spent for _, spent in completed]
 
-        ensure_parallel_safe(self.counting)
-        inner, counters = split_counting(self.counting)
-        values_list = []
-        counts = []
-        plans: List[Tuple[Optional[int], List[Tuple[int, int]], Dict[int, int], List[int], List[Tuple[int, int]]]] = []
-        items = []
-        # Pairs another query in this call will already compute: deferred
-        # positions read the merged store afterwards instead of duplicating
-        # the work, so counts and cache contents match the serial path
-        # (where an earlier query's results are visible to later ones).
-        in_flight: set = set()
-        for qi, (obj, targets) in enumerate(zip(objects, target_indices_lists)):
-            targets = np.asarray(targets, dtype=int)
-            values = np.empty(targets.size, dtype=float)
-            query_index = self.index_of(obj)
-            pending: List[Tuple[int, int]] = []
-            deferred: List[Tuple[int, int]] = []
-            miss_slot: Dict[int, int] = {}
-            miss_targets: List[int] = []
-            if query_index is None:
-                # No stable key: compute everything, cache nothing.
-                miss_targets = [int(j) for j in targets]
-                pending = [(pos, int(j)) for pos, j in enumerate(targets)]
-            else:
-                for pos, j in enumerate(targets):
-                    j = int(j)
-                    cached = self.store.get(query_index, j)
-                    if cached is not None:
-                        values[pos] = cached
-                        continue
-                    if j in miss_slot:
-                        pending.append((pos, j))
-                        continue
-                    key = self.store._key(query_index, j)
-                    if key in in_flight:
-                        deferred.append((pos, j))
-                        continue
-                    in_flight.add(key)
-                    miss_slot[j] = len(miss_targets)
-                    miss_targets.append(j)
-                    pending.append((pos, j))
-            if miss_targets:
-                items.append((qi, obj, 0, np.asarray(miss_targets, dtype=int)))
-            values_list.append(values)
-            counts.append(len(miss_targets))
-            plans.append((query_index, pending, miss_slot, miss_targets, deferred))
-
-        computed_this_call: Dict[Tuple[int, int], float] = {}
-        if items:
-            by_query = parallel_refine(
-                inner, [self.objects], items, n_workers,
-                pool=self._pool_for(n_workers),
-            )
-            total_computed = 0
-            for qi, (query_index, pending, miss_slot, miss_targets, _deferred) in enumerate(
-                plans
-            ):
-                if not miss_targets:
-                    continue
-                fresh = np.asarray(by_query[qi], dtype=float)
-                total_computed += len(miss_targets)
-                if query_index is None:
-                    for pos, _j in pending:
-                        values_list[qi][pos] = fresh[pos]
-                    continue
-                for j, slot in miss_slot.items():
-                    value = float(fresh[slot])
-                    self.store.put(query_index, j, value)
-                    computed_this_call[self.store._key(query_index, j)] = value
-                # Fill from the computed batch (eviction-safe, see
-                # _values_for).
-                for pos, j in pending:
-                    values_list[qi][pos] = float(fresh[miss_slot[j]])
-            for counter in counters:
-                counter.calls += total_computed
-        # Deferred pairs were computed under another query's plan and are in
-        # the store now (free for this query, like a serial store hit); a
-        # bounded store may have evicted them again, so fall back to the
-        # values recorded for this call.
-        for qi, (query_index, _pending, _miss_slot, _miss_targets, deferred) in enumerate(
-            plans
-        ):
-            for pos, j in deferred:
-                cached = self.store.get(query_index, j)
-                if cached is None:
-                    cached = computed_this_call[self.store._key(query_index, j)]
-                values_list[qi][pos] = cached
-        return values_list, counts
-
-    # -- split resolution (async serving primitives) ---------------------
-
-    def miss_objects(self, pending: PendingDistances) -> List[Any]:
-        """The universe objects behind a resolution's missing targets."""
-        return [self.objects[j] for j in pending.miss_targets]
+    # -- split resolution (the steps of distances_to_many) --------------
 
     def resolve_distances(
         self,
@@ -1171,7 +1060,7 @@ class DistanceContext(DistanceMeasure):
     ) -> PendingDistances:
         """Resolve store hits now; return the missing pairs as a plan.
 
-        The first half of :meth:`distances_to`: ``pending.values`` is
+        The first step of :meth:`distances_to_many`: ``pending.values`` is
         filled for every cached pair, and ``pending.miss_targets`` lists
         the unique universe indices whose exact distances the caller must
         supply to :meth:`complete_distances`.  With an ``in_flight``
@@ -1181,25 +1070,25 @@ class DistanceContext(DistanceMeasure):
         are registered in the mapping until completed or cancelled.
         """
         targets = np.asarray(target_indices, dtype=int)
-        pending = PendingDistances(self.index_of(obj), obj, targets)
-        if pending.query_index is None:
+        query_index = self.index_of(obj)
+        pending = PendingDistances(query_index, obj, targets)
+        if query_index is None:
             # No stable key: compute everything (duplicates included),
             # cache nothing; fresh values align with the targets by
             # position.
-            pending.miss_targets = [int(j) for j in targets]
-            pending.pending = [(pos, int(j)) for pos, j in enumerate(targets)]
+            pending.miss_targets = targets.tolist()
+            pending.pending = list(enumerate(pending.miss_targets))
             return pending
-        for pos, j in enumerate(targets):
-            j = int(j)
-            cached = self.store.get(pending.query_index, j)
+        for pos, j in enumerate(targets.tolist()):
+            cached = self.store.get(query_index, j)
             if cached is not None:
                 pending.values[pos] = cached
                 continue
             if j in pending.miss_slot:
                 pending.pending.append((pos, j))
                 continue
-            key = self.store._key(pending.query_index, j)
             if in_flight is not None:
+                key = self.store._key(query_index, j)
                 owner = in_flight.get(key)
                 if owner is not None and not owner.completed:
                     owner.dependents += 1
@@ -1220,15 +1109,16 @@ class DistanceContext(DistanceMeasure):
     ) -> Tuple[np.ndarray, int]:
         """Fold freshly computed miss values back in; return ``(values, spent)``.
 
-        ``fresh`` must hold one value per ``pending.miss_targets`` entry,
-        evaluated with the *base* measure (workers evaluate the inner
-        measure; this method charges every counter :func:`split_counting`
-        peels — the context's own and a caller's — one evaluation per
-        pair, exactly like the pooled paths).  Resolutions this one
-        deferred onto must have been completed first; pairs whose owner
-        was force-released without delivering are evaluated here directly
-        and included in the returned ``spent`` count, so the per-query
-        cost always equals the evaluations actually performed.
+        The last step of :meth:`distances_to_many`.  ``fresh`` must hold
+        one value per ``pending.miss_targets`` entry, evaluated with the
+        measure :func:`split_counting` leaves of :attr:`counting`; this
+        method stores them and charges every counter it peels — the
+        context's own and a caller's — one evaluation per pair.
+        Resolutions this one deferred onto must have been completed first;
+        pairs whose owner was force-released without delivering are
+        evaluated here directly and included in the returned ``spent``
+        count, so the per-query cost always equals the evaluations
+        actually performed.
         """
         if pending.completed:
             return pending.values, pending.n_missing
@@ -1241,17 +1131,17 @@ class DistanceContext(DistanceMeasure):
                     f"values, got {fresh.shape[0]}"
                 )
             if query_index is None:
-                for pos, _j in pending.pending:
-                    pending.values[pos] = float(fresh[pos])
+                pending.values[:] = fresh
             else:
+                values = fresh.tolist()
                 for j, slot in pending.miss_slot.items():
-                    value = float(fresh[slot])
-                    self.store.put(query_index, j, value)
-                    pending.computed[self.store._key(query_index, j)] = value
+                    self.store.put(query_index, j, values[slot])
+                    if pending.dependents:
+                        pending.computed[self.store._key(query_index, j)] = values[slot]
                 # Fill from the computed batch, not the store: a bounded
                 # store may already have evicted the earliest entries.
                 for pos, j in pending.pending:
-                    pending.values[pos] = float(fresh[pending.miss_slot[j]])
+                    pending.values[pos] = values[pending.miss_slot[j]]
             for counter in split_counting(self.counting)[1]:
                 counter.calls += len(pending.miss_targets)
         fallback_evaluations = 0
@@ -1420,7 +1310,6 @@ class DistanceContext(DistanceMeasure):
         rows_with_work = [r for r in range(n_rows) if missing_by_row[r]]
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
         if n_workers > 1 and len(rows_with_work) > 1:
-            ensure_parallel_safe(self.counting)
             inner, counters = split_counting(self.counting)
             items = [
                 (
@@ -1499,8 +1388,7 @@ class DistanceContext(DistanceMeasure):
             unknown_positions = list(range(len(ys)))
         values = np.empty(len(ys), dtype=float)
         if known_positions:
-            cached, _ = self._values_for(x, i, np.asarray(known_indices, dtype=int))
-            values[known_positions] = cached
+            values[known_positions] = self.distances_to(x, known_indices)
         if unknown_positions:
             values[unknown_positions] = self.counting.compute_many(
                 x, [ys[pos] for pos in unknown_positions]
@@ -1541,7 +1429,8 @@ class DistanceContext(DistanceMeasure):
             fresh = self.counting.compute_pairs(miss_xs, miss_ys)
             for key, slot in miss_slot.items():
                 self.store.put(key[0], key[1], float(fresh[slot]))
-            # Fill from the computed batch (eviction-safe, see _values_for).
+            # Fill from the computed batch, not the store: a bounded store
+            # may already have evicted the earliest entries of this batch.
             for pos, (i, j) in pending:
                 values[pos] = float(fresh[miss_slot[self.store._key(i, j)]])
         if unknown_positions:

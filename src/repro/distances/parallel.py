@@ -21,22 +21,29 @@ Two pool shapes are provided:
 
 * :func:`parallel_rows` — one task per chunk of distance-matrix rows (used by
   the matrix builders);
-* :func:`parallel_refine` — one task per chunk of ``(query, shard)`` refine
-  work items (used by the retrieval pipelines), returning the exact distances
-  from each query to its filter candidates inside one shard.
+* :func:`parallel_refine` — one task per chunk of ``(key, query, shard,
+  local_indices)`` refine work items, returning the exact distances from
+  each query to its candidates.  A
+  :class:`~repro.distances.context.DistanceContext` evaluates the store
+  misses of every batch through it: ``n_jobs`` only chooses whether they
+  are evaluated in the parent or over workers.
 
 Worker state (the measure and the object collections) is installed once per
 worker by a pool initializer, so large databases are pickled once per worker
 instead of once per task.
 
-Both entry points accept an optional
-:class:`~repro.index.pool.PersistentPool`: instead of spinning up (and
-tearing down) a throwaway ``ProcessPoolExecutor`` per call, the work runs on
-the pool's long-lived workers, and a worker state reused across calls — the
-serving loop of an :class:`~repro.index.embedding_index.EmbeddingIndex`
-issuing ``query_many`` batches against one database — is shipped to each
-worker once for the pool's lifetime.  Results and cost accounting are
-identical either way.
+Refine work can also run on a :class:`~repro.index.pool.PersistentPool`,
+whose long-lived workers receive a state reused across calls — the serving
+loop of an :class:`~repro.index.embedding_index.EmbeddingIndex` issuing
+batches against one database — once for the pool's lifetime.  Submitting to
+it, collecting the replies and repairing them exist once:
+:func:`submit_refine` ships chunks without blocking, and
+:func:`collect_refine` gathers the replies and recomputes in the parent
+every item a dead worker or a damaged reply did not deliver.
+:func:`parallel_refine` and the async serving layer
+(:class:`~repro.index.serving.AsyncServer`, which overlaps one query's
+refine with the next query's embed and filter) both use the pair.  Results
+and cost accounting are identical on every path.
 
 Kernel backends and workers
 ---------------------------
@@ -54,6 +61,7 @@ kernel as the serial path and stay bit-identical to it.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,7 +75,7 @@ ProgressCallback = Callable[[int, int], None]
 
 #: A unit of refine work: ``(key, query_object, shard_id, local_indices)``.
 #: ``key`` is an opaque identifier the caller uses to reassemble results.
-RefineItem = Tuple[Any, Any, int, np.ndarray]
+RefineItem = Tuple[Any, Any, int, Sequence[int]]
 
 # Worker-process state, installed once per worker by the pool initializers so
 # that the object collections are pickled once instead of once per task.
@@ -226,7 +234,7 @@ def _refine_pool_init(distance: DistanceMeasure, shards: List[List[Any]]) -> Non
 
 def _pool_refine_chunk(
     state: Dict[str, Any],
-    items: Sequence[Tuple[Any, Any, int, np.ndarray]],
+    items: Sequence[RefineItem],
 ) -> List[Tuple[Any, np.ndarray]]:
     """Worker task: exact distances from each query to its shard candidates.
 
@@ -246,7 +254,7 @@ def _pool_refine_chunk(
 
 
 def _refine_signature(distance: DistanceMeasure, shards: List[List[Any]]) -> Tuple:
-    """Persistent-pool state signature for refine work (see `_rows_signature`)."""
+    """Persistent-pool state signature for refine work (identity + lengths)."""
     return (
         "refine",
         id(distance),
@@ -260,48 +268,91 @@ def _serial_refine(
     items: Sequence[RefineItem],
     results: Dict[Any, np.ndarray],
 ) -> None:
-    """Evaluate refine items in the parent, exactly as a worker would.
+    """Evaluate refine items in the parent with the worker task itself.
 
-    The recovery path: same ``compute_many`` calls in the same candidate
-    order as :func:`_pool_refine_chunk`, so a result recomputed here is
-    bit-identical to the one the lost worker never delivered.
+    The serial and recovery path: a result computed here is bit-identical
+    to the one a worker would have delivered.
     """
-    for key, query, shard_id, local_indices in items:
-        shard = shards[shard_id]
-        candidates = [shard[int(i)] for i in local_indices]
-        results[key] = np.asarray(distance.compute_many(query, candidates))
+    results.update(_pool_refine_chunk({"distance": distance, "shards": shards}, items))
 
 
-def _repair_refine(
-    distance: DistanceMeasure,
-    shards: List[List[Any]],
-    items: Sequence[RefineItem],
-    results: Dict[Any, np.ndarray],
-) -> int:
-    """Recompute items whose replies are missing or the wrong shape.
-
-    A torn or corrupted worker reply cannot silently become a wrong
-    answer: any item without exactly one distance per candidate is
-    recomputed serially in the parent.  Returns the repair count.
-    """
-    damaged = [
+def _damaged(
+    items: Sequence[RefineItem], results: Dict[Any, np.ndarray]
+) -> List[RefineItem]:
+    """Items without exactly one delivered distance per candidate."""
+    return [
         item
         for item in items
         if results.get(item[0]) is None or len(results[item[0]]) != len(item[3])
     ]
-    if damaged:
+
+
+def submit_refine(
+    pool: Any,
+    distance: DistanceMeasure,
+    shards: List[List[Any]],
+    chunks: Sequence[Sequence[RefineItem]],
+    max_retries: Optional[int] = None,
+) -> Any:
+    """Submit chunks of refine items to a persistent pool without blocking.
+
+    Returns the :class:`~repro.index.pool.PoolJob`; pass it to
+    :func:`collect_refine`.  The ``(distance, shards)`` state is checked
+    with :func:`ensure_parallel_safe` and shipped once per worker per pool
+    lifetime, shared by every caller that refines against the same measure
+    and object lists.
+    """
+    ensure_parallel_safe(distance)
+    return pool.submit(
+        _pool_refine_chunk,
+        {"distance": distance, "shards": shards},
+        chunks,
+        signature=_refine_signature(distance, shards),
+        max_retries=max_retries,
+    )
+
+
+def collect_refine(
+    job: Optional[Any],
+    distance: DistanceMeasure,
+    shards: List[List[Any]],
+    items: Sequence[RefineItem],
+    timeout: Optional[float] = None,
+    deadline: Optional[float] = None,
+) -> Tuple[Dict[Any, np.ndarray], bool]:
+    """Collect a refine job's replies and repair them in the parent.
+
+    Waits up to ``timeout`` seconds for ``job`` (from :func:`submit_refine`;
+    ``None`` = nothing was submitted) — expiry raises
+    :class:`~repro.exceptions.ServingTimeout` and leaves the job
+    collectable.  Every item whose reply is missing (no job, or the
+    workers died past the job's retry budget) or damaged (a torn or
+    corrupted payload without one distance per candidate) is recomputed in
+    the parent with the calls a worker makes, so a pool failure costs
+    latency, never a wrong answer.  Past the monotonic ``deadline``
+    nothing is recomputed: those items are left out of the results.
+
+    Returns ``(results, failed)``: the distances by item key, and whether
+    the pool failed to deliver any item it was given.
+    """
+    from repro.index.pool import WORKER_FAILURES
+
+    results: Dict[Any, np.ndarray] = {}
+    if job is not None:
+        try:
+            replies = job.results(timeout)
+        except WORKER_FAILURES:
+            replies = []  # retries exhausted; every item is repaired below
+        for reply in replies:
+            if isinstance(reply, list):  # anything else is a corrupted reply
+                results.update(reply)
+    damaged = _damaged(items, results)
+    if deadline is not None and time.monotonic() >= deadline:
+        for item in damaged:
+            results.pop(item[0], None)
+    else:
         _serial_refine(distance, shards, damaged, results)
-    return len(damaged)
-
-
-#: Public aliases for the refine worker task and its persistent-pool state
-#: signature.  The async serving layer submits refine chunks to a
-#: :class:`~repro.index.pool.PersistentPool` *non-blockingly* with exactly
-#: these, so the worker-side state cache is shared with the synchronous
-#: :func:`parallel_refine` path (the state is shipped once per worker per
-#: pool lifetime, whichever path touches it first).
-refine_chunk_task = _pool_refine_chunk
-refine_state_signature = _refine_signature
+    return results, job is not None and bool(damaged)
 
 
 def parallel_refine(
@@ -311,22 +362,24 @@ def parallel_refine(
     n_workers: int,
     pool: Optional[Any] = None,
 ) -> Dict[Any, np.ndarray]:
-    """Evaluate refine work items over a process pool.
+    """Evaluate refine work items, over a process pool when it can help.
 
     Parameters
     ----------
     distance:
-        The measure to evaluate in the workers.  Callers are expected to have
-        already peeled parent-side counters with :func:`split_counting` and
-        validated the chain with :func:`ensure_parallel_safe`; the parent
+        The measure to evaluate.  Callers are expected to have already
+        peeled parent-side counters with :func:`split_counting`; the parent
         charges the peeled counters itself (one evaluation per candidate).
+        Checked with :func:`ensure_parallel_safe` before it is shipped to
+        workers.
     shards:
         Per-shard object lists, installed once per worker.
     items:
         Work items ``(key, query_object, shard_id, local_indices)``.  Keys
         must be unique (and hashable); the mapping they index is returned.
     n_workers:
-        Pool size; callers should fall back to a serial loop when 1.
+        Pool size.  With one worker, or at most one item, the items are
+        evaluated in the parent.
     pool:
         Optional :class:`~repro.index.pool.PersistentPool`.  When given, the
         items run on its long-lived workers and the (distance, shards) state
@@ -336,29 +389,20 @@ def parallel_refine(
     from repro.index.pool import WORKER_FAILURES
 
     item_list = list(items)
+    results: Dict[Any, np.ndarray] = {}
+    if n_workers <= 1 or len(item_list) <= 1:
+        _serial_refine(distance, shards, item_list, results)
+        return results
     chunks = row_chunks(len(item_list), n_workers)
     payloads = [[item_list[i] for i in chunk] for chunk in chunks]
-    results: Dict[Any, np.ndarray] = {}
     if pool is not None:
         try:
-            chunk_results = pool.run(
-                _pool_refine_chunk,
-                {"distance": distance, "shards": shards},
-                payloads,
-                signature=_refine_signature(distance, shards),
-            )
+            job = submit_refine(pool, distance, shards, payloads)
         except WORKER_FAILURES:
-            # The pool already retried up to its budget; finish the batch
-            # in the parent rather than fail it — same calls, same values.
-            _serial_refine(distance, shards, item_list, results)
-            return results
-        for chunk_result in chunk_results:
-            if not isinstance(chunk_result, list):
-                continue  # corrupted reply; repaired below
-            for key, values in chunk_result:
-                results[key] = values
-        _repair_refine(distance, shards, item_list, results)
-        return results
+            # Even a respawned pool refused the work: finish in the parent.
+            job = None
+        return collect_refine(job, distance, shards, item_list)[0]
+    ensure_parallel_safe(distance)
     try:
         with ProcessPoolExecutor(
             max_workers=n_workers,
@@ -367,10 +411,11 @@ def parallel_refine(
         ) as executor:
             bound = partial(_oneshot_task, _pool_refine_chunk)
             for chunk_result in executor.map(bound, payloads):
-                for key, values in chunk_result:
-                    results[key] = values
+                results.update(chunk_result)
     except WORKER_FAILURES:
-        _serial_refine(distance, shards, item_list, results)
-        return results
-    _repair_refine(distance, shards, item_list, results)
+        # A worker died: the replies that arrived stand, and the rest of
+        # the batch is finished in the parent below — same calls, same
+        # values.
+        pass
+    _serial_refine(distance, shards, _damaged(item_list, results), results)
     return results

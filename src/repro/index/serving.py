@@ -28,8 +28,11 @@ merge orders the survivors.  Per-query cost accounting follows the
 in-flight dedup rule of
 :meth:`~repro.distances.context.DistanceContext.distances_to_many`: a pair
 an earlier in-flight ticket is already computing is free for later
-tickets, exactly like a store hit in the serial path, so
-``refine_distance_computations`` matches ``query_many`` for the same batch.
+tickets, exactly like a pair an earlier request of one batch claims, so
+with an unbounded store ``refine_distance_computations`` matches
+``query_many`` for the same batch.  With ``max_sparse_entries`` the costs
+can differ: a pair evicted after its owning ticket completed is charged
+again to a later ticket, where one ``query_many`` call evaluates it once.
 
 Threading model
 ---------------
@@ -55,11 +58,11 @@ import numpy as np
 
 from repro.distances.context import PendingDistances
 from repro.distances.parallel import (
-    ensure_parallel_safe,
-    refine_chunk_task,
-    refine_state_signature,
+    RefineItem,
+    collect_refine,
     resolve_jobs,
     split_counting,
+    submit_refine,
 )
 from repro.exceptions import RetrievalError, ServingError, ServingTimeout
 from repro.index.pool import WORKER_FAILURES
@@ -79,7 +82,7 @@ logger = logging.getLogger(__name__)
 class _Group:
     """One per-shard (or whole-query) slice of a ticket's refine work."""
 
-    __slots__ = ("shard_id", "positions", "pending", "spent")
+    __slots__ = ("shard_id", "positions", "pending")
 
     def __init__(
         self,
@@ -92,7 +95,6 @@ class _Group:
         #: (``None`` = the whole array, in order).
         self.positions = positions
         self.pending = pending
-        self.spent = 0
 
 
 class QueryTicket:
@@ -142,7 +144,9 @@ class QueryTicket:
         self._exact: Optional[np.ndarray] = None
         self._groups: List[_Group] = []
         self._job = None
-        self._chunk_keys: List[Tuple[int, int]] = []
+        #: Refine items ``((group, part), obj, 0, miss_targets)`` covering
+        #: every group's misses (see :meth:`AsyncServer._submit_misses`).
+        self._items: List[RefineItem] = []
         self._deps: List["QueryTicket"] = []
         self._state = "pending"
         self._finishing = False
@@ -499,64 +503,48 @@ class AsyncServer:
         return ticket
 
     def _submit_misses(self, ticket: QueryTicket, n_jobs: Optional[int]) -> None:
-        """Ship the ticket's missing pairs to the pool (or leave them inline).
+        """Plan the ticket's refine items and ship them to the pool.
 
-        Without a usable persistent pool the misses are evaluated serially
-        at completion time — cancellation can then still save the work.
+        Without a usable persistent pool nothing is shipped: the items are
+        evaluated in the parent at completion time, so cancellation can
+        still save the work.
         """
-        groups_with_misses = [g for g in ticket._groups if g.pending.n_missing]
-        if not groups_with_misses:
-            return
-        if self.degraded:
-            # The pool keeps failing; refine in the parent until an
-            # operator replaces it (see class docstring).
-            return
+        groups = [
+            (group_index, group.pending.miss_targets)
+            for group_index, group in enumerate(ticket._groups)
+            if group.pending.n_missing
+        ]
         n_workers = resolve_jobs(n_jobs)
-        pool = self._context._pool_for(n_workers) if n_workers > 1 else None
+        pool = None
+        if groups and n_workers > 1 and not self.degraded:
+            # A degraded server refines in the parent until an operator
+            # replaces the pool (see class docstring).
+            pool = self._context._pool_for(n_workers)
+        # One group (unsharded, or all survivors in one shard) splits its
+        # misses so a single query still fans out over the workers; with
+        # several (query, shard) groups each ships whole, warm shards none.
+        parts = n_workers if pool is not None and len(groups) == 1 else 1
+        ticket._items = [
+            ((group_index, part_index), ticket.obj, 0, part)
+            for group_index, miss in groups
+            for part_index, part in enumerate(
+                np.array_split(np.asarray(miss, dtype=int), min(parts, len(miss)))
+            )
+        ]
         if pool is None:
             return
-        ensure_parallel_safe(self._context.base)
         inner, _counters = split_counting(self._context.base)
-        shards = [self._context.objects]
-        items = []
-        if len(groups_with_misses) == 1:
-            # One group (unsharded, or all survivors in one shard): split
-            # the miss list so a single query still fans out over workers.
-            group = ticket._groups.index(groups_with_misses[0])
-            miss = np.asarray(groups_with_misses[0].pending.miss_targets, dtype=int)
-            parts = np.array_split(miss, min(n_workers, miss.size))
-            items = [
-                ((group, part_index), ticket.obj, 0, part)
-                for part_index, part in enumerate(parts)
-                if part.size
-            ]
-        else:
-            # One chunk per (query, shard) group: refine work routes shard
-            # by shard, warm shards ship nothing.
-            for group_index, group in enumerate(ticket._groups):
-                if group.pending.n_missing:
-                    items.append(
-                        (
-                            (group_index, 0),
-                            ticket.obj,
-                            0,
-                            np.asarray(group.pending.miss_targets, dtype=int),
-                        )
-                    )
-        ticket._chunk_keys = [key for key, *_rest in items]
         try:
-            ticket._job = pool.submit(
-                refine_chunk_task,
-                {"distance": inner, "shards": shards},
-                [[item] for item in items],
-                signature=refine_state_signature(inner, shards),
+            ticket._job = submit_refine(
+                pool,
+                inner,
+                [self._context.objects],
+                [[item] for item in ticket._items],
                 max_retries=ticket._max_retries,
             )
         except WORKER_FAILURES as exc:
             # Even the post-respawn submission failed: serve this ticket
-            # inline; _collect recomputes every miss in the parent.
-            ticket._job = None
-            ticket._chunk_keys = []
+            # in the parent; _collect evaluates every item there.
             self._note_pool_failure(repr(exc))
 
     # -- completion ------------------------------------------------------
@@ -601,7 +589,6 @@ class AsyncServer:
                     values, spent = self._context.complete_distances(
                         group.pending, fresh, in_flight=self._in_flight
                     )
-                    group.spent = spent
                     spent_total += spent
                     if group.positions is None:
                         ticket._exact[:] = values
@@ -704,81 +691,50 @@ class AsyncServer:
             ticket._state = "done"
             ticket._event.set()
 
-    def _inline_group(self, ticket: QueryTicket, group: _Group) -> np.ndarray:
-        """Serial refine of one group's misses, bit-identical to a worker's."""
-        inner, _counters = split_counting(self._context.base)
-        return np.asarray(
-            inner.compute_many(
-                ticket.obj, self._context.miss_objects(group.pending)
-            ),
-            dtype=float,
-        )
-
     def _collect(
         self, ticket: QueryTicket, end: Optional[float] = None
     ) -> List[Optional[np.ndarray]]:
-        """Fresh miss values per group (pool results or inline compute).
+        """Fresh miss values per group: pool replies, repaired in the parent.
 
-        The recovery choke point: a pool job that fails beyond its retry
-        budget is recomputed serially here (same evaluations, same values),
-        and a reply that is missing parts or has the wrong shape — a torn
-        or corrupted payload — is detected and recomputed per group, so a
-        damaged reply can never become a wrong answer.
+        :func:`~repro.distances.parallel.collect_refine` recomputes in the
+        parent whatever the pool did not deliver — a job that failed beyond
+        its retry budget, a torn or corrupted reply — so a damaged reply
+        can never become a wrong answer.  The server adds its own policy:
+        pool failures feed the degrade counter, and past the ticket's
+        deadline nothing is evaluated in the parent (the ticket resolves to
+        its deadline outcome instead).
         """
-        by_group: List[Optional[np.ndarray]] = [None] * len(ticket._groups)
+        expired = f"query deadline of {ticket.deadline}s expired"
+        if ticket._job is None and ticket._deadline_expired():
+            raise ServingTimeout(expired)
+        budget = ticket._remaining()
+        if end is not None:
+            caller_left = end - time.monotonic()
+            budget = caller_left if budget is None else min(budget, caller_left)
+        inner, _counters = split_counting(self._context.base)
+        results, failed = collect_refine(
+            ticket._job,
+            inner,
+            [self._context.objects],
+            ticket._items,
+            timeout=budget,
+            deadline=ticket._deadline_at,
+        )
         if ticket._job is not None:
-            budget = ticket._remaining()
-            if end is not None:
-                caller_left = end - time.monotonic()
-                budget = caller_left if budget is None else min(budget, caller_left)
-            try:
-                chunk_results = ticket._job.results(budget)
-            except WORKER_FAILURES as exc:
-                self._note_pool_failure(repr(exc))
-                return self._collect_inline(ticket)
-            parts: Dict[Tuple[int, int], np.ndarray] = {}
-            damaged = False
-            for chunk in chunk_results:
-                if not isinstance(chunk, list):
-                    damaged = True  # corrupted reply; repaired below
-                    continue
-                for key, values in chunk:
-                    parts[key] = np.asarray(values, dtype=float)
-            for group_index in sorted({key[0] for key in ticket._chunk_keys}):
-                ordered = sorted(
-                    key for key in ticket._chunk_keys if key[0] == group_index
-                )
-                try:
-                    assembled = np.concatenate([parts[key] for key in ordered])
-                except KeyError:
-                    assembled = None
-                group = ticket._groups[group_index]
-                if (
-                    assembled is None
-                    or assembled.shape[0] != group.pending.n_missing
-                ):
-                    damaged = True
-                    assembled = self._inline_group(ticket, group)
-                by_group[group_index] = assembled
-            if damaged:
-                self._note_pool_failure("corrupt pool reply")
+            if failed:
+                self._note_pool_failure("lost workers or a damaged reply")
             else:
                 self._note_pool_success()
-            return by_group
-        return self._collect_inline(ticket)
-
-    def _collect_inline(self, ticket: QueryTicket) -> List[Optional[np.ndarray]]:
-        # Inline (serial) refine: evaluate with the inner measure; the
-        # counter is charged by complete_distances, like the pooled path.
-        if ticket._deadline_expired():
-            raise ServingTimeout(
-                f"query deadline of {ticket.deadline}s expired"
+        if any(key not in results for key, *_rest in ticket._items):
+            raise ServingTimeout(expired)
+        return [
+            np.concatenate(
+                [results[key] for key, *_rest in ticket._items if key[0] == group_index]
             )
-        by_group: List[Optional[np.ndarray]] = [None] * len(ticket._groups)
-        for group_index, group in enumerate(ticket._groups):
-            if group.pending.n_missing:
-                by_group[group_index] = self._inline_group(ticket, group)
-        return by_group
+            if group.pending.n_missing
+            else None
+            for group_index, group in enumerate(ticket._groups)
+        ]
 
     def _build_result(self, ticket: QueryTicket, spent: int) -> RetrievalResult:
         if ticket._merge:

@@ -553,25 +553,23 @@ class RemoteShardedBackend:
     def _charge_entry(
         self, obj: Any, global_indices: np.ndarray, values: np.ndarray
     ) -> int:
-        """Charge one streamed refine entry against the parent's own store.
+        """Charge one streamed refine entry through the parent's context.
 
-        Mirrors ``DistanceContext._values_for`` exactly: a registered
-        query's cached pairs are free, missing pairs are charged once and
-        installed with the streamed distance (keeping the parent store
-        bit-identical to a purely local run); an unregistered query
-        computes everything and caches nothing.
+        The entry is resolved and completed like a local refine request:
+        a registered query's cached pairs are free, and each missing pair
+        is installed with its streamed distance (keeping the parent store
+        bit-identical to a purely local run) and charged once on every
+        counter the context charges — its own and a caller's.  Returns the
+        evaluations charged.
         """
         binding = self.engine.refine.binding
         context = binding.context
-        query_index = context.index_of(obj)
-        if query_index is None:
-            return int(values.size)
-        spent = 0
-        for g, value in zip(global_indices, values):
-            j = int(binding.indices[int(g)])
-            if context.store.get(query_index, j) is None:
-                context.store.put(query_index, j, float(value))
-                spent += 1
+        pending = context.resolve_distances(obj, binding.indices[global_indices])
+        fresh = np.empty(pending.n_missing, dtype=float)
+        for pos, j in pending.pending:
+            # An unregistered query misses every position, slot = position.
+            fresh[pending.miss_slot.get(j, pos)] = values[pos]
+        _values, spent = context.complete_distances(pending, fresh)
         return spent
 
     def _gather_refine(self, plan) -> None:

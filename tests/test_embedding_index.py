@@ -706,11 +706,15 @@ class TestBoundedStore:
         # n_jobs=2 exercises the deferred-pair fallback: a pair computed
         # under another query's plan can be evicted again before the
         # deferred position reads it back.
-        values_b, _ = bounded.distances_to_many(batch, [targets] * 3, n_jobs=2)
+        values_b, counts_b = bounded.distances_to_many(batch, [targets] * 3, n_jobs=2)
         for lhs, rhs in zip(values_a, values_b):
             np.testing.assert_array_equal(lhs, rhs)
         assert bounded.store.n_sparse_entries <= 3
         assert bounded.store.sparse_evictions > 0
+        # The per-query costs do not depend on where the misses run: an
+        # evicted pair is still evaluated once per call at n_jobs=1.
+        serial = DistanceContext(L2Distance(), objects, max_sparse_entries=3)
+        assert serial.distances_to_many(batch, [targets] * 3)[1] == counts_b
 
     def test_index_config_surfaces_bound(self, l2_split):
         index = EmbeddingIndex.build(

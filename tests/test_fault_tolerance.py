@@ -303,6 +303,26 @@ class TestDeadlines:
             assert len(pairs) == len(queries)  # nothing dropped, no hang
             assert all(isinstance(r, ServingError) for _, r in pairs)
 
+    def test_expired_ticket_is_not_computed_inline_after_a_pool_failure(
+        self, chaos_split, chaos_config
+    ):
+        queries = list(chaos_split.queries)
+        with _build(chaos_split, chaos_config) as index:
+            plan = FaultPlan(kill_after_chunks=1, kill_every_time=True)
+            _attach(index, PersistentPool(2, max_retries=0, faults=plan))
+            ticket = index.submit(queries[0], k=3, p=12, n_jobs=2, deadline=0.3)
+            waited = time.monotonic() + 30.0
+            while not ticket._job.done() and time.monotonic() < waited:
+                time.sleep(0.01)
+            time.sleep(0.35)  # the job broke and the deadline has passed
+            before = index.distance_evaluations
+            with pytest.raises(ServingTimeout):
+                ticket.result()
+            # The failure is recorded, but the expired ticket's misses are
+            # not evaluated in the parent.
+            assert index.serving.fallbacks == 1
+            assert index.distance_evaluations == before
+
     def test_result_timeout_is_not_terminal(self, chaos_split, chaos_config):
         queries = list(chaos_split.queries)
         with _build(chaos_split, chaos_config) as reference_index:

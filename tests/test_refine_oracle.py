@@ -14,8 +14,8 @@ they rank and what they cost.  This module runs the full cross product of
 
 plus the adaptive planner (flat and sharded slices) against a fixed-``p'``
 run, and the ``EmbeddingIndex`` serving entry points (``query``,
-``query_many``, ``submit``, ``stream``) on a freshly built index and on
-one reopened from its saved artifact.  It asserts that
+``query_many``, ``submit``, ``stream``, ``aquery_many``) on a freshly
+built index and on one reopened from its saved artifact.  It asserts that
 
 * at ``p = n`` neighbours, distances and tie order equal a brute-force scan
   over the raw measure;
@@ -30,6 +30,7 @@ everywhere and tie order is tested on every query.  Only public API is used.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -266,7 +267,7 @@ INDEX_CONFIG = IndexConfig(
     ),
     backend="filter_refine",
 )
-ENTRY_POINTS = ("query", "query_many", "submit", "stream")
+ENTRY_POINTS = ("query", "query_many", "submit", "stream", "aquery_many")
 
 
 def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: int) -> List[Row]:
@@ -276,8 +277,10 @@ def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: int) -> Lis
         results = index.query_many(queries, K, p)
     elif entry == "submit":
         results = [index.submit(obj, K, p).result() for obj in queries]
-    else:
+    elif entry == "stream":
         results = [r for _, r in index.stream(queries, K, p, order="submission")]
+    else:
+        results = asyncio.run(index.aquery_many(queries, K, p))
     return _rows(results)
 
 
@@ -323,8 +326,8 @@ def test_index_entry_points_agree(data, saved_index, reopen):
                 caller_before = counting.calls if counting is not None else 0
                 rows = _serve(index, entry, queries, p)
                 evaluations[entry] = index.distance_evaluations - before
-                if counting is not None and entry in ("query", "query_many"):
-                    assert counting.calls - caller_before == evaluations[entry]
+                if counting is not None:
+                    assert counting.calls - caller_before == evaluations[entry], entry
             _assert_rows_equal(rows, expected, candidates=True)
             if p == n:
                 _assert_rows_equal(rows, _brute_reference(data), candidates=False)

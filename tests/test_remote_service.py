@@ -248,6 +248,29 @@ def test_remote_cost_signals_match_the_local_backend(world):
         remote.close()
 
 
+def test_remote_refine_evaluations_reach_the_index_counter(world):
+    """Pairs a healthy shard server evaluates are charged in the parent.
+
+    The streamed values install missing pairs in the parent store; each
+    such pair is one exact evaluation, so ``index.distance_evaluations``
+    moves exactly as it does locally and as the results report.
+    """
+    _, split = world
+    local = open_local(world)
+    with LocalCluster(world[0], split.database, n_shards=N_SHARDS) as cluster:
+        remote, backend = open_remote(world, cluster)
+        deltas = []
+        for index in (local, remote):
+            before = index.distance_evaluations
+            results = index.query_many(split.queries, k=K, p=P)
+            deltas.append(index.distance_evaluations - before)
+        assert backend.health()["fallbacks"] == 0
+        assert deltas[1] == deltas[0]
+        assert deltas[1] == sum(r.total_distance_computations for r in results)
+        local.close()
+        remote.close()
+
+
 def test_planner_routes_remote_then_replans_local_when_a_shard_dies(world):
     """The adaptive planner over real sockets keeps the bit-identity bar.
 
