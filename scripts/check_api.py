@@ -268,6 +268,43 @@ def main() -> int:
         remote_index.close()
         local_index.close()
 
+    # distance store: fill past the write-tier merge threshold, then one
+    # get_many per request must equal per-pair get, and a save/load round
+    # trip must write the same arrays again.
+    from repro.distances.context import DistanceStore
+
+    store = DistanceStore()
+    rng = np.random.default_rng(5)
+    n_requests = 3 * DistanceStore.WRITE_TIER_MIN // 50
+    for query in range(1000, 1000 + n_requests):
+        store.put_many(query, rng.choice(1000, size=50, replace=False), rng.random(50))
+    probes = [
+        (query, rng.integers(0, 1000, size=80))
+        for query in (1000, 1000 + n_requests // 2, 1000 + n_requests - 1, 5, 2000)
+    ]
+    check(
+        store.n_sparse_entries == 50 * n_requests
+        and all(
+            [value if found else None for value, found in zip(*store.get_many(q, js))]
+            == [store.get(q, j) for j in js.tolist()]
+            for q, js in probes
+        ),
+        f"store get_many equals per-pair get ({store.n_sparse_entries} entries)",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, resaved = Path(tmp) / "store.npz", Path(tmp) / "again.npz"
+        store.save(saved, compress=False)
+        DistanceStore.load(saved).save(resaved, compress=False)
+        with np.load(saved) as first_file, np.load(resaved) as second_file:
+            check(
+                sorted(first_file.files) == sorted(second_file.files)
+                and all(
+                    np.array_equal(first_file[name], second_file[name])
+                    for name in first_file.files
+                ),
+                "store save -> load -> save writes the same arrays",
+            )
+
     # static invariants: the linter gate must hold on the shipped tree
     from repro.analysis import run_analysis
 

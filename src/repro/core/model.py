@@ -125,6 +125,11 @@ class QuerySensitiveModel:
         self.terms = terms
         self.query_sensitive = bool(query_sensitive)
         self._composite = CompositeEmbedding(coordinates)
+        # The terms as arrays, so weights() tests every interval at once.
+        self._term_coordinates = np.array([t.coordinate for t in terms], dtype=np.intp)
+        self._term_low = np.array([t.interval.low for t in terms], dtype=float)
+        self._term_high = np.array([t.interval.high for t in terms], dtype=float)
+        self._term_alpha = np.array([t.alpha for t in terms], dtype=float)
 
     # ------------------------------------------------------------------ #
     # Embedding view                                                     #
@@ -173,10 +178,12 @@ class QuerySensitiveModel:
             raise TrainingError(
                 f"query_vector must have shape ({self.dim},), got {q.shape}"
             )
+        values = q[self._term_coordinates]
+        active = (values >= self._term_low) & (values <= self._term_high)
         weights = np.zeros(self.dim, dtype=float)
-        for term in self.terms:
-            if term.interval.contains(q[term.coordinate]):
-                weights[term.coordinate] += term.alpha
+        # add.at accumulates repeated coordinates in term order, so every
+        # sum is the one a loop over the terms would form.
+        np.add.at(weights, self._term_coordinates[active], self._term_alpha[active])
         if not weights.any():
             return self.global_weights()
         return weights

@@ -67,6 +67,7 @@ import warnings
 import zipfile
 import zlib
 from collections import OrderedDict
+from itertools import repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -211,13 +212,32 @@ def _mmap_npz_member(path: Path, name: str, mmap_mode: str) -> Optional[np.ndarr
 # --------------------------------------------------------------------------- #
 
 
+def _position_map(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted indices, original positions)`` for vectorised lookups."""
+    order = np.argsort(indices, kind="stable")
+    return indices[order], order
+
+
+def _positions(sorted_indices: np.ndarray, order: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position of each ``query`` index in the mapped array, or ``-1``.
+
+    A repeated index resolves to its last occurrence, as a dict built over
+    the array would.
+    """
+    if not sorted_indices.size:
+        return np.full(query.shape, -1, dtype=np.intp)
+    p = np.searchsorted(sorted_indices, query, side="right") - 1
+    np.maximum(p, 0, out=p)
+    return np.where(sorted_indices[p] == query, order[p], -1)
+
+
 class _DenseBlock:
     """Array-backed rectangle of cached distances.
 
     Holds the values for every ``(row_index, col_index)`` pair of two index
     sets — the natural shape of the Sec. 7 training tables and the
-    ground-truth query-by-database matrix.  Lookup is two dict probes plus
-    one array read.
+    ground-truth query-by-database matrix.  A request's pairs are looked up
+    at once, by binary search over the sorted row and column indices.
     """
 
     def __init__(
@@ -245,34 +265,61 @@ class _DenseBlock:
         #: ``False`` for symmetric pairwise tables whose diagonal was never
         #: actually evaluated (it is zero by convention, not by computation).
         self.diagonal_valid = bool(diagonal_valid)
-        self._row_pos = {int(r): p for p, r in enumerate(self.rows)}
-        self._col_pos = {int(c): p for p, c in enumerate(self.cols)}
+        #: Every index the block holds as a row or a column: a request whose
+        #: query is not here skips the block after one probe.
+        self.members = frozenset(self.rows.tolist()) | frozenset(self.cols.tolist())
+        self._rows_sorted, self._row_order = _position_map(self.rows)
+        self._cols_sorted, self._col_order = _position_map(self.cols)
 
-    def get(self, i: int, j: int) -> Optional[float]:
-        p = self._row_pos.get(i)
-        if p is None:
-            return None
-        q = self._col_pos.get(j)
-        if q is None:
-            return None
-        if i == j and not self.diagonal_valid:
-            return None
-        return float(self.values[p, q])
+    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(found, values)`` for the pairs ``(rows[k], cols[k])``.
+
+        ``values`` holds one value per found pair, in pair order.
+        """
+        p = _positions(self._rows_sorted, self._row_order, rows)
+        q = _positions(self._cols_sorted, self._col_order, cols)
+        found = (p >= 0) & (q >= 0)
+        if not self.diagonal_valid:
+            found &= rows != cols
+        return found, self.values[p[found], q[found]]
 
     @property
     def n_entries(self) -> int:
         total = self.rows.size * self.cols.size
         if not self.diagonal_valid:
-            total -= len(set(self._row_pos) & set(self._col_pos))
+            total -= np.intersect1d(self.rows, self.cols).size
         return total
+
+
+#: Largest universe index a store key can hold: a pair packs into one int64.
+MAX_STORE_INDEX = 2**31 - 1
+_LOW_WORD = (1 << 32) - 1
+_NO_INDICES = np.empty(0, dtype=np.intp)
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+#: Sorted-tier positions in recency order; int32 holds any store that fits
+#: in memory and costs 4 of the 20 bytes a sorted-tier entry takes.
+_NO_LRU = np.empty(0, dtype=np.int32)
 
 
 class DistanceStore:
     """Persistable cache of exact distances keyed by stable dataset indices.
 
     Two backings are combined: *dense blocks* (`numpy` rectangles — the
-    training tables and ground-truth matrices) and a *sparse dict* for the
+    training tables and ground-truth matrices) and *sparse entries* for the
     scattered pairs produced by embedding anchors and refine candidates.
+
+    A request is one :meth:`get_many` and one :meth:`put_many` call.  A
+    sparse pair is one int64 key, the larger index (for a symmetric store;
+    the first index otherwise) in the high 32 bits.  A novel query has the
+    largest index in the universe, so its pairs form one contiguous key
+    range.  Keys live in two tiers: a sorted ``int64`` key array with a
+    parallel ``float64`` value array, searched within the request's key
+    range, and a small dict (the write tier) that absorbs puts and is
+    merged into the sorted arrays when it reaches
+    :attr:`WRITE_TIER_FRACTION` of their size, so a merge copies a
+    constant multiple of the entries it adds.  Re-putting a key replaces
+    its value.  Universe indices must lie in ``[0, 2**31)``.
 
     Parameters
     ----------
@@ -283,10 +330,11 @@ class DistanceStore:
         the wrong direction.
     fingerprint:
         Hex fingerprint of the object universe the indices refer to; stores
-        with mismatched fingerprints refuse to merge or load.
+        with mismatched fingerprints refuse to merge or load.  A context
+        derives it from its universe when it is read.
     max_sparse_entries:
         Optional bound on the number of *sparse* entries.  When set, the
-        sparse dict behaves as an LRU: a :meth:`get` hit refreshes the
+        sparse entries behave as an LRU: a :meth:`get` hit refreshes the
         entry, a :meth:`put` beyond the bound evicts the least recently
         used pairs (:attr:`sparse_evictions` counts them).  Dense array
         blocks are never evicted — they are the shape of the training
@@ -299,7 +347,19 @@ class DistanceStore:
         reads it from the request that computed it), so a batch's costs do
         not depend on ``n_jobs``; a later call, or an async ticket
         resolved after the pair's owner completed, evaluates it again.
+        Recency is kept as the sorted tier's order of use at its last merge
+        followed by the write tier's insertion order: a hit in the sorted
+        tier moves the pair into the write tier, and eviction takes the
+        sorted tier in that order before the write tier.  An unbounded
+        store keeps first-insertion order, which a bound set later evicts
+        by.
     """
+
+    #: The write tier is merged into the sorted tier once it holds this
+    #: fraction of the sorted tier's entries, and at least
+    #: :attr:`WRITE_TIER_MIN` of them.
+    WRITE_TIER_FRACTION = 0.25
+    WRITE_TIER_MIN = 1024
 
     def __init__(
         self,
@@ -308,13 +368,46 @@ class DistanceStore:
         max_sparse_entries: Optional[int] = None,
     ) -> None:
         self.symmetric = bool(symmetric)
-        self.fingerprint = fingerprint
+        self._fingerprint = fingerprint
+        # Digests of the universe the indices refer to, shared with the
+        # context that owns the store; the fingerprint is derived from them
+        # when read, and re-derived only after the universe grew.
+        self._universe: Optional[List[bytes]] = None
+        self._universe_hashed = 0
         self._blocks: List[_DenseBlock] = []
-        self._sparse: "OrderedDict[Tuple[int, int], float]" = OrderedDict()
-        self._max_sparse_entries: Optional[int] = None
-        self.max_sparse_entries = max_sparse_entries
+        # Sorted tier: unique keys in ascending order, with their values.
+        self._keys = _NO_KEYS
+        self._values = _NO_VALUES
+        # Sorted-tier positions from least to most recently used; the
+        # entries before _lru_start are all dead.
+        self._lru = _NO_LRU
+        self._lru_start = 0
+        # Dead entries (evicted, or moved to the write tier by a bounded
+        # hit) stay in the arrays until the next merge.  None: all live.
+        self._live: Optional[np.ndarray] = None
+        self._n_dead = 0
+        # Write tier: key -> value, least recently used first; it never
+        # holds a key that is live in the sorted tier.
+        self._recent: Dict[int, float] = {}
         #: Sparse entries dropped by the LRU bound so far.
         self.sparse_evictions = 0
+        self._max_sparse_entries: Optional[int] = None
+        self.max_sparse_entries = max_sparse_entries
+
+    # -- fingerprint ----------------------------------------------------
+
+    @property
+    def fingerprint(self) -> Optional[str]:
+        """Hex fingerprint of the object universe (``None`` = unknown)."""
+        universe = self._universe
+        if universe is not None and len(universe) != self._universe_hashed:
+            self._fingerprint = _combine_digests(universe)
+            self._universe_hashed = len(universe)
+        return self._fingerprint
+
+    @fingerprint.setter
+    def fingerprint(self, value: Optional[str]) -> None:
+        self._fingerprint = value
 
     # -- sparse bound ---------------------------------------------------
 
@@ -337,48 +430,272 @@ class DistanceStore:
     @property
     def n_sparse_entries(self) -> int:
         """Current number of sparse entries (excludes dense-block cells)."""
-        return len(self._sparse)
+        return self._keys.size - self._n_dead + len(self._recent)
 
     def _evict_over_bound(self) -> None:
         bound = self._max_sparse_entries
         if bound is None:
             return
-        while len(self._sparse) > bound:
-            self._sparse.popitem(last=False)
-            self.sparse_evictions += 1
+        excess = self.n_sparse_entries - bound
+        while excess > 0:
+            if self._n_dead == self._keys.size:
+                # Only the write tier is live: merge it, in recency order.
+                self._merge_tiers()
+            # The next ``excess`` recency positions hold at most ``excess``
+            # live entries, the least recently used ones.
+            start = self._lru_start
+            victims = self._lru[start:start + excess]
+            self._lru_start = start + victims.size
+            if self._live is None:
+                self._live = np.ones(self._keys.size, dtype=bool)
+            else:
+                victims = victims[self._live[victims]]
+            self._live[victims] = False
+            self._n_dead += victims.size
+            self.sparse_evictions += victims.size
+            excess -= victims.size
 
     # -- keys -----------------------------------------------------------
 
-    def _key(self, i: int, j: int) -> Tuple[int, int]:
-        if self.symmetric and j < i:
-            return (j, i)
-        return (i, j)
+    def _pack(self, i: Any, js: Any) -> np.ndarray:
+        """Keys of the pairs ``(i, js[k])``; ``i`` is one index or one per pair."""
+        rows = np.asarray(i, dtype=np.int64)
+        cols = np.asarray(js, dtype=np.int64)
+        if self.symmetric:
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+        if np.count_nonzero((rows | cols) >> 31):
+            raise DistanceError(
+                f"store indices must lie in [0, {MAX_STORE_INDEX}]"
+            )
+        return (rows << 32) | cols
+
+    def _find(self, keys: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(positions, found)`` of ``keys`` among the live sorted-tier keys.
+
+        Only the slice of the sorted tier between the smallest and the
+        largest requested key is searched; ``None`` when that slice is
+        empty.
+        """
+        stored = self._keys
+        if not keys.size or not stored.size:
+            return None
+        lo, hi = stored.searchsorted((keys.min(), keys.max() + 1))
+        if lo == hi:
+            return None
+        window = stored[lo:hi]
+        positions = window.searchsorted(keys)
+        np.minimum(positions, window.size - 1, out=positions)
+        found = window[positions] == keys
+        positions += lo
+        if self._live is not None:
+            found &= self._live[positions]
+        return positions, found
+
+    def _kill(self, position: int) -> None:
+        """Mark one sorted-tier entry dead (evicted, or moved to the write tier)."""
+        if self._live is None:
+            self._live = np.ones(self._keys.size, dtype=bool)
+        self._live[position] = False
+        self._n_dead += 1
 
     # -- lookup / insert ------------------------------------------------
 
+    def get_many(self, i: Any, js: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached distances for the pairs ``(i, js[k])``: ``(values, hit)``.
+
+        ``i`` is one index or one index per pair.  ``values[k]`` is
+        meaningful where ``hit[k]``.  Dense blocks answer first; a bounded
+        store refreshes every sparse hit, in request order.
+        """
+        js = np.asarray(js, dtype=np.int64)
+        keys = self._pack(i, js)
+        values = np.zeros(js.shape, dtype=float)
+        hit = np.zeros(js.shape, dtype=bool)
+        block_hit = None
+        if self._blocks:
+            self._read_blocks(np.asarray(i, dtype=np.int64), js, values, hit)
+            if np.count_nonzero(hit):
+                block_hit = hit.copy()
+        recent = self._recent
+        if recent:
+            key_list = keys.tolist()
+            in_recent = np.fromiter(
+                map(recent.__contains__, key_list), dtype=bool, count=len(key_list)
+            )
+            if block_hit is not None:
+                in_recent &= ~block_hit
+            if np.count_nonzero(in_recent):
+                values[in_recent] = np.fromiter(
+                    map(recent.get, key_list, repeat(0.0)), dtype=float, count=len(key_list)
+                )[in_recent]
+                hit |= in_recent
+        sorted_positions = np.full(keys.shape, -1, dtype=np.intp)
+        located = self._find(keys)
+        if located is not None:
+            positions, in_sorted = located
+            in_sorted &= ~hit
+            if np.count_nonzero(in_sorted):
+                sorted_positions[in_sorted] = positions[in_sorted]
+                values[in_sorted] = self._values[sorted_positions[in_sorted]]
+                hit |= in_sorted
+        if self._max_sparse_entries is not None:
+            touched = hit if block_hit is None else hit & ~block_hit
+            if np.count_nonzero(touched):
+                self._touch(keys[touched], values[touched], sorted_positions[touched])
+        return values, hit
+
+    def _read_blocks(
+        self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, hit: np.ndarray
+    ) -> None:
+        """Fill ``values``/``hit`` for the pairs the dense blocks hold.
+
+        Blocks answer in insertion order; within a block a symmetric store
+        tries ``(i, j)`` before ``(j, i)``.
+        """
+        blocks = self._blocks
+        if rows.ndim == 0:
+            query = int(rows)
+            blocks = [block for block in blocks if query in block.members]
+            if not blocks:
+                return
+        rows = np.broadcast_to(rows, cols.shape)
+        orientations = ((rows, cols), (cols, rows)) if self.symmetric else ((rows, cols),)
+        for block in blocks:
+            for a, b in orientations:
+                open_positions = np.flatnonzero(~hit)
+                if not open_positions.size:
+                    return
+                found, block_values = block.lookup(a[open_positions], b[open_positions])
+                filled = open_positions[found]
+                values[filled] = block_values
+                hit[filled] = True
+
+    def _touch(self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray) -> None:
+        """Make sparse hits the most recently used entries, in order.
+
+        ``positions`` holds each hit's sorted-tier position, ``-1`` for a
+        write-tier hit.
+        """
+        recent = self._recent
+        for key, value, position in zip(keys.tolist(), values.tolist(), positions.tolist()):
+            if key in recent:
+                recent[key] = recent.pop(key)
+            else:
+                self._kill(position)
+                recent[key] = value
+        self._maybe_merge()
+
+    def put_many(self, i: Any, js: Sequence[int], values: Sequence[float]) -> None:
+        """Record evaluated pairs ``(i, js[k])`` (sparse backing).
+
+        Equivalent to one :meth:`put` per pair, in order: a re-put replaces
+        the value, and in a bounded store it also refreshes the pair.
+        """
+        keys = self._pack(i, js)
+        values = np.asarray(values, dtype=float)
+        if values.shape != keys.shape:
+            raise DistanceError(
+                f"put_many needs one value per pair, got {values.shape} for {keys.shape}"
+            )
+        if self._max_sparse_entries is None:
+            self._write(keys, values)
+        elif self._absent(keys):
+            # New, distinct pairs: appending them all and then evicting the
+            # oldest ends where one put per pair would.
+            self._recent.update(zip(keys.tolist(), values.tolist()))
+            self._evict_over_bound()
+        else:
+            for key, value in zip(keys.tolist(), values.tolist()):
+                if self._recent.pop(key, None) is None:
+                    position = self._locate(key)
+                    if position >= 0:
+                        self._kill(position)
+                self._recent[key] = value
+                self._evict_over_bound()
+        self._maybe_merge()
+
     def get(self, i: int, j: int) -> Optional[float]:
         """Cached distance for the index pair, or ``None``."""
-        i = int(i)
-        j = int(j)
-        for block in self._blocks:
-            value = block.get(i, j)
-            if value is None and self.symmetric and i != j:
-                value = block.get(j, i)
-            if value is not None:
-                return value
-        key = self._key(i, j)
-        value = self._sparse.get(key)
-        if value is not None and self._max_sparse_entries is not None:
-            self._sparse.move_to_end(key)
-        return value
+        values, hit = self.get_many(i, (j,))
+        return float(values[0]) if hit[0] else None
 
     def put(self, i: int, j: int, value: float) -> None:
         """Record one evaluated pair (sparse backing)."""
-        key = self._key(int(i), int(j))
-        self._sparse[key] = float(value)
-        if self._max_sparse_entries is not None:
-            self._sparse.move_to_end(key)
-            self._evict_over_bound()
+        self.put_many(i, (j,), (value,))
+
+    def _absent(self, keys: np.ndarray) -> bool:
+        """Whether the keys are distinct and none of them is stored."""
+        key_list = keys.tolist()
+        if len(set(key_list)) != len(key_list):
+            return False
+        if self._recent and any(map(self._recent.__contains__, key_list)):
+            return False
+        located = self._find(keys)
+        return located is None or not np.count_nonzero(located[1])
+
+    def _locate(self, key: int) -> int:
+        """Sorted-tier position of one live key, or ``-1``."""
+        stored = self._keys
+        position = int(stored.searchsorted(key))
+        if (
+            position < stored.size
+            and stored[position] == key
+            and (self._live is None or self._live[position])
+        ):
+            return position
+        return -1
+
+    def _write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Set values without changing recency: a live sorted-tier key in
+        place, any other key in the write tier (appended if new)."""
+        located = self._find(keys)
+        if located is not None and np.count_nonzero(located[1]):
+            positions, found = located
+            for position, value in zip(positions[found].tolist(), values[found].tolist()):
+                self._values[position] = value
+            keys, values = keys[~found], values[~found]
+        self._recent.update(zip(keys.tolist(), values.tolist()))
+
+    def _maybe_merge(self) -> None:
+        threshold = max(self.WRITE_TIER_MIN, self.WRITE_TIER_FRACTION * self._keys.size)
+        if len(self._recent) >= threshold:
+            self._merge_tiers()
+
+    def _entries(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every live sparse ``(keys, values)``, least recently used first."""
+        order = self._lru[self._lru_start:]
+        if self._live is not None:
+            order = order[self._live[order]]
+        recent = self._recent
+        keys = np.concatenate(
+            (self._keys[order], np.fromiter(recent, dtype=np.int64, count=len(recent)))
+        )
+        values = np.concatenate(
+            (
+                self._values[order],
+                np.fromiter(recent.values(), dtype=np.float64, count=len(recent)),
+            )
+        )
+        return keys, values
+
+    def _merge_tiers(self) -> None:
+        """Fold the write tier into the sorted tier and drop dead entries."""
+        self._set_sorted(*self._entries())
+
+    def _set_sorted(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Make ``(keys, values)``, given least recently used first, the
+        whole sparse store."""
+        # Release the old tiers before the new arrays are allocated.
+        self._recent = {}
+        self._keys, self._values, self._lru, self._live = _NO_KEYS, _NO_VALUES, _NO_LRU, None
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._values = values[order]
+        lru = np.empty(order.size, dtype=_NO_LRU.dtype)
+        lru[order] = np.arange(order.size, dtype=_NO_LRU.dtype)
+        self._lru = lru
+        self._lru_start = 0
+        self._n_dead = 0
 
     def put_block(
         self,
@@ -399,7 +716,7 @@ class DistanceStore:
 
     def __len__(self) -> int:
         """Number of addressable cached pairs (block cells + sparse entries)."""
-        return sum(block.n_entries for block in self._blocks) + len(self._sparse)
+        return sum(block.n_entries for block in self._blocks) + self.n_sparse_entries
 
     # -- merge ----------------------------------------------------------
 
@@ -408,7 +725,9 @@ class DistanceStore:
 
         Used to combine stores persisted at different pipeline stages and
         to fold a loaded store into a live context.  Fingerprints (when
-        both known) and the symmetry flag must match.
+        both known) and the symmetry flag must match.  The other store's
+        sparse entries are written in its recency order; a pair both hold
+        takes the other's value and keeps its place here.
         """
         if not isinstance(other, DistanceStore):
             raise DistanceError("can only merge another DistanceStore")
@@ -426,7 +745,11 @@ class DistanceStore:
                 "their indices refer to different object universes"
             )
         self._blocks.extend(other._blocks)
-        self._sparse.update(other._sparse)
+        if self.n_sparse_entries:
+            self._write(*other._entries())
+            self._maybe_merge()
+        else:
+            self._set_sorted(*other._entries())
         self._evict_over_bound()
         if self.fingerprint is None:
             self.fingerprint = other.fingerprint
@@ -447,6 +770,10 @@ class DistanceStore:
         then page in on demand instead of being materialized up front.
         A memory-mapped source block is read (copied) like any array here,
         so re-saving a store loaded with ``mmap_mode`` materializes it.
+
+        Sparse entries are written as ``sparse_i``/``sparse_j``/
+        ``sparse_values`` arrays sorted by ``(i, j)``, with ``i <= j`` in a
+        symmetric store.
         """
         path = Path(path)
         meta = {
@@ -465,13 +792,14 @@ class DistanceStore:
             payload[f"block{k}_cols"] = block.cols
             payload[f"block{k}_values"] = block.values
             payload[f"block{k}_diagonal_valid"] = np.array(block.diagonal_valid)
-        if self._sparse:
-            keys = np.array(sorted(self._sparse), dtype=int)
-            payload["sparse_i"] = keys[:, 0]
-            payload["sparse_j"] = keys[:, 1]
-            payload["sparse_values"] = np.array(
-                [self._sparse[(int(i), int(j))] for i, j in keys], dtype=float
-            )
+        keys, values = self._entries()
+        if keys.size:
+            high, low = keys >> 32, keys & _LOW_WORD
+            first, second = (low, high) if self.symmetric else (high, low)
+            order = np.lexsort((second, first))
+            payload["sparse_i"] = first[order].astype(int)
+            payload["sparse_j"] = second[order].astype(int)
+            payload["sparse_values"] = values[order]
         # Write through a file handle: np.savez_compressed given a *path*
         # silently appends ".npz" to suffix-less names, which would make
         # save/load disagree about where the store lives.
@@ -586,10 +914,16 @@ class DistanceStore:
                     stacklevel=2,
                 )
             if "sparse_i" in payload:
-                for i, j, v in zip(
-                    payload["sparse_i"], payload["sparse_j"], payload["sparse_values"]
-                ):
-                    store._sparse[(int(i), int(j))] = float(v)
+                keys = store._pack(payload["sparse_i"], payload["sparse_j"])
+                values = np.asarray(payload["sparse_values"], dtype=np.float64)
+                if keys.shape != values.shape:
+                    raise DistanceError(
+                        f"distance store {path} has {keys.size} sparse pairs "
+                        f"but {values.size} values"
+                    )
+                store._set_sorted(keys, values)
+                if np.any(store._keys[1:] == store._keys[:-1]):
+                    raise DistanceError(f"distance store {path} holds a pair twice")
         return store
 
 
@@ -602,15 +936,18 @@ class PendingDistances:
     """One in-flight (query, targets) request between resolve and complete.
 
     :meth:`DistanceContext.resolve_distances` resolves the store hits of a
-    request in the parent and records the *missing* pairs here; the caller
-    evaluates those pairs wherever it likes and then calls
-    :meth:`DistanceContext.complete_distances` to store the fresh values,
-    charge the evaluation counters and obtain the filled value array.
+    request in the parent with one :meth:`DistanceStore.get_many` call and
+    records the *missing* pairs here as arrays; the caller evaluates those
+    pairs wherever it likes and then calls
+    :meth:`DistanceContext.complete_distances` to store the fresh values
+    (one :meth:`DistanceStore.put_many` call), charge the evaluation
+    counters and obtain the filled value array.
     :meth:`DistanceContext.distances_to_many` is these two steps around one
     evaluation of all its requests' misses; the async serving layer runs
     them around refine chunks on a :class:`~repro.index.pool.PersistentPool`
     while the parent moves on, and the remote shard client around the
-    values a shard server streams back.
+    values a shard server streams back.  Completion fills
+    ``values[fill_pos] = fresh[fill_slot]``.
 
     The optional ``in_flight`` mapping deduplicates pairs across pending
     resolutions: a pair another pending resolution is already computing is
@@ -627,8 +964,8 @@ class PendingDistances:
         "obj",
         "targets",
         "values",
-        "pending",
-        "miss_slot",
+        "fill_pos",
+        "fill_slot",
         "miss_targets",
         "deferred",
         "owned_keys",
@@ -642,22 +979,25 @@ class PendingDistances:
         self.query_index = query_index
         self.obj = obj
         self.targets = targets
+        #: One value per target; store hits are filled at resolve time.
         self.values = np.empty(targets.size, dtype=float)
-        #: ``(position, target_index)`` pairs filled from the fresh batch.
-        self.pending: List[Tuple[int, int]] = []
-        #: target index → slot in :attr:`miss_targets`.
-        self.miss_slot: Dict[int, int] = {}
-        #: Unique universe indices this resolution must evaluate.
-        self.miss_targets: List[int] = []
+        #: Positions of :attr:`values` filled from the fresh batch.
+        self.fill_pos = _NO_INDICES
+        #: For each of :attr:`fill_pos`, its slot in :attr:`miss_targets`.
+        self.fill_slot = _NO_INDICES
+        #: Unique universe indices this resolution must evaluate, in the
+        #: order the request first names them.
+        self.miss_targets = _NO_INDICES
         #: ``(position, target_index, owner)`` filled from another pending
         #: resolution's work.
         self.deferred: List[Tuple[int, int, "PendingDistances"]] = []
-        #: Store keys this resolution registered in the in-flight map.
-        self.owned_keys: List[Tuple[int, int]] = []
+        #: Store keys this resolution registered in the in-flight map, one
+        #: per :attr:`miss_targets` entry.
+        self.owned_keys: List[int] = []
         #: key → value for pairs this resolution computed (set on
         #: completion when others deferred onto it; outlives bounded-store
         #: eviction for those dependents).
-        self.computed: Dict[Tuple[int, int], float] = {}
+        self.computed: Dict[int, float] = {}
         #: How many other pending resolutions deferred onto this one (the
         #: serving layer refuses to cancel while nonzero).
         self.dependents = 0
@@ -750,6 +1090,10 @@ class DistanceContext(DistanceMeasure):
         self.objects = list(objects)
         if not self.objects:
             raise DistanceError("a DistanceContext needs at least one object")
+        if len(self.objects) > MAX_STORE_INDEX + 1:
+            raise DistanceError(
+                f"a DistanceContext holds at most {MAX_STORE_INDEX + 1} objects"
+            )
         self.n_jobs = n_jobs
         self.pool = pool
         self._digests = [object_digest(obj) for obj in self.objects]
@@ -772,6 +1116,10 @@ class DistanceContext(DistanceMeasure):
                 )
             if max_sparse_entries is not None:
                 store.max_sparse_entries = max_sparse_entries
+        # The store derives its fingerprint from the universe when read, so
+        # registering an object costs no rehash of the universe.
+        store._universe = self._digests
+        store._universe_hashed = len(self._digests)
         self.store = store
         self._rebuild_index()
 
@@ -904,8 +1252,9 @@ class DistanceContext(DistanceMeasure):
 
         Already-known objects keep their existing index.  Registration
         extends the fingerprint (append-only, so previously stored pairs
-        stay valid), which means a store persisted *after* a registration
-        only reloads into a context whose universe was built the same way.
+        stay valid; it is recomputed when next read), which means a store
+        persisted *after* a registration only reloads into a context whose
+        universe was built the same way.
 
         With ``match_content=True`` an object whose content digest equals an
         existing universe member adopts that member's index instead of being
@@ -917,7 +1266,6 @@ class DistanceContext(DistanceMeasure):
         new index is sometimes intentional (e.g. duplicate-object tests).
         """
         indices = []
-        changed = False
         adopted_this_call: set = set()
         for obj in objects:
             existing = self._index_by_id.get(id(obj))
@@ -952,15 +1300,16 @@ class DistanceContext(DistanceMeasure):
                     indices.append(known)
                     continue
             index = len(self.objects)
+            if index > MAX_STORE_INDEX:
+                raise DistanceError(
+                    f"a DistanceContext holds at most {MAX_STORE_INDEX + 1} objects"
+                )
             self.objects.append(obj)
             self._digests.append(digest)
             self._index_by_id[id(obj)] = index
             if self._index_by_digest is not None:
                 self._index_by_digest.setdefault(digest, index)
             indices.append(index)
-            changed = True
-        if changed:
-            self.store.fingerprint = _combine_digests(self._digests)
         return np.asarray(indices, dtype=int)
 
     # -- persistence ----------------------------------------------------
@@ -1024,7 +1373,7 @@ class DistanceContext(DistanceMeasure):
             raise DistanceError(
                 "distances_to_many needs one target list per query object"
             )
-        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]] = (
+        in_flight: Optional[Dict[int, PendingDistances]] = (
             {} if len(objects) > 1 else None
         )
         pendings = [
@@ -1039,7 +1388,7 @@ class DistanceContext(DistanceMeasure):
             [
                 (key, pending.obj, 0, pending.miss_targets)
                 for key, pending in enumerate(pendings)
-                if pending.miss_targets
+                if pending.n_missing
             ],
             n_workers,
             pool=self._pool_for(n_workers),
@@ -1056,16 +1405,17 @@ class DistanceContext(DistanceMeasure):
         self,
         obj: Any,
         target_indices: Sequence[int],
-        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]] = None,
+        in_flight: Optional[Dict[int, PendingDistances]] = None,
     ) -> PendingDistances:
         """Resolve store hits now; return the missing pairs as a plan.
 
-        The first step of :meth:`distances_to_many`: ``pending.values`` is
-        filled for every cached pair, and ``pending.miss_targets`` lists
-        the unique universe indices whose exact distances the caller must
-        supply to :meth:`complete_distances`.  With an ``in_flight``
-        mapping, pairs another registered resolution is already computing
-        are deferred instead of recomputed (see
+        The first step of :meth:`distances_to_many`: one
+        :meth:`DistanceStore.get_many` call fills ``pending.values`` for
+        every cached pair, and ``pending.miss_targets`` lists the unique
+        universe indices whose exact distances the caller must supply to
+        :meth:`complete_distances`.  With an ``in_flight`` mapping (store
+        key → resolution), pairs another registered resolution is already
+        computing are deferred instead of recomputed (see
         :class:`PendingDistances`), and this resolution's own missing keys
         are registered in the mapping until completed or cancelled.
         """
@@ -1076,19 +1426,34 @@ class DistanceContext(DistanceMeasure):
             # No stable key: compute everything (duplicates included),
             # cache nothing; fresh values align with the targets by
             # position.
-            pending.miss_targets = targets.tolist()
-            pending.pending = list(enumerate(pending.miss_targets))
+            pending.miss_targets = targets
+            pending.fill_pos = pending.fill_slot = np.arange(targets.size)
             return pending
-        for pos, j in enumerate(targets.tolist()):
-            cached = self.store.get(query_index, j)
-            if cached is not None:
-                pending.values[pos] = cached
-                continue
-            if j in pending.miss_slot:
-                pending.pending.append((pos, j))
-                continue
-            if in_flight is not None:
-                key = self.store._key(query_index, j)
+        values, hit = self.store.get_many(query_index, targets)
+        pending.values = values
+        miss_pos = np.flatnonzero(~hit)
+        misses = targets[miss_pos]
+        if in_flight is None:
+            unique = dict.fromkeys(misses.tolist())
+            if len(unique) == misses.size:
+                pending.miss_targets = misses
+                pending.fill_slot = np.arange(misses.size)
+            else:
+                slots = dict(zip(unique, range(len(unique))))
+                pending.miss_targets = np.fromiter(unique, dtype=int, count=len(unique))
+                pending.fill_slot = np.fromiter(
+                    map(slots.__getitem__, misses.tolist()), dtype=np.intp, count=misses.size
+                )
+            pending.fill_pos = miss_pos
+            return pending
+        slots: Dict[int, int] = {}
+        miss_targets: List[int] = []
+        fill_pos: List[int] = []
+        fill_slot: List[int] = []
+        keys = self.store._pack(query_index, misses).tolist()
+        for pos, j, key in zip(miss_pos.tolist(), misses.tolist(), keys):
+            slot = slots.get(j)
+            if slot is None:
                 owner = in_flight.get(key)
                 if owner is not None and not owner.completed:
                     owner.dependents += 1
@@ -1096,24 +1461,29 @@ class DistanceContext(DistanceMeasure):
                     continue
                 in_flight[key] = pending
                 pending.owned_keys.append(key)
-            pending.miss_slot[j] = len(pending.miss_targets)
-            pending.miss_targets.append(j)
-            pending.pending.append((pos, j))
+                slot = slots[j] = len(miss_targets)
+                miss_targets.append(j)
+            fill_pos.append(pos)
+            fill_slot.append(slot)
+        pending.miss_targets = np.asarray(miss_targets, dtype=int)
+        pending.fill_pos = np.asarray(fill_pos, dtype=np.intp)
+        pending.fill_slot = np.asarray(fill_slot, dtype=np.intp)
         return pending
 
     def complete_distances(
         self,
         pending: PendingDistances,
         fresh: Optional[np.ndarray],
-        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]] = None,
+        in_flight: Optional[Dict[int, PendingDistances]] = None,
     ) -> Tuple[np.ndarray, int]:
         """Fold freshly computed miss values back in; return ``(values, spent)``.
 
         The last step of :meth:`distances_to_many`.  ``fresh`` must hold
         one value per ``pending.miss_targets`` entry, evaluated with the
         measure :func:`split_counting` leaves of :attr:`counting`; this
-        method stores them and charges every counter it peels — the
-        context's own and a caller's — one evaluation per pair.
+        method stores them (one :meth:`DistanceStore.put_many` call) and
+        charges every counter it peels — the context's own and a caller's —
+        one evaluation per pair.
         Resolutions this one deferred onto must have been completed first;
         pairs whose owner was force-released without delivering are
         evaluated here directly and included in the returned ``spent``
@@ -1123,50 +1493,49 @@ class DistanceContext(DistanceMeasure):
         if pending.completed:
             return pending.values, pending.n_missing
         query_index = pending.query_index
-        if pending.miss_targets:
+        n_missing = pending.n_missing
+        if n_missing:
             fresh = np.asarray(fresh, dtype=float)
-            if fresh.shape[0] != len(pending.miss_targets):
+            if fresh.shape[0] != n_missing:
                 raise DistanceError(
-                    f"complete_distances needs {len(pending.miss_targets)} fresh "
+                    f"complete_distances needs {n_missing} fresh "
                     f"values, got {fresh.shape[0]}"
                 )
-            if query_index is None:
-                pending.values[:] = fresh
-            else:
-                values = fresh.tolist()
-                for j, slot in pending.miss_slot.items():
-                    self.store.put(query_index, j, values[slot])
-                    if pending.dependents:
-                        pending.computed[self.store._key(query_index, j)] = values[slot]
-                # Fill from the computed batch, not the store: a bounded
-                # store may already have evicted the earliest entries.
-                for pos, j in pending.pending:
-                    pending.values[pos] = values[pending.miss_slot[j]]
+            if query_index is not None:
+                self.store.put_many(query_index, pending.miss_targets, fresh)
+                if pending.dependents:
+                    pending.computed = dict(zip(pending.owned_keys, fresh.tolist()))
+            # Fill from the computed batch, not the store: a bounded store
+            # may already have evicted the earliest entries.
+            pending.values[pending.fill_pos] = fresh[pending.fill_slot]
             for counter in split_counting(self.counting)[1]:
-                counter.calls += len(pending.miss_targets)
+                counter.calls += n_missing
         fallback_evaluations = 0
-        for pos, j, owner in pending.deferred:
-            cached = self.store.get(query_index, j)
-            if cached is None:
-                cached = owner.computed.get(self.store._key(query_index, j))
-            if cached is None:
-                # The owner never delivered (it errored or was force
-                # released): evaluate the pair directly, charged like any
-                # fresh evaluation, so one failed ticket cannot poison
-                # later ones that deferred onto it.
-                cached = float(self.counting.compute(pending.obj, self.objects[j]))
-                self.store.put(query_index, j, cached)
-                fallback_evaluations += 1
-            pending.values[pos] = cached
-            owner.dependents -= 1
+        if pending.deferred:
+            deferred_targets = [j for _pos, j, _owner in pending.deferred]
+            keys = self.store._pack(query_index, deferred_targets).tolist()
+            for (pos, j, owner), key in zip(pending.deferred, keys):
+                cached = self.store.get(query_index, j)
+                if cached is None:
+                    cached = owner.computed.get(key)
+                if cached is None:
+                    # The owner never delivered (it errored or was force
+                    # released): evaluate the pair directly, charged like
+                    # any fresh evaluation, so one failed ticket cannot
+                    # poison later ones that deferred onto it.
+                    cached = float(self.counting.compute(pending.obj, self.objects[j]))
+                    self.store.put(query_index, j, cached)
+                    fallback_evaluations += 1
+                pending.values[pos] = cached
+                owner.dependents -= 1
         self._release_keys(pending, in_flight)
         pending.completed = True
-        return pending.values, pending.n_missing + fallback_evaluations
+        return pending.values, n_missing + fallback_evaluations
 
     def cancel_distances(
         self,
         pending: PendingDistances,
-        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]] = None,
+        in_flight: Optional[Dict[int, PendingDistances]] = None,
         force: bool = False,
     ) -> None:
         """Abandon a resolution: release its in-flight keys and deferrals.
@@ -1192,7 +1561,7 @@ class DistanceContext(DistanceMeasure):
     def _release_keys(
         self,
         pending: PendingDistances,
-        in_flight: Optional[Dict[Tuple[int, int], PendingDistances]],
+        in_flight: Optional[Dict[int, PendingDistances]],
     ) -> None:
         if in_flight is not None:
             for key in pending.owned_keys:
@@ -1223,16 +1592,14 @@ class DistanceContext(DistanceMeasure):
         if symmetric is None:
             symmetric = self.store.symmetric
         if symmetric:
-            targets = [
-                [c for c in range(r + 1, n)] for r in range(n)
-            ]
+            targets = [np.arange(r + 1, n) for r in range(n)]
         else:
-            targets = [list(range(n)) for r in range(n)]
-        entries, had_hits = self._fill_rows(idx, idx, matrix, targets, n_jobs, progress)
+            targets = [np.arange(n)] * n
+        fresh, had_hits = self._fill_rows(idx, idx, matrix, targets, n_jobs, progress)
         if symmetric:
             upper = np.triu_indices(n, k=1)
             matrix[(upper[1], upper[0])] = matrix[upper]
-        if entries and not had_hits and not (symmetric and not self.store.symmetric):
+        if fresh and not had_hits and not (symmetric and not self.store.symmetric):
             # Cold build: keep the whole table as one array-backed block
             # (the mirrored matrix answers both pair orders; the diagonal of
             # a symmetric build is zero by convention, never evaluated).
@@ -1241,8 +1608,8 @@ class DistanceContext(DistanceMeasure):
             # direction, so only the computed-direction entries are stored.
             self.store.put_block(idx, idx, matrix, diagonal_valid=not symmetric)
         else:
-            for i, j, value in entries:
-                self.store.put(i, j, value)
+            for r, cols in fresh:
+                self.store.put_many(idx[r], idx[cols], matrix[r, cols])
         return matrix
 
     def cross(
@@ -1262,15 +1629,15 @@ class DistanceContext(DistanceMeasure):
         matrix = np.zeros((rows_idx.size, cols_idx.size), dtype=float)
         if rows_idx.size == 0 or cols_idx.size == 0:
             return matrix
-        targets = [list(range(cols_idx.size)) for _ in range(rows_idx.size)]
-        entries, had_hits = self._fill_rows(
+        targets = [np.arange(cols_idx.size)] * rows_idx.size
+        fresh, had_hits = self._fill_rows(
             rows_idx, cols_idx, matrix, targets, n_jobs, progress
         )
-        if entries and not had_hits:
+        if fresh and not had_hits:
             self.store.put_block(rows_idx, cols_idx, matrix, diagonal_valid=True)
         else:
-            for i, j, value in entries:
-                self.store.put(i, j, value)
+            for r, cols in fresh:
+                self.store.put_many(rows_idx[r], cols_idx[cols], matrix[r, cols])
         return matrix
 
     def _fill_rows(
@@ -1278,36 +1645,31 @@ class DistanceContext(DistanceMeasure):
         row_idx: np.ndarray,
         col_idx: np.ndarray,
         matrix: np.ndarray,
-        targets: List[List[int]],
+        targets: List[np.ndarray],
         n_jobs: Optional[int],
         progress: Optional[ProgressCallback],
-    ) -> Tuple[List[Tuple[int, int, float]], bool]:
+    ) -> Tuple[List[Tuple[int, np.ndarray]], bool]:
         """Fill matrix rows from the store plus batched fresh evaluations.
 
-        ``targets[r]`` lists the column *positions* row ``r`` needs.
-        Returns ``(computed_entries, had_hits)`` — the freshly evaluated
-        ``(row_index, col_index, value)`` triples (not yet stored) and
-        whether any requested pair came from the store, so callers can
-        record a fully cold request as one dense array block instead of
-        per-pair sparse entries.
+        ``targets[r]`` lists the column *positions* row ``r`` needs; each
+        row is one :meth:`DistanceStore.get_many` call.  Returns
+        ``(fresh, had_hits)`` — the ``(row, column positions)`` freshly
+        evaluated into ``matrix`` (not yet stored) and whether any
+        requested pair came from the store, so callers can record a fully
+        cold request as one dense array block instead of sparse entries.
         """
         n_rows = row_idx.size
         had_hits = False
-        missing_by_row: List[List[int]] = []
+        missing_by_row: List[np.ndarray] = []
         for r in range(n_rows):
-            missing: List[int] = []
-            i = int(row_idx[r])
-            for c in targets[r]:
-                cached = self.store.get(i, int(col_idx[c]))
-                if cached is None:
-                    missing.append(c)
-                else:
-                    had_hits = True
-                    matrix[r, c] = cached
-            missing_by_row.append(missing)
+            cols = targets[r]
+            values, hit = self.store.get_many(row_idx[r], col_idx[cols])
+            if hit.any():
+                had_hits = True
+                matrix[r, cols[hit]] = values[hit]
+            missing_by_row.append(cols[~hit])
 
-        entries: List[Tuple[int, int, float]] = []
-        rows_with_work = [r for r in range(n_rows) if missing_by_row[r]]
+        rows_with_work = [r for r in range(n_rows) if missing_by_row[r].size]
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
         if n_workers > 1 and len(rows_with_work) > 1:
             inner, counters = split_counting(self.counting)
@@ -1326,12 +1688,9 @@ class DistanceContext(DistanceMeasure):
             )
             computed = 0
             for r in rows_with_work:
-                fresh = np.asarray(by_row[r], dtype=float)
-                computed += fresh.size
-                i = int(row_idx[r])
-                for c, value in zip(missing_by_row[r], fresh):
-                    matrix[r, c] = float(value)
-                    entries.append((i, int(col_idx[c]), float(value)))
+                values = np.asarray(by_row[r], dtype=float)
+                computed += values.size
+                matrix[r, missing_by_row[r]] = values
             for counter in counters:
                 counter.calls += computed
             if progress is not None:
@@ -1339,18 +1698,14 @@ class DistanceContext(DistanceMeasure):
         else:
             for done, r in enumerate(range(n_rows)):
                 missing = missing_by_row[r]
-                if missing:
-                    i = int(row_idx[r])
-                    fresh = self.counting.compute_many(
-                        self.objects[i],
-                        [self.objects[int(col_idx[c])] for c in missing],
+                if missing.size:
+                    matrix[r, missing] = self.counting.compute_many(
+                        self.objects[int(row_idx[r])],
+                        [self.objects[j] for j in col_idx[missing].tolist()],
                     )
-                    for c, value in zip(missing, fresh):
-                        matrix[r, c] = float(value)
-                        entries.append((i, int(col_idx[c]), float(value)))
                 if progress is not None:
                     progress(done + 1, n_rows)
-        return entries, had_hits
+        return [(r, missing_by_row[r]) for r in rows_with_work], had_hits
 
     # -- DistanceMeasure interface --------------------------------------
 
@@ -1373,19 +1728,14 @@ class DistanceContext(DistanceMeasure):
         if not ys:
             return np.zeros(0, dtype=float)
         i = self.index_of(x)
-        known_positions: List[int] = []
-        known_indices: List[int] = []
-        unknown_positions: List[int] = []
-        if i is not None:
-            for pos, y in enumerate(ys):
-                j = self.index_of(y)
-                if j is None:
-                    unknown_positions.append(pos)
-                else:
-                    known_positions.append(pos)
-                    known_indices.append(j)
-        else:
-            unknown_positions = list(range(len(ys)))
+        if i is None:
+            return np.asarray(self.counting.compute_many(x, ys), dtype=float)
+        indices = list(map(self._index_by_id.get, map(id, ys)))
+        if None not in indices:
+            return self.distances_to(x, indices)
+        known_positions = [pos for pos, j in enumerate(indices) if j is not None]
+        known_indices = [indices[pos] for pos in known_positions]
+        unknown_positions = [pos for pos, j in enumerate(indices) if j is None]
         values = np.empty(len(ys), dtype=float)
         if known_positions:
             values[known_positions] = self.distances_to(x, known_indices)
@@ -1404,35 +1754,49 @@ class DistanceContext(DistanceMeasure):
                 f"compute_pairs needs equally long sequences, got {len(xs)} and {len(ys)}"
             )
         values = np.empty(len(xs), dtype=float)
-        pending: List[Tuple[int, Tuple[int, int]]] = []
-        miss_slot: Dict[Tuple[int, int], int] = {}
-        miss_xs: List[Any] = []
-        miss_ys: List[Any] = []
+        known: List[int] = []
+        rows: List[int] = []
+        cols: List[int] = []
         unknown_positions: List[int] = []
         for pos, (x, y) in enumerate(zip(xs, ys)):
             i = self.index_of(x)
             j = self.index_of(y)
             if i is None or j is None:
                 unknown_positions.append(pos)
-                continue
-            cached = self.store.get(i, j)
-            if cached is not None:
-                values[pos] = cached
-                continue
-            key = self.store._key(i, j)
-            if key not in miss_slot:
-                miss_slot[key] = len(miss_xs)
-                miss_xs.append(x)
-                miss_ys.append(y)
-            pending.append((pos, (i, j)))
-        if miss_xs:
-            fresh = self.counting.compute_pairs(miss_xs, miss_ys)
-            for key, slot in miss_slot.items():
-                self.store.put(key[0], key[1], float(fresh[slot]))
-            # Fill from the computed batch, not the store: a bounded store
-            # may already have evicted the earliest entries of this batch.
-            for pos, (i, j) in pending:
-                values[pos] = float(fresh[miss_slot[self.store._key(i, j)]])
+            else:
+                known.append(pos)
+                rows.append(i)
+                cols.append(j)
+        if known:
+            positions = np.asarray(known)
+            row_arr = np.asarray(rows, dtype=int)
+            col_arr = np.asarray(cols, dtype=int)
+            cached, hit = self.store.get_many(row_arr, col_arr)
+            values[positions[hit]] = cached[hit]
+            miss = np.flatnonzero(~hit)
+            if miss.size:
+                # One evaluation per distinct pair, in the direction it is
+                # first asked for.
+                _keys, first, inverse = np.unique(
+                    self.store._pack(row_arr[miss], col_arr[miss]),
+                    return_index=True,
+                    return_inverse=True,
+                )
+                order = np.argsort(first)
+                slot = np.empty_like(order)
+                slot[order] = np.arange(order.size)
+                evaluate = miss[first[order]]
+                fresh = np.asarray(
+                    self.counting.compute_pairs(
+                        [xs[known[m]] for m in evaluate.tolist()],
+                        [ys[known[m]] for m in evaluate.tolist()],
+                    ),
+                    dtype=float,
+                )
+                self.store.put_many(row_arr[evaluate], col_arr[evaluate], fresh)
+                # Fill from the computed batch, not the store: a bounded
+                # store may already have evicted the earliest entries.
+                values[positions[miss]] = fresh[slot[inverse]]
         if unknown_positions:
             values[unknown_positions] = self.counting.compute_pairs(
                 [xs[pos] for pos in unknown_positions],

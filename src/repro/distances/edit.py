@@ -9,8 +9,9 @@ lists of tokens, or tuples.
 
 Vectorised DP kernel
 --------------------
-Sequences are encoded as integer code arrays (symbols are interned into an
-alphabet registry; :class:`WeightedEditDistance` additionally materialises
+Sequences are encoded as integer code arrays: for unit costs over strings
+the code points themselves, otherwise symbols interned into an alphabet
+registry (:class:`WeightedEditDistance` additionally materialises
 its substitution-cost mapping as an alphabet-indexed cost *table*, so there
 is no per-cell dict lookup).  The row recurrence
 ``c[j] = min(prev[j] + del, c[j-1] + ins, prev[j-1] + sub[j])`` unrolls
@@ -103,6 +104,27 @@ def _encode_padded(
     return _pad_codes([_encode(seq, codes) for seq in seqs])
 
 
+def _code_points(
+    x: str, targets: Sequence[str]
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(x_codes, stack, lengths)`` with each character's code point as its code.
+
+    Unit costs only compare codes for equality, so for all-``str`` inputs
+    the code points serve as codes without interning: one utf-32 decode of
+    the query and one of the joined targets.  Returns ``None`` when a lone
+    surrogate makes the codec refuse.
+    """
+    try:
+        x_codes = np.frombuffer(x.encode("utf-32-le"), dtype=np.uint32)
+        flat = np.frombuffer("".join(targets).encode("utf-32-le"), dtype=np.uint32)
+    except UnicodeEncodeError:
+        return None
+    lengths = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
+    stack = np.zeros((len(targets), int(lengths.max())), dtype=np.intp)
+    stack[np.arange(stack.shape[1])[None, :] < lengths[:, None]] = flat
+    return x_codes.astype(np.intp), stack, lengths
+
+
 def _pad_codes(target_codes: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     """Stack ragged code arrays into a zero-padded matrix plus true lengths."""
     lengths = np.array([codes.size for codes in target_codes], dtype=np.intp)
@@ -138,9 +160,13 @@ class EditDistance(DistanceMeasure):
         results = np.empty(len(targets), dtype=float)
         if not targets:
             return results
-        codes: Dict[Hashable, int] = {}
-        x_codes = _encode(xs, codes)
-        stack, lengths = _encode_padded(targets, codes)
+        coded = None
+        if isinstance(xs, str) and all(isinstance(t, str) for t in targets):
+            coded = _code_points(xs, targets)
+        if coded is None:
+            codes: Dict[Hashable, int] = {}
+            coded = _encode(xs, codes), *_encode_padded(targets, codes)
+        x_codes, stack, lengths = coded
         if x_codes.size == 0:
             return lengths.astype(float)
         if stack.shape[1] == 0:

@@ -248,7 +248,7 @@ def _pool_refine_chunk(
     out = []
     for key, query, shard_id, local_indices in items:
         shard = shards[shard_id]
-        candidates = [shard[int(i)] for i in local_indices]
+        candidates = [shard[i] for i in np.asarray(local_indices, dtype=np.intp).tolist()]
         out.append((key, np.asarray(distance.compute_many(query, candidates))))
     return out
 

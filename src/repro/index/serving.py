@@ -657,7 +657,7 @@ class AsyncServer:
             mask = np.ones(ticket._candidates.shape[0], dtype=bool)
             for group in ticket._groups:
                 pending = group.pending
-                unresolved = {pos for pos, _j in pending.pending}
+                unresolved = set(pending.fill_pos.tolist())
                 unresolved.update(pos for pos, _j, _owner in pending.deferred)
                 if group.positions is None:
                     for local in range(pending.values.size):

@@ -566,9 +566,7 @@ class RemoteShardedBackend:
         context = binding.context
         pending = context.resolve_distances(obj, binding.indices[global_indices])
         fresh = np.empty(pending.n_missing, dtype=float)
-        for pos, j in pending.pending:
-            # An unregistered query misses every position, slot = position.
-            fresh[pending.miss_slot.get(j, pos)] = values[pos]
+        fresh[pending.fill_slot] = values[pending.fill_pos]
         _values, spent = context.complete_distances(pending, fresh)
         return spent
 

@@ -74,6 +74,41 @@ class TestModelBasics:
         weights = model.weights(far_query_vec)
         assert weights[0] == pytest.approx(0.7)  # global fallback
 
+    def test_weights_match_the_term_loop(self, rng):
+        """The vectorised interval test sums alphas exactly as the per-term
+        loop of Eq. 10 does, bounds included."""
+        l2 = L2Distance()
+        dim = 4
+        coordinates = [ReferenceEmbedding(l2, np.zeros(2), reference_id=i) for i in range(dim)]
+        specs = [CoordinateSpec("reference", (i,)) for i in range(dim)]
+        bounds = np.round(rng.uniform(-2.0, 2.0, size=(20, 2)), 1)
+        terms = [
+            ClassifierTerm(
+                coordinate=int(rng.integers(dim)),
+                interval=Interval(float(min(lo, hi)), float(max(lo, hi))),
+                alpha=float(rng.uniform(0.01, 1.0)),
+            )
+            for lo, hi in bounds
+        ] + [ClassifierTerm(2, Interval(-np.inf, -1.5), 0.3)]
+        model = QuerySensitiveModel(coordinates, specs, terms)
+
+        def loop(q):
+            weights = np.zeros(dim)
+            for term in terms:
+                if term.interval.contains(q[term.coordinate]):
+                    weights[term.coordinate] += term.alpha
+            return weights if weights.any() else model.global_weights()
+
+        on_bounds = [
+            np.array([t.interval.low if k % 2 else t.interval.high] * dim)
+            for k, t in enumerate(terms[:-1])
+        ]
+        vectors = list(rng.uniform(-2.5, 2.5, size=(200, dim))) + on_bounds
+        vectors.append(np.full(dim, 50.0))  # no term active: global weights
+        assert loop(vectors[-1]).tolist() == model.global_weights().tolist()
+        for q in vectors:
+            assert model.weights(q).tolist() == loop(q).tolist()
+
     def test_weight_matrix_matches_per_query_weights(self):
         model = _hand_built_model()
         queries = np.array([[1.0, 3.0], [0.5, 0.5], [10.0, 10.0]])

@@ -319,6 +319,41 @@ class TestDistanceContextCore:
         # Re-registering is a no-op.
         assert l2_context.register([newcomer])[0] == index
 
+    def test_register_hashes_the_universe_only_when_read(self, l2_context, rng, monkeypatch):
+        import repro.distances.context as context_module
+
+        calls = []
+        combine = context_module._combine_digests
+
+        def counting_combine(digests):
+            calls.append(len(digests))
+            return combine(digests)
+
+        monkeypatch.setattr(context_module, "_combine_digests", counting_combine)
+        for _ in range(5):
+            l2_context.register([rng.normal(size=5)])
+        assert calls == []
+        assert l2_context.fingerprint == fingerprint_objects(l2_context.objects)
+        assert l2_context.store.fingerprint == l2_context.fingerprint
+        # A pickled context keeps its store tied to the universe.
+        clone = pickle.loads(pickle.dumps(l2_context))
+        clone.register([rng.normal(size=5)])
+        assert clone.fingerprint == fingerprint_objects(clone.objects)
+
+    def test_universe_indices_fit_a_store_key(self, l2_context, rng, monkeypatch):
+        import repro.distances.context as context_module
+
+        monkeypatch.setattr(context_module, "MAX_STORE_INDEX", l2_context.n_objects - 1)
+        with pytest.raises(DistanceError, match="at most"):
+            l2_context.register([rng.normal(size=5)])
+        with pytest.raises(DistanceError, match="at most"):
+            DistanceContext(L2Distance(), l2_context.objects + [rng.normal(size=5)])
+        store = DistanceStore()
+        with pytest.raises(DistanceError, match="store indices"):
+            store.put(0, 2**31, 1.0)
+        with pytest.raises(DistanceError, match="store indices"):
+            store.get(-1, 3)
+
     def test_pickle_round_trip_rebuilds_identity_index(self, l2_context, vectors):
         l2_context.pairwise(np.arange(5))
         clone = pickle.loads(pickle.dumps(l2_context))

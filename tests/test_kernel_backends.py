@@ -222,6 +222,36 @@ class TestMeasureParity:
         )
 
 
+@pytest.mark.parametrize("name", ["numpy"] + COMPILED_AVAILABLE)
+class TestEditCodePoints:
+    """Unit-cost strings use code points as codes; a list of the same
+    characters goes through the symbol registry and must agree exactly."""
+
+    def test_strings_match_the_registry_path(self, name, rng):
+        measure = EditDistance(kernel=name)
+        alphabet = list("ab\x00\U0001f600éz")  # NUL, non-BMP, accented
+        words = [
+            "".join(rng.choice(alphabet, size=int(m))) for m in rng.integers(0, 14, size=25)
+        ] + ["", "\U0001f600\U0001f600", "a"]
+        for query in ("", "a\U0001f600b\x00", "".join(rng.choice(alphabet, size=11))):
+            got = measure.compute_many(query, words)
+            want = measure.compute_many(list(query), [list(w) for w in words])
+            assert np.array_equal(got, want)
+            assert got.tolist() == [measure.compute(list(query), list(w)) for w in words]
+
+    def test_lone_surrogate_takes_the_registry_path(self, name):
+        measure = EditDistance(kernel=name)
+        words = ["a\ud800b", "ab", "", "\ud800"]
+        got = measure.compute_many("\ud800a", words)
+        want = measure.compute_many(list("\ud800a"), [list(w) for w in words])
+        assert np.array_equal(got, want)
+        assert got.tolist() == [2.0, 2.0, 2.0, 1.0]
+
+    def test_list_query_with_string_targets(self, name):
+        measure = EditDistance(kernel=name)
+        assert measure.compute_many(["a", "b"], ["ab", "b", ""]).tolist() == [0.0, 1.0, 2.0]
+
+
 # --------------------------------------------------------------------------- #
 # Registry behavior                                                           #
 # --------------------------------------------------------------------------- #
