@@ -48,24 +48,43 @@ def _check_sequence(x: Sequence[Hashable], name: str) -> Sequence[Hashable]:
     return x
 
 
+def _utf32_stack(
+    seqs: Sequence[str], codes: Optional[Dict[Hashable, int]] = None
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Encode strings into a zero-padded code matrix plus true lengths.
+
+    The joined strings are decoded to code points in one C-level utf-32
+    pass.  With a ``codes`` registry the code points are interned through
+    it (one ``np.unique`` over the concatenation, not one per string);
+    without one each character's code point is its code.  The flat codes
+    are scattered into the padded stack with one boolean-mask assignment
+    (row-major order matches the concatenation order).  Returns ``None``
+    when a lone surrogate (e.g. an ``os.fsdecode``'d filename) makes the
+    codec refuse.
+    """
+    try:
+        flat = np.frombuffer("".join(seqs).encode("utf-32-le"), dtype=np.uint32)
+    except UnicodeEncodeError:
+        return None
+    if codes is not None:
+        unique, inverse = np.unique(flat, return_inverse=True)
+        mapped = np.array(
+            [codes.setdefault(chr(int(c)), len(codes)) for c in unique],
+            dtype=np.intp,
+        )
+        flat = mapped[inverse]
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    stack = np.zeros((len(seqs), int(lengths.max())), dtype=np.intp)
+    stack[np.arange(stack.shape[1])[None, :] < lengths[:, None]] = flat
+    return stack, lengths
+
+
 def _encode(seq: Sequence[Hashable], codes: Dict[Hashable, int]) -> np.ndarray:
     """Intern the symbols of one sequence into ``codes``, returning int codes."""
     if isinstance(seq, str):
-        try:
-            # Fast path: decode to code points in one C-level pass and intern
-            # only the *unique* characters through the registry dict.
-            raw = np.frombuffer(seq.encode("utf-32-le"), dtype=np.uint32)
-        except UnicodeEncodeError:
-            # Lone surrogates (e.g. os.fsdecode'd filenames) cannot take the
-            # codec shortcut; the per-character path handles any str.
-            pass
-        else:
-            unique, inverse = np.unique(raw, return_inverse=True)
-            mapped = np.array(
-                [codes.setdefault(chr(int(c)), len(codes)) for c in unique],
-                dtype=np.intp,
-            )
-            return mapped[inverse]
+        encoded = _utf32_stack([seq], codes)
+        if encoded is not None:
+            return encoded[0][0]
     return np.array([codes.setdefault(sym, len(codes)) for sym in seq], dtype=np.intp)
 
 
@@ -74,33 +93,17 @@ def _encode_padded(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch-encode straight into the zero-padded code matrix + lengths.
 
-    The all-string fast path joins the batch, decodes it through the
-    utf-32 shortcut *once* (one ``np.unique`` over the concatenation
-    instead of one per sequence) and scatters the flat code array into the
-    padded stack with one boolean-mask assignment (row-major order matches
-    the concatenation order).  Mixed or non-string batches fall back to the
-    per-sequence path, same semantics.  This is what keeps batched DP paths
-    — and pairwise table builds, which call ``compute_many`` once per row —
-    bound by C-level work instead of per-sequence Python overhead.
+    An all-string batch is one :func:`_utf32_stack` call; mixed or
+    non-string batches, and strings the codec refuses, fall back to the
+    per-sequence path, same semantics.  This is what keeps batched DP
+    paths — and pairwise table builds, which call ``compute_many`` once
+    per row — bound by C-level work instead of per-sequence Python
+    overhead.
     """
-    if len(seqs) > 1 and all(isinstance(s, str) for s in seqs):
-        try:
-            joined = "".join(seqs)
-            raw = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-        except UnicodeEncodeError:
-            pass
-        else:
-            unique, inverse = np.unique(raw, return_inverse=True)
-            mapped = np.array(
-                [codes.setdefault(chr(int(c)), len(codes)) for c in unique],
-                dtype=np.intp,
-            )
-            flat = mapped[inverse]
-            lengths = np.array([len(s) for s in seqs], dtype=np.intp)
-            m_max = int(lengths.max()) if lengths.size else 0
-            stack = np.zeros((len(seqs), m_max), dtype=np.intp)
-            stack[np.arange(m_max)[None, :] < lengths[:, None]] = flat
-            return stack, lengths
+    if all(isinstance(s, str) for s in seqs):
+        encoded = _utf32_stack(seqs, codes)
+        if encoded is not None:
+            return encoded
     return _pad_codes([_encode(seq, codes) for seq in seqs])
 
 
@@ -110,19 +113,13 @@ def _code_points(
     """``(x_codes, stack, lengths)`` with each character's code point as its code.
 
     Unit costs only compare codes for equality, so for all-``str`` inputs
-    the code points serve as codes without interning: one utf-32 decode of
-    the query and one of the joined targets.  Returns ``None`` when a lone
-    surrogate makes the codec refuse.
+    the code points serve as codes without interning.  Returns ``None``
+    when a lone surrogate makes the codec refuse.
     """
-    try:
-        x_codes = np.frombuffer(x.encode("utf-32-le"), dtype=np.uint32)
-        flat = np.frombuffer("".join(targets).encode("utf-32-le"), dtype=np.uint32)
-    except UnicodeEncodeError:
+    query, encoded = _utf32_stack([x]), _utf32_stack(targets)
+    if query is None or encoded is None:
         return None
-    lengths = np.fromiter(map(len, targets), dtype=np.intp, count=len(targets))
-    stack = np.zeros((len(targets), int(lengths.max())), dtype=np.intp)
-    stack[np.arange(stack.shape[1])[None, :] < lengths[:, None]] = flat
-    return x_codes.astype(np.intp), stack, lengths
+    return (query[0][0], *encoded)
 
 
 def _pad_codes(target_codes: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

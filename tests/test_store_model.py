@@ -17,6 +17,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -202,3 +203,27 @@ TestSymmetricStoreModel = StoreMachine.TestCase
 TestSymmetricStoreModel.settings = _SETTINGS
 TestAsymmetricStoreModel = AsymmetricStoreMachine.TestCase
 TestAsymmetricStoreModel.settings = _SETTINGS
+
+
+@pytest.mark.parametrize(
+    "bound, request_targets",
+    [
+        # The request's first pair evicts the pair it re-puts next.
+        (3, [4, 1]),
+        # Evicting the second pair merges the tiers, moving the first pair
+        # (re-put third) into the sorted tier mid-request.
+        (2, [4, 5, 4]),
+    ],
+)
+def test_bounded_put_many_matches_one_put_per_pair(bound, request_targets):
+    store = SmallTierStore(max_sparse_entries=bound)
+    model = ModelStore(symmetric=True, bound=bound)
+    for j in (1, 2, 3):
+        store.put(0, j, float(j))
+        model.put(0, j, float(j))
+    store.put_many(0, request_targets, [10.0 + j for j in request_targets])
+    for j in request_targets:
+        model.put(0, j, 10.0 + j)
+    assert _store_entries(store) == list(model.sparse.items())
+    assert store.n_sparse_entries == len(model.sparse)
+    assert store.sparse_evictions == model.evictions
