@@ -872,7 +872,7 @@ def bench_kernel_pairwise(
     involved).  Results are asserted identical before any timing; timings
     are best-of-``repeats``.  When no compiled backend activates on this
     host the record notes the fallback and the 5x gate does not apply —
-    losing numba/cc must never fail CI, only lose speed.
+    losing the C compiler must never fail CI, only lose speed.
     """
     compiled = next(
         (name for name in available_kernel_backends() if name != "numpy"), None

@@ -4,7 +4,9 @@
 A tier-1-adjacent gate: exercises the whole build → save → open → query
 lifecycle on a tiny Euclidean workload and fails loudly (non-zero exit) if
 any contract breaks — bit-identical warm serving, zero-evaluation opens,
-fingerprint refusal, backend switching, and persistent-pool serving.
+fingerprint refusal, backend switching, and persistent-pool serving.  It
+also checks that the default kernel backend's unit edit distances equal
+the numpy reference exactly around the compiled 64-symbol word path.
 
 Usage::
 
@@ -30,6 +32,7 @@ import numpy as np  # noqa: E402
 
 from repro import (  # noqa: E402
     ArtifactError,
+    EditDistance,
     EmbeddingIndex,
     IndexConfig,
     L2Distance,
@@ -304,6 +307,28 @@ def main() -> int:
                 ),
                 "store save -> load -> save writes the same arrays",
             )
+
+    # compiled kernels: unit edit distances are integers, so the default
+    # backend must equal the numpy reference bit for bit, also on either
+    # side of the 64-symbol word the compiled kernel packs a query into.
+    from repro.distances.kernels import get_kernel_backend
+
+    kernel_rng = np.random.default_rng(7)
+    symbols = list("ACGT\u00e9\u00df\U0001f600")
+    strings = [
+        "".join(kernel_rng.choice(symbols, size=m)) for m in (63, 64, 65) for _ in range(3)
+    ]
+    default_edit, numpy_edit = EditDistance(), EditDistance(kernel="numpy")
+    check(
+        all(
+            np.array_equal(
+                default_edit.compute_many(s, strings), numpy_edit.compute_many(s, strings)
+            )
+            for s in strings
+        ),
+        f"unit edit on the {get_kernel_backend().name!r} kernel backend equals "
+        "numpy exactly (63-65 symbols, non-ASCII)",
+    )
 
     # static invariants: the linter gate must hold on the shipped tree
     from repro.analysis import run_analysis

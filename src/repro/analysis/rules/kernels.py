@@ -2,7 +2,7 @@
 
 The kernel registry (:mod:`repro.distances.kernels`) promises that a
 compiled backend is an *optimisation*, never a behaviour: any host can
-lose numba or a C compiler and still serve bit-compatible answers through
+lose its C compiler and still serve bit-compatible answers through
 the pure-numpy backend, and the registry's activation parity check plus
 the parity test-suite are what keep the compiled code honest.  That
 promise has two statically checkable halves:

@@ -26,9 +26,9 @@ subpackage distinguishes three layers of distance objects:
   subclasses) — stateless kernels, safe to ship to worker processes.
   The DP measures resolve their inner recurrences through the *kernel
   backend registry* (:mod:`repro.distances.kernels`): a compiled backend
-  (numba, or on-demand-compiled C loaded via ctypes) when one activates
-  and passes its parity check against the always-available numpy
-  reference, selectable per measure (``ConstrainedDTW(kernel="numpy")``),
+  (on-demand-compiled C loaded via ctypes) when it activates and passes
+  its parity check against the always-available numpy reference,
+  selectable per measure (``ConstrainedDTW(kernel="numpy")``),
   per process (:func:`~repro.distances.kernels.set_default_kernel_backend`)
   or per environment (``REPRO_KERNEL_BACKEND``).  Measures pickle the
   backend *name*, never the backend, so pool workers resolve their own;

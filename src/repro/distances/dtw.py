@@ -13,11 +13,11 @@ Kernel dispatch
 The DP itself lives in :mod:`repro.distances.kernels`: the numpy
 closed-form kernels from PR 1 (one ``cumsum`` + one ``minimum.accumulate``
 per band row, batched over many targets) are the always-available
-reference backend, and compiled straight-line ports (numba JIT, a
-ctypes-loaded C extension) are picked automatically when the host supports
-them.  ``ConstrainedDTW(kernel="numpy")`` pins a measure to one backend;
-only the backend *name* is stored, so pickling a measure to a pool worker
-ships the name and each worker resolves its own compiled functions.
+reference backend, and a compiled straight-line port (a ctypes-loaded C
+extension) is picked automatically when the host supports it.
+``ConstrainedDTW(kernel="numpy")`` pins a measure to one backend; only the
+backend *name* is stored, so pickling a measure to a pool worker ships the
+name and each worker resolves its own compiled functions.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ import numpy as np
 
 from repro.distances.base import DistanceMeasure
 from repro.distances.kernels import get_kernel_backend
-from repro.distances.kernels.numpy_backend import (
-    dtw_batch as _numpy_dtw_batch,
-    dtw_batch_mixed as _numpy_dtw_batch_mixed,
-)
 from repro.exceptions import DistanceError
 
 _INF = np.inf
@@ -122,11 +118,6 @@ def _resolve_radius(
     return max(radius, abs(n - m))
 
 
-def _dtw_batch(xs: np.ndarray, ys: np.ndarray, radius: int) -> np.ndarray:
-    """Backward-compatible alias for the numpy reference kernel."""
-    return _numpy_dtw_batch(xs, ys, radius)
-
-
 def _pad_targets(targets: List[np.ndarray]) -> tuple:
     """Stack ragged series into a zero-padded ``(g, M, d)`` array + lengths."""
     lengths = np.array([t.shape[0] for t in targets], dtype=np.intp)
@@ -135,14 +126,6 @@ def _pad_targets(targets: List[np.ndarray]) -> tuple:
     for t, target in enumerate(targets):
         ys[t, : target.shape[0]] = target
     return ys, lengths
-
-
-def _dtw_batch_mixed(
-    xs: np.ndarray, targets: List[np.ndarray], radii: np.ndarray
-) -> np.ndarray:
-    """Backward-compatible alias: pad ragged targets, run the numpy kernel."""
-    ys, lengths = _pad_targets(targets)
-    return _numpy_dtw_batch_mixed(xs, ys, lengths, radii)
 
 
 class ConstrainedDTW(DistanceMeasure):
@@ -161,10 +144,10 @@ class ConstrainedDTW(DistanceMeasure):
         different lengths are comparable.  The paper does not normalise, so
         the default is ``False``.
     kernel:
-        Kernel backend name (``"numpy"``, ``"numba"``, ``"cext"``, or a
-        registered third-party name).  ``None`` means "whatever the process
-        default resolves to"; the name — not a function object — is what
-        pickles to worker processes.
+        Kernel backend name (``"numpy"``, ``"cext"``, or a registered
+        third-party name).  ``None`` means "whatever the process default
+        resolves to"; the name — not a function object — is what pickles
+        to worker processes.
     """
 
     def __init__(

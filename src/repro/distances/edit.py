@@ -20,8 +20,14 @@ exactly — with ``p[j] = min(prev[j] + del, prev[j-1] + sub[j])`` —
 .. math::  c[j] = j \\cdot ins + \\min_{k \\le j} (p[k] - k \\cdot ins),
 
 so one ``minimum.accumulate`` replaces the per-cell Python loop, and the
-same kernel runs batched over many equal-length targets at once
-(``compute_many`` groups targets by length).
+same kernel runs batched over zero-padded targets of any length, each read
+off at its true length.
+
+The compiled ``cext`` kernel runs unit costs bit-parallel: for a query of
+at most 64 symbols, Myers' bit-vector recurrence keeps a DP column's
+vertical deltas in two 64-bit words and advances them by one target symbol
+with a few word operations.  Unit distances are integers, which both paths
+compute exactly, so every backend returns the same bits.
 """
 
 from __future__ import annotations

@@ -4,23 +4,22 @@ The DP measures (:class:`~repro.distances.dtw.ConstrainedDTW`,
 :class:`~repro.distances.edit.EditDistance` /
 :class:`~repro.distances.edit.WeightedEditDistance`) route their inner
 recurrences through this registry instead of calling the numpy kernels
-directly.  Three backends ship in-tree:
+directly.  Two backends ship in-tree:
 
 ``numpy``
     The PR 1 closed-form kernels (:mod:`.numpy_backend`) — pure numpy,
     always available, and the semantic reference every other backend is
     checked against.
-``numba``
-    ``@njit`` straight-line ports (:mod:`.numba_backend`), activated only
-    when :mod:`numba` imports *and* compiles on this host.
 ``cext``
     Plain C ports compiled on demand with the system compiler and loaded
-    via ctypes (:mod:`.cext`) — no build system, no optional wheel.
+    via ctypes (:mod:`.cext`) — no build system, no optional wheel.  Its
+    unit-cost edit kernel runs Myers' bit-vector recurrence for queries of
+    up to 64 symbols.
 
 Selection
 ---------
 ``get_kernel_backend(None)`` resolves, once per process, the first backend
-in preference order (``numba``, ``cext``, ``numpy``) that *activates*:
+in preference order (``cext``, ``numpy``) that *activates*:
 construction succeeds and a small parity check against the numpy reference
 passes to 1e-12.  The choice can be forced per measure
 (``ConstrainedDTW(kernel="numpy")``), per process
@@ -62,12 +61,6 @@ __all__ = [
 ]
 
 
-def _make_numba():
-    from repro.distances.kernels.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
 def _make_cext():
     from repro.distances.kernels.cext import CExtensionBackend
 
@@ -76,12 +69,11 @@ def _make_cext():
 
 # name -> zero-arg factory; construction may raise KernelUnavailable.
 _FACTORIES: Dict[str, Callable[[], object]] = {
-    "numba": _make_numba,
     "cext": _make_cext,
     "numpy": NumpyBackend,
 }
 # Default-selection order; third-party registrations slot in before numpy.
-_PREFERENCE: List[str] = ["numba", "cext", "numpy"]
+_PREFERENCE: List[str] = ["cext", "numpy"]
 
 _ACTIVE: Dict[str, object] = {}
 _FAILED: Dict[str, str] = {}
@@ -143,6 +135,15 @@ def _parity_reference() -> Dict[str, np.ndarray]:
     codes = np.array([[1, 0, 3, 0], [2, 2, 0, 0]], dtype=np.int64)
     code_lengths = np.array([4, 2], dtype=np.int64)
     table = np.array([[0.0, 0.5], [0.25, 0.0]])
+    # A unit-cost query filling one 64-bit word, with a code >= 128 (off
+    # the compiled word path's direct table), against targets of length 0
+    # and 65.
+    word_codes = np.arange(64, dtype=np.int64) % 5
+    word_codes[[3, 40]] = 300
+    word_stack = np.zeros((2, 65), dtype=np.int64)
+    word_stack[1] = np.insert(word_codes, 20, 300)
+    word_stack[1, 60] = 7
+    word_lengths = np.array([0, 65], dtype=np.int64)
     return {
         "xs": xs,
         "stack3": stack3,
@@ -153,6 +154,9 @@ def _parity_reference() -> Dict[str, np.ndarray]:
         "codes": codes,
         "code_lengths": code_lengths,
         "table": table,
+        "word_codes": word_codes,
+        "word_stack": word_stack,
+        "word_lengths": word_lengths,
     }
 
 
@@ -194,6 +198,19 @@ def _check_parity(backend: object) -> None:
             ),
             reference.edit_batch(
                 data["x_codes"], data["codes"], data["code_lengths"],
+                1.0, 1.0, unit_table, 1.0,
+            ),
+        )
+    )
+    cases.append(
+        (
+            "edit_batch[unit, 64-symbol query]",
+            backend.edit_batch(
+                data["word_codes"], data["word_stack"], data["word_lengths"],
+                1.0, 1.0, unit_table, 1.0,
+            ),
+            reference.edit_batch(
+                data["word_codes"], data["word_stack"], data["word_lengths"],
                 1.0, 1.0, unit_table, 1.0,
             ),
         )

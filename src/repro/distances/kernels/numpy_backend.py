@@ -1,8 +1,8 @@
 """The always-available NumPy closed-form kernel backend.
 
 These are the vectorised row-recurrence kernels from PR 1, moved here so
-that every backend (numba JIT, the C extension, and this fallback) exposes
-the same three entry points:
+that every backend (the C extension and this fallback) exposes the same
+three entry points:
 
 * :meth:`NumpyBackend.dtw_batch` — banded cDTW from one series to a stack
   of equal-length targets (two-row DP, one ``cumsum`` + one
@@ -16,7 +16,9 @@ The closed forms replace the sequential ``c[j-1]`` dependency with a
 prefix-scan identity, so they round differently (in the last couple of
 ulps) from the straight-line recurrences the compiled backends run; the
 registry's parity check and the property suite in
-``tests/test_kernel_backends.py`` pin the agreement to 1e-12.
+``tests/test_kernel_backends.py`` pin the agreement to 1e-12.  Unit edit
+costs are the exception: their distances are small integers, which every
+backend computes exactly, so those agree bit for bit.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def edit_dp_batch(
         The ``g`` edit distances.
     """
     g = lengths.shape[0]
-    m = int(lengths.max())
+    m = int(lengths.max()) if g else 0
     if m == 0:
         return np.full(g, n * deletion_cost)
     ins_ramp = insertion_cost * np.arange(m + 1)

@@ -13,8 +13,12 @@ Covers the acceptance surface of :mod:`repro.distances.kernels`:
   the ``REPRO_KERNEL_BACKEND`` env override, per-measure overrides,
   pickling measures by backend *name*, and rejection of a backend that
   flunks the activation parity check;
-* import robustness: ``import repro`` works in a subprocess with numba
-  absent, and a forced-fallback subprocess resolves the numpy backend.
+* the compiled unit-cost edit word path: query and target lengths around
+  the 64-symbol word, code ranges around its direct table, and exact
+  equality with the numpy reference;
+* import robustness: ``import repro`` works in a fresh subprocess and
+  reports every registered backend, and a forced-fallback subprocess
+  resolves the numpy backend.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distances import kernels as kernels_module
 from repro.distances.dtw import ConstrainedDTW, _as_series, _resolve_radius
@@ -42,13 +48,14 @@ from repro.distances.kernels import (
     reset_kernel_backends,
     set_default_kernel_backend,
 )
+from repro.distances.kernels.cext import _find_compiler
 from repro.distances.kernels.numpy_backend import NumpyBackend
 from repro.exceptions import DistanceError
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 #: Backends beyond the numpy reference that activate on this host (the
-#: cext backend whenever a C compiler is present; numba when importable).
+#: cext backend whenever a C compiler is present).
 COMPILED_AVAILABLE = [
     name for name in available_kernel_backends() if name != "numpy"
 ]
@@ -253,6 +260,134 @@ class TestEditCodePoints:
 
 
 # --------------------------------------------------------------------------- #
+# Unit-cost edit: the compiled word path and its edges                        #
+# --------------------------------------------------------------------------- #
+
+UNIT_TABLE = np.zeros((0, 0))
+
+#: Symbol codes on both sides of the word path's direct table (0..127).
+CODE_POOLS = {
+    "ascii": np.array([65, 67, 71, 84]),
+    "latin1": np.arange(128, 256, 17),
+    "non_bmp": np.array([0x1F600, 0x1F601, 0x10FFFF]),
+    "with_nul": np.array([0, 1, 200, 0x1F600]),
+}
+
+#: 35 ASCII symbols, 34 Greek letters and one non-BMP symbol.
+ALPHABET_70 = (
+    "".join(map(chr, range(48, 83)))
+    + "".join(map(chr, range(0x3B1, 0x3B1 + 34)))
+    + "\U0001f600"
+)
+
+
+def unit_edit(backend, x_codes, rows):
+    """Unit edit distances from ``x_codes`` to the ragged code ``rows``."""
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    stack = np.zeros((len(rows), int(lengths.max(initial=0))), dtype=np.int64)
+    for t, row in enumerate(rows):
+        stack[t, : len(row)] = row
+    return backend.edit_batch(
+        np.asarray(x_codes, dtype=np.int64), stack, lengths, 1.0, 1.0, UNIT_TABLE, 1.0
+    )
+
+
+def assert_unit_parity(backend, x_codes, rows):
+    got = unit_edit(backend, x_codes, rows)
+    assert np.array_equal(got, unit_edit(NumpyBackend(), x_codes, rows))
+    return got
+
+
+@pytest.mark.parametrize("name", COMPILED_AVAILABLE or ["numpy"])
+class TestEditWordPath:
+    """Unit costs with a query of 1 to 64 symbols take the compiled word
+    path, and longer queries the DP.  Unit distances are integers, so every
+    backend must equal the numpy reference exactly."""
+
+    @pytest.mark.parametrize("pool", sorted(CODE_POOLS))
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65])
+    def test_lengths_around_the_word(self, name, n, pool, rng):
+        codes = CODE_POOLS[pool]
+        x = rng.choice(codes, size=n)
+        rows = []
+        for m in (0, 1, 63, 64, 65, 130):
+            rows.append(rng.choice(codes, size=m))
+            # The query tiled to m symbols, one substituted: a close target.
+            near = np.resize(x, m)
+            if m:
+                near[rng.integers(m)] = rng.choice(codes)
+            rows.append(near)
+        assert_unit_parity(get_kernel_backend(name), x, rows)
+
+    def test_absent_and_repeated_symbols(self, name):
+        backend = get_kernel_backend(name)
+        repeated = np.full(64, 300)
+        rows = [
+            np.full(64, 300),
+            np.full(65, 300),
+            np.full(63, 300),
+            np.full(10, 301),
+            np.full(64, 7),
+            np.r_[np.full(32, 300), [5], np.full(31, 300)],
+            [],
+        ]
+        got = assert_unit_parity(backend, repeated, rows)
+        assert got.tolist() == [0.0, 1.0, 1.0, 64.0, 64.0, 1.0, 64.0]
+        assert_unit_parity(backend, np.full(64, 7), rows)
+        # 64 distinct codes >= 128 fill the scan over the query's symbols.
+        distinct = np.arange(1000, 1064)
+        got = assert_unit_parity(
+            backend, distinct, [distinct, distinct[::-1], distinct[1:], [9, 1063]]
+        )
+        assert got.tolist() == [0.0, 64.0, 1.0, 63.0]
+
+    def test_empty_query_and_zero_targets(self, name):
+        backend = get_kernel_backend(name)
+        got = assert_unit_parity(backend, [], [[], [5], list(range(130))])
+        assert got.tolist() == [0.0, 1.0, 130.0]
+        for n in (0, 1, 64, 65):
+            assert assert_unit_parity(backend, np.arange(n), []).shape == (0,)
+
+    def test_token_lists_use_registry_codes(self, name, rng):
+        tokens = ["alpha", ("t", 1), 3, None, "\u03b2"]
+        pinned, reference = EditDistance(kernel=name), EditDistance(kernel="numpy")
+        for n in (64, 65):
+            query = [tokens[i] for i in rng.integers(0, len(tokens), size=n)]
+            targets = [
+                [tokens[i] for i in rng.integers(0, len(tokens), size=m)]
+                for m in (0, 1, 63, 64, 65, 130)
+            ] + [list(query), query[1:] + ["new"]]
+            got = pinned.compute_many(query, targets)
+            assert np.array_equal(got, reference.compute_many(query, targets))
+            assert got[-2] == 0.0 and got[-1] <= 2.0
+
+    def test_weighted_edit_with_and_without_a_table(self, name, rng):
+        alphabet = list("acgt\u00e9\U0001f600")
+        query = "".join(rng.choice(alphabet, size=64))
+        words = [
+            "".join(rng.choice(alphabet, size=m)) for m in (0, 1, 63, 64, 65, 130)
+        ]
+        unit = WeightedEditDistance(kernel=name).compute_many(query, words)
+        assert np.array_equal(unit, EditDistance(kernel="numpy").compute_many(query, words))
+        costs = {("a", "c"): 0.5, ("g", "\U0001f600"): 0.25}
+        weighted = WeightedEditDistance(costs, kernel=name).compute_many(query, words)
+        assert_close(
+            weighted, WeightedEditDistance(costs, kernel="numpy").compute_many(query, words)
+        )
+        assert not np.array_equal(weighted, unit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphabet=st.sampled_from(["xyz", ALPHABET_70]), data=st.data())
+    def test_random_strings_match_the_reference(self, name, alphabet, data):
+        query = data.draw(st.text(alphabet=alphabet, max_size=80))
+        targets = data.draw(
+            st.lists(st.text(alphabet=alphabet, max_size=140), min_size=1, max_size=5)
+        )
+        got = EditDistance(kernel=name).compute_many(query, targets)
+        assert np.array_equal(got, EditDistance(kernel="numpy").compute_many(query, targets))
+
+
+# --------------------------------------------------------------------------- #
 # Registry behavior                                                           #
 # --------------------------------------------------------------------------- #
 
@@ -268,6 +403,13 @@ class TestRegistry:
         os.environ.pop(KERNEL_ENV, None)
         reset_kernel_backends()
         assert get_kernel_backend(None).name in COMPILED_AVAILABLE
+
+    def test_cext_activates_wherever_a_compiler_is_found(self):
+        # A cext that flunks its activation probe would silently reduce the
+        # parity suites above to numpy against numpy.
+        if _find_compiler() is None:
+            pytest.skip("no C compiler on this host")
+        assert kernel_backend_status()["cext"] == "active"
 
     def test_unknown_name_fails_loudly(self):
         with pytest.raises(DistanceError, match="unknown kernel backend"):
@@ -319,6 +461,24 @@ class TestRegistry:
         assert get_kernel_backend(None).name != "wrong"
         assert "parity" in kernel_backend_status()["wrong"]
 
+    def test_parity_probe_covers_the_edit_word_edges(self):
+        class _WrongOnFullWords(NumpyBackend):
+            name = "wrong-words"
+            compiled = True
+
+            def edit_batch(self, x_codes, stack, lengths, ins, dele, table, default):
+                out = super().edit_batch(x_codes, stack, lengths, ins, dele, table, default)
+                # Wrong only for a unit-cost query filling the whole word.
+                return out + 1.0 if x_codes.size == 64 and table.size == 0 else out
+
+        register_kernel_backend("wrong-words", _WrongOnFullWords)
+        with pytest.raises(DistanceError, match=r"edit_batch\[unit, 64-symbol query\]"):
+            get_kernel_backend("wrong-words")
+        os.environ.pop(KERNEL_ENV, None)
+        reset_kernel_backends()
+        assert get_kernel_backend(None).name != "wrong-words"
+        assert "64-symbol query" in kernel_backend_status()["wrong-words"]
+
     def test_unavailable_factory_reports_reason(self):
         def _factory():
             raise KernelUnavailable("no such accelerator on this host")
@@ -363,11 +523,11 @@ class TestSeriesFastPath:
 
 
 # --------------------------------------------------------------------------- #
-# Import robustness without numba                                             #
+# Import robustness in a fresh process                                        #
 # --------------------------------------------------------------------------- #
 
 
-class TestImportWithoutNumba:
+class TestImportInSubprocess:
     def _run(self, code, env_extra=None):
         env = dict(os.environ, PYTHONPATH=SRC_DIR)
         env.pop(KERNEL_ENV, None)
@@ -381,19 +541,15 @@ class TestImportWithoutNumba:
             timeout=180,
         )
 
-    def test_import_repro_succeeds_without_numba(self):
-        # The container this suite targets has no numba; when one is
-        # present the import must still succeed, so only the status
-        # assertion is conditional.
+    def test_import_repro_reports_every_registered_backend(self):
         code = (
             "import repro\n"
-            "from repro.distances.kernels import kernel_backend_status\n"
+            "from repro.distances.kernels import (\n"
+            "    kernel_backend_status, registered_kernel_backends)\n"
             "status = kernel_backend_status()\n"
+            "assert tuple(status) == registered_kernel_backends(), status\n"
+            "assert set(status) == {'cext', 'numpy'}, status\n"
             "assert status['numpy'] == 'active', status\n"
-            "try:\n"
-            "    import numba  # noqa: F401\n"
-            "except ImportError:\n"
-            "    assert status['numba'] != 'active', status\n"
             "print('ok')\n"
         )
         proc = self._run(code)
