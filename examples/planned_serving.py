@@ -4,10 +4,9 @@
 The filter-and-refine operating point ``p`` is normally a global knob
 tuned offline.  The ``"planned"`` backend turns it into a per-query
 decision: a cost model calibrated from a few probe queries picks ``p``
-for a target accuracy (or a hard per-query evaluation budget), chooses
-the execution path from predicted cost, and refines incrementally —
-stopping as soon as the top-``k`` is stable.  This walkthrough, on DTW
-time-series data:
+for a target accuracy (or a hard per-query evaluation budget) and
+refines incrementally — stopping as soon as the top-``k`` is stable.
+This walkthrough, on DTW time-series data:
 
 1. builds an index and enables the adaptive planner,
 2. calibrates the cost model from probe queries (charged honestly),
@@ -17,7 +16,9 @@ time-series data:
    evaluations per query, same answers,
 5. inspects ``explain(k)`` and ``health()["planner"]``,
 6. streams under a per-query cost *budget* — the cost-budgeted
-   ``stream(...)`` a latency-bound service would run.
+   ``stream(...)`` a latency-bound service would run.  The async paths
+   have no early exit: they serve every ``p=None`` query at the
+   planner's ceiling ``explain(k)["p"]``.
 
 Run with:  PYTHONPATH=src python examples/planned_serving.py
 """
@@ -97,10 +98,7 @@ def main() -> None:
 
     # -- 5. explain and health -----------------------------------------
     plan = index.explain(k=3)
-    print(
-        f"explain(k=3): p={plan['p']} backend={plan['backend']} "
-        f"schedule={plan['schedule']}"
-    )
+    print(f"explain(k=3): p={plan['p']} schedule={plan['schedule']}")
     planner_health = index.health()["planner"]
     print(
         f"health: {planner_health['planned_queries']} planned queries, "
@@ -110,16 +108,17 @@ def main() -> None:
     # -- 6. a cost-budgeted stream -------------------------------------
     # Cap every query at 40 exact evaluations (embedding included); the
     # planner clamps its ceiling to the budget, and the async stream
-    # resolves each query's p' up front.
+    # serves every query at that ceiling (it has no early exit).
     index.enable_planner(target_accuracy=0.9, cost_budget=40)
-    budget_cap = 40 - index.embedding_cost
+    ceiling = index.explain(k=3)["p"]
+    assert ceiling <= 40 - index.embedding_cost
     streamed = [None] * len(served_queries)
     for position, result in index.stream(served_queries, k=3, p=None):
         streamed[position] = result
-    assert all(len(r.candidate_indices) <= budget_cap for r in streamed)
+    assert all(len(r.candidate_indices) == ceiling for r in streamed)
     print(
-        f"cost-budgeted stream served {len(streamed)} queries with "
-        f"p' <= {budget_cap} (budget 40 including the "
+        f"cost-budgeted stream served {len(streamed)} queries at "
+        f"p = {ceiling} (budget 40 including the "
         f"{index.embedding_cost}-evaluation embedding)"
     )
     index.close()

@@ -1019,7 +1019,6 @@ def bench_planned_query_many(
         database,
         embedding,
         database_vectors=database_vectors,
-        mode="adaptive",
     )
     # Pin the adaptive ceiling to the fixed run's p: equal operating
     # points, so any recall gap is the early exit's doing alone.
@@ -1115,7 +1114,6 @@ def bench_planner_calibration(
         database,
         embedding,
         database_vectors=database_vectors,
-        mode="adaptive",
         target_accuracy=0.9,
     )
     uncalibrated_p = planner.choose_p(k)

@@ -120,13 +120,17 @@ def main() -> int:
     check(index.backend == "planned", "enable_planner switches the backend")
     plan = index.explain(k=3)
     check(
-        all(key in plan for key in ("p", "backend", "schedule")),
+        all(key in plan for key in ("p", "schedule")),
         "explain exposes the planned operating point",
     )
     planned = index.query_many(queries, k=3)
     check(
         all(r.stats.get("planned") for r in planned),
         "adaptive serve stamps planner stats on every result",
+    )
+    check(
+        all(r.stats["planned_p"] in plan["schedule"] for r in planned),
+        "every adaptive p' is a step of the explained schedule",
     )
     check(
         all(
@@ -137,6 +141,16 @@ def main() -> int:
             for q, r in zip(queries, planned)
         ),
         "every adaptive answer equals the fixed run at its chosen p'",
+    )
+    ceiling = [None] * len(queries)
+    for position, result in index.stream(queries, k=3, p=None):
+        ceiling[position] = result
+    check(
+        all(
+            np.array_equal(a.neighbor_indices, b.neighbor_indices)
+            for a, b in zip(ceiling, index.query_many(queries, k=3, p=plan["p"]))
+        ),
+        "stream(p=None) serves the fixed run at the explained ceiling",
     )
     check(
         index.health()["planner"] is not None,

@@ -3,11 +3,11 @@
 The query planner's exactness contract (see :mod:`repro.retrieval.planner`)
 rests on a strict split: cost-model *inputs* are wall-clock values measured
 by the serving code and fed in through ``observe_*`` methods, while every
-*decision* — which ``p``, which backend, how much fan-out — is
-a pure function of the fitted model state.  A clock or RNG call inside a
-decision function would make two identical queries plan differently, which
-breaks both the bit-identity story (RP004's concern, extended here) and
-the replayability of ``explain()`` output.
+*decision* — which ``p``, what a query is predicted to cost — is a pure
+function of the fitted model and calibration state.  A clock or RNG call
+inside a decision function would make two identical queries plan
+differently, which breaks both the bit-identity story (RP004's concern,
+extended here) and the replayability of ``explain()`` output.
 
 The rule flags ``time.*`` / ``random.*`` / ``np.random.*`` calls inside
 functions on the planner's decision path: functions (or methods) in

@@ -10,9 +10,9 @@ the operating points that calibrated planner would choose across the same
 ``(k, accuracy)`` grid, so they can be plotted on (or tabulated against)
 the figure curves.
 
-The planner runs the full-dimensional embedding (it plans ``p`` and the
-backend — not ``d``), so its points are directly comparable to the curve
-only where the oracle also picked the full dimensionality;
+The planner runs the full-dimensional embedding (it plans ``p``, not
+``d``), so its points are directly comparable to the curve only where the
+oracle also picked the full dimensionality;
 :attr:`PlannerOperatingPoint.curve_cost` carries the oracle's number either
 way so the gap is visible.
 """
@@ -84,7 +84,6 @@ def planner_operating_points(
         index.database,
         index.embedder,
         database_vectors=index.database_vectors,
-        mode="adaptive",
     )
     k_max = max(int(k) for k in (ks if ks is not None else comparison.ks))
     retriever.calibrate(probes, k_max=max(k_max, 1))

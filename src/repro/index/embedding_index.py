@@ -125,15 +125,11 @@ class IndexConfig:
         the registrations would grow the universe (and the state shipped
         to pool workers) per batch with no reuse to show for it; queries
         are then evaluated uncached, with identical results.
-    planner:
-        Query-planning mode of the ``"planned"`` backend: ``"off"`` (the
-        default — an explicit ``p`` is required and every call is a pure
-        pass-through) or ``"adaptive"`` (``p=None`` lets the fitted cost
-        model pick the per-query operating point; see
-        :mod:`repro.retrieval.planner`).  Ignored by other backends.
     planner_target_accuracy:
-        Retrieval accuracy the adaptive planner aims for when calibrated,
-        in ``(0, 1]``.
+        Retrieval accuracy the ``"planned"`` backend aims for when its
+        planner is calibrated and ``p=None`` (see
+        :mod:`repro.retrieval.planner`), in ``(0, 1]``.  Ignored by other
+        backends.
     planner_cost_budget:
         Optional per-query budget in exact evaluations (embedding
         included) capping the planner's chosen ``p``.
@@ -146,7 +142,6 @@ class IndexConfig:
     symmetric: bool = True
     max_sparse_entries: Optional[int] = None
     register_queries: bool = True
-    planner: str = "off"
     planner_target_accuracy: float = 0.95
     planner_cost_budget: Optional[int] = None
 
@@ -162,10 +157,6 @@ class IndexConfig:
             raise ConfigurationError("n_shards must be at least 1")
         if self.max_sparse_entries is not None and self.max_sparse_entries < 1:
             raise ConfigurationError("max_sparse_entries must be positive")
-        if self.planner not in ("off", "adaptive"):
-            raise ConfigurationError(
-                f"planner must be 'off' or 'adaptive', got {self.planner!r}"
-            )
         if not 0.0 < float(self.planner_target_accuracy) <= 1.0:
             raise ConfigurationError(
                 "planner_target_accuracy must be in (0, 1], got "
@@ -189,7 +180,6 @@ class IndexConfig:
             "symmetric": self.symmetric,
             "max_sparse_entries": self.max_sparse_entries,
             "register_queries": self.register_queries,
-            "planner": self.planner,
             "planner_target_accuracy": self.planner_target_accuracy,
             "planner_cost_budget": self.planner_cost_budget,
         }
@@ -213,8 +203,6 @@ class IndexConfig:
                 symmetric=bool(payload["symmetric"]),
                 max_sparse_entries=payload.get("max_sparse_entries"),
                 register_queries=bool(payload.get("register_queries", True)),
-                # Pre-planner artifacts carry no planner fields: off.
-                planner=str(payload.get("planner", "off")),
                 planner_target_accuracy=float(
                     payload.get("planner_target_accuracy", 0.95)
                 ),
@@ -362,9 +350,6 @@ def _planned_factory(distance, database, embedder, database_vectors, config):
         database,
         embedder,
         database_vectors=database_vectors,
-        n_shards=config.n_shards,
-        n_jobs=config.n_jobs,
-        mode=config.planner,
         target_accuracy=config.planner_target_accuracy,
         cost_budget=config.planner_cost_budget,
     )
@@ -797,27 +782,32 @@ class EmbeddingIndex:
         if self.config.register_queries:
             self.context.register(objects, match_content=True)
 
+    def _check_p(self, p: Optional[int]) -> None:
+        """Reject ``p=None`` unless the backend scans all or plans ``p``."""
+        if (
+            p is None
+            and self._backend_name != "brute_force"
+            and not callable(getattr(self._backend, "choose_p", None))
+        ):
+            raise RetrievalError(
+                f"backend {self._backend_name!r} needs p (the number of "
+                "filter candidates to refine)"
+            )
+
     def query(self, obj: Any, k: int, p: Optional[int] = None) -> RetrievalResult:
         """Approximate ``k``-NN retrieval of one query object.
 
         ``p`` (the number of filter survivors to refine exactly) is
-        required by the embedding-filter backends and ignored by
-        ``"brute_force"``.  Returns a
+        required by the embedding-filter backends, ignored by
+        ``"brute_force"`` and planned per query by ``"planned"`` when
+        ``None``.  Returns a
         :class:`~repro.retrieval.filter_refine.RetrievalResult`, whose
         ``total_distance_computations`` is the paper's per-query cost.
         """
         self._check_open()
         with self._serving_guard():
+            self._check_p(p)
             self._register([obj])
-            if p is None:
-                if getattr(self._backend, "supports_adaptive_p", False):
-                    return self._backend.query(obj, k)
-                if self._backend_name != "brute_force":
-                    raise RetrievalError(
-                        f"backend {self._backend_name!r} needs p (the number of "
-                        "filter candidates to refine)"
-                    )
-                return self._backend.query(obj, k)
             return self._backend.query(obj, k, p)
 
     def query_many(
@@ -838,13 +828,17 @@ class EmbeddingIndex:
         lifetime.  Results and per-query cost accounting are bit-identical
         to the serial path; a worker killed mid-batch is respawned and its
         chunks recomputed (or served serially), never answered wrongly.
+        ``p=None`` on the ``"planned"`` backend refines each query's
+        prefix slices serially whatever ``n_jobs`` is (one-query plans
+        stay serial).
 
         With ``deadline``/``max_retries``/``allow_partial`` the batch runs
-        through the submission-ordered serving stream (documented
-        bit-identical): a query that misses its per-query deadline raises
-        its typed :class:`~repro.exceptions.ServingError` — within the
-        deadline, instead of hanging — unless ``allow_partial=True``, in
-        which case it contributes a ``partial=True`` result.
+        through the submission-ordered serving stream (bit-identical for
+        an explicit ``p``; see :meth:`stream` for ``p=None``): a query
+        that misses its per-query deadline raises its typed
+        :class:`~repro.exceptions.ServingError` — within the deadline,
+        instead of hanging — unless ``allow_partial=True``, in which case
+        it contributes a ``partial=True`` result.
         """
         self._check_open()
         objects = list(objects)
@@ -867,19 +861,9 @@ class EmbeddingIndex:
                 results[position] = result
             return results
         with self._serving_guard():
+            self._check_p(p)
             self._register(objects)
             effective_jobs = self.config.n_jobs if n_jobs is None else n_jobs
-            if p is None:
-                if getattr(self._backend, "supports_adaptive_p", False):
-                    return self._backend.query_many(
-                        objects, k, n_jobs=effective_jobs
-                    )
-                if self._backend_name != "brute_force":
-                    raise RetrievalError(
-                        f"backend {self._backend_name!r} needs p (the number of "
-                        "filter candidates to refine)"
-                    )
-                return self._backend.query_many(objects, k, n_jobs=effective_jobs)
             return self._backend.query_many(objects, k, p, n_jobs=effective_jobs)
 
     # -- async serving ---------------------------------------------------
@@ -907,10 +891,13 @@ class EmbeddingIndex:
         refine batch is submitted to the index's persistent pool without
         waiting (or held for lazy serial evaluation when the index has no
         pool).  :meth:`~repro.index.serving.QueryTicket.result` completes
-        it — bit-identical to the blocking call, including per-query cost
-        accounting — and
+        it — for an explicit ``p``, bit-identical to the blocking call,
+        including per-query cost accounting — and
         :meth:`~repro.index.serving.QueryTicket.cancel` abandons work that
-        has not started.  See :mod:`repro.index.serving`.
+        has not started.  With ``p=None`` on the ``"planned"`` backend
+        the ticket serves the fixed run at the planner's ceiling
+        ``explain(k)["p"]``, without the blocking path's early exit.  See
+        :mod:`repro.index.serving`.
 
         ``deadline`` (seconds from now) bounds the query's time in flight:
         on expiry the ticket resolves to a typed
@@ -949,9 +936,11 @@ class EmbeddingIndex:
         batch path cannot express.  ``max_in_flight`` bounds how many
         queries are outstanding (default: twice the pool width); ``order``
         is ``"completion"`` (yield each result as soon as its refine lands)
-        or ``"submission"`` (yield in input order).  Results — and their
-        exact cost accounting — are bit-identical to :meth:`query_many`
-        over the same batch.
+        or ``"submission"`` (yield in input order).  For an explicit
+        ``p``, results — and their exact cost accounting — are
+        bit-identical to :meth:`query_many` over the same batch; with
+        ``p=None`` on the ``"planned"`` backend every query is served at
+        the planner's ceiling ``explain(k)["p"]`` (see :meth:`submit`).
 
         ``deadline``/``max_retries``/``allow_partial`` apply per query (see
         :meth:`submit`).  A query that resolves to a
@@ -989,8 +978,10 @@ class EmbeddingIndex:
         """``asyncio``-friendly :meth:`query_many` over the pipelined stream.
 
         Drains :meth:`stream` on an executor thread (the event loop stays
-        responsive) and resolves to the same list — same order, same
-        neighbors, same per-query costs — that ``query_many`` returns.
+        responsive).  For an explicit ``p`` it resolves to the same list —
+        same order, same neighbors, same per-query costs — that
+        ``query_many`` returns; with ``p=None`` on the ``"planned"``
+        backend it serves the fixed run at ``explain(k)["p"]``.
         With a ``deadline``, a query that misses it appears in the list as
         its :class:`~repro.exceptions.ServingError` (or a ``partial=True``
         result when ``allow_partial``), never as a hang.
@@ -1050,22 +1041,22 @@ class EmbeddingIndex:
 
     def enable_planner(
         self,
-        mode: str = "adaptive",
         target_accuracy: Optional[float] = None,
         cost_budget: Optional[int] = None,
     ) -> None:
-        """Switch to the ``"planned"`` backend with the given planner mode.
+        """Switch to the ``"planned"`` backend.
 
         Rewires the query path onto a
         :class:`~repro.retrieval.planner.PlannedRetriever` (embeddings and
         the distance store are reused, zero exact evaluations); afterwards
-        ``query``/``query_many``/``stream`` accept ``p=None`` in
-        ``"adaptive"`` mode and plan the per-query operating point.  Call
+        ``query``/``query_many`` accept ``p=None`` and plan the per-query
+        operating point, and ``submit``/``stream``/``aquery_many`` serve
+        ``p=None`` at the planner's ceiling.  Call
         :meth:`calibrate_planner` to fit the cost model from probe
         queries; uncalibrated, the planner uses a deterministic fallback
         ceiling.
         """
-        overrides: Dict[str, Any] = {"planner": mode}
+        overrides: Dict[str, Any] = {}
         if target_accuracy is not None:
             overrides["planner_target_accuracy"] = float(target_accuracy)
         if cost_budget is not None:
@@ -1170,7 +1161,7 @@ class EmbeddingIndex:
         wire — and folds a dead shard into the top-level ``degraded``
         flag: its work runs serially in the parent, slower but never
         wrong.  ``planner`` (``None`` unless the
-        ``"planned"`` backend is active) reports the query planner's mode,
+        ``"planned"`` backend is active) reports the query planner's
         calibration state, fitted cost-model snapshot and last decision.
         """
         remote = None

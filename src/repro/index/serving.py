@@ -17,14 +17,18 @@ back at once.  This module adds the *pipelined* serving shape the ROADMAP's
   ``(position, result)`` pairs in completion or submission order, so the
   parent embeds/filters query ``i+1`` while the pool refines query ``i``.
 * :meth:`EmbeddingIndex.aquery_many` — the ``asyncio``-friendly wrapper:
-  drains a stream on an executor thread and resolves to the same list
-  ``query_many`` returns.
+  drains a stream on an executor thread and, for an explicit ``p``,
+  resolves to the same list ``query_many`` returns.
 
 Bit-identity
 ------------
-Results are bit-identical to the blocking path: the same engine stages
-prepare the candidates, the same store resolves cached pairs, and the same
-merge orders the survivors.  Per-query cost accounting follows the
+For an explicit ``p``, results are bit-identical to the blocking path: the
+same engine stages prepare the candidates, the same store resolves cached
+pairs, and the same merge orders the survivors.  With ``p=None`` on the
+``"planned"`` backend a ticket serves the fixed run at the planner's
+ceiling (``explain(k)["p"]``) without the blocking path's early exit, so
+its ``p'``, cost and (rarely) neighbors can differ from ``query_many``'s.
+Per-query cost accounting follows the
 in-flight dedup rule of
 :meth:`~repro.distances.context.DistanceContext.distances_to_many`: a pair
 an earlier in-flight ticket is already computing is free for later
@@ -82,15 +86,11 @@ logger = logging.getLogger(__name__)
 class _Group:
     """One per-shard (or whole-query) slice of a ticket's refine work."""
 
-    __slots__ = ("shard_id", "positions", "pending")
+    __slots__ = ("positions", "pending")
 
     def __init__(
-        self,
-        shard_id: Optional[int],
-        positions: Optional[np.ndarray],
-        pending: PendingDistances,
+        self, positions: Optional[np.ndarray], pending: PendingDistances
     ) -> None:
-        self.shard_id = shard_id
         #: Positions inside the candidate array this group scatters back to
         #: (``None`` = the whole array, in order).
         self.positions = positions
@@ -103,8 +103,9 @@ class QueryTicket:
     Returned by :meth:`EmbeddingIndex.submit`.  The embed/filter work is
     already done; :meth:`result` completes the refine (waiting on the pool
     futures if needed) and returns the
-    :class:`~repro.retrieval.engine.RetrievalResult` — bit-identical to
-    what the blocking ``query`` call would have returned.
+    :class:`~repro.retrieval.engine.RetrievalResult` — for an explicit
+    ``p``, bit-identical to what the blocking ``query`` call would have
+    returned (see the module docstring for ``p=None``).
     """
 
     def __init__(
@@ -433,19 +434,14 @@ class AsyncServer:
         """Embed + filter now, submit the refine, return the ticket."""
         index = self._index
         index._check_open()
-        if p is None and index.backend != "brute_force":
-            backend = index._backend
-            if getattr(backend, "supports_adaptive_p", False):
-                # The planner resolves the operating point up front (a pure
-                # decision over its fitted model), and the ticket then runs
-                # the ordinary fixed-p pipeline at the chosen p' — the
-                # async path stays bit-identical to a fixed-p submit.
-                p = backend.choose_p(k)
-            else:
-                raise RetrievalError(
-                    f"backend {index.backend!r} needs p (the number of filter "
-                    "candidates to refine)"
-                )
+        index._check_p(p)
+        choose_p = getattr(index._backend, "choose_p", None)
+        if p is None and callable(choose_p):
+            # A ticket has no early exit: it runs the fixed pipeline at the
+            # planner's ceiling (``explain(k)["p"]``), bit-identical to a
+            # fixed-p submit at that p but not to a p=None ``query_many``,
+            # which may stop at a shorter prefix.
+            p = choose_p(k)
         if p is None and k < 1:
             raise RetrievalError(f"k must be a positive integer, got {k}")
         if deadline is not None and deadline <= 0:
@@ -486,13 +482,13 @@ class AsyncServer:
                 )
             units = plan.shard_work[0] if plan.shard_work is not None else [(None, None)]
             deps: List[QueryTicket] = []
-            for sid, positions in units:
+            for _sid, positions in units:
                 targets = candidates if positions is None else candidates[positions]
                 pending = self._context.resolve_distances(
                     obj, binding.indices[targets], in_flight=self._in_flight
                 )
                 pending.owner = ticket
-                ticket._groups.append(_Group(sid, positions, pending))
+                ticket._groups.append(_Group(positions, pending))
                 for _pos, _j, owner_pending in pending.deferred:
                     owner = owner_pending.owner
                     if owner is not None and owner is not ticket and owner not in deps:
@@ -594,8 +590,6 @@ class AsyncServer:
                         ticket._exact[:] = values
                     else:
                         ticket._exact[group.positions] = values
-                    if group.shard_id is not None:
-                        stage.record_shard(group.shard_id, group.positions.size, spent)
                 stage.binding.calls += spent_total
                 ticket._result = self._build_result(ticket, spent_total)
                 ticket._state = "done"

@@ -26,9 +26,8 @@ evolving exactly as if the parent had computed every pair itself, the
 counts match the local path unconditionally — across batches, across
 repeated queries, and across shard deaths (the serial local fallback then
 sees exactly the store a purely local run would have seen).  Both kinds of
-charge also feed the per-shard routing counters of the local twin's
-refine stage, so :meth:`RemoteShardedBackend.cost_signals` reports the
-same routed pairs and evaluations as the in-process backend.
+charge land on the local twin's refine-stage counter, as the in-process
+backend's do.
 
 Supervision (PR 6 semantics: fail fast, degrade, never answer wrongly)
 ----------------------------------------------------------------------
@@ -123,8 +122,8 @@ class ShardConnection:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.round_trips = 0
-        #: Wall-clock seconds spent inside request/reply exchanges — the
-        #: per-shard round-trip cost signal the query planner fits.
+        #: Wall-clock seconds spent inside request/reply exchanges (the
+        #: per-shard round-trip cost :meth:`health` reports).
         self.request_seconds = 0.0
         self.retries_used = 0
         self.fallbacks = 0
@@ -499,21 +498,6 @@ class RemoteShardedBackend:
             "bytes_received": sum(s["bytes_received"] for s in shards),
         }
 
-    def cost_signals(self) -> List[Dict[str, Any]]:
-        """Per-shard cost signals for the query planner.
-
-        Combines the local twin's refine routing counters (``routed_pairs``
-        vs ``evaluations`` — the store hit-rate signal) with each
-        connection's measured round-trip cost (``round_trips``,
-        ``request_seconds``) and liveness.
-        """
-        signals = self.retriever.shard_cost_signals()
-        for signal, conn in zip(signals, self.connections):
-            signal["alive"] = conn.alive
-            signal["round_trips"] = conn.round_trips
-            signal["request_seconds"] = conn.request_seconds
-        return signals
-
     # -- pipeline stages -------------------------------------------------
 
     def _scatter_filter(self, plan) -> None:
@@ -573,8 +557,8 @@ class RemoteShardedBackend:
     def _gather_refine(self, plan) -> None:
         """Fill ``plan.exact_lists``/``refine_costs`` via remote entries.
 
-        Streamed and fallback charges both land in the local twin's refine
-        stage, per shard, exactly as the in-process backend records them.
+        Streamed and fallback charges both land on the local twin's refine
+        stage counter, exactly as the in-process backend's do.
         """
         refine = self.engine.refine
         plan.exact_lists = [
@@ -606,7 +590,7 @@ class RemoteShardedBackend:
                 # runs.
                 conn.fallbacks += 1
                 refined = [
-                    refine_candidates(refine, obj, target, [(sid, slice(None))])
+                    refine_candidates(refine, obj, target)
                     for obj, target in zip(objects, targets)
                 ]
             else:
@@ -615,7 +599,6 @@ class RemoteShardedBackend:
                     values = np.asarray(entry["values"], dtype=float)
                     spent = self._charge_entry(obj, target, values)
                     refine.binding.calls += spent
-                    refine.record_shard(sid, values.size, spent)
                     refined.append((values, spent))
             for (qi, positions), (values, spent) in zip(groups, refined):
                 plan.exact_lists[qi][positions] = values

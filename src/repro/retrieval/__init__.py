@@ -12,8 +12,8 @@ This subpackage implements Sec. 8 and the evaluation protocol of Sec. 9:
 * the accuracy-versus-cost evaluation with the paper's optimal-parameter
   search over the embedding dimensionality ``d`` and the filter size ``p``
   (:mod:`repro.retrieval.evaluation`, :mod:`repro.retrieval.sweep`);
-* the cost-based adaptive query planner that chooses ``p``, the execution
-  backend and the refine fan-out per query from a fitted cost model
+* the query planner that chooses the filter size ``p`` per query from a
+  calibrated accuracy profile and refines with an early exit
   (:mod:`repro.retrieval.planner`);
 * dynamic-database maintenance and drift detection
   (:mod:`repro.retrieval.dynamic`, Sec. 7.1).

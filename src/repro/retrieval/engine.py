@@ -44,13 +44,11 @@ In the sharded pipeline the refine stage routes work *per (query, shard)
 group*.  On a ``DistanceContext`` store hits are resolved in the parent and
 only each shard's missing pairs become refine work, so a shard whose pairs
 are already cached receives **zero** exact evaluations — the ROADMAP's
-"store-aware shard placement" in its single-process form.  The per-shard
-counts are accumulated in :attr:`RefineStage.shard_evaluations` and
-:attr:`RefineStage.shard_routed` (surfaced as
-``ShardedRetriever.shard_cost_signals``), which is exactly the hit-rate
-signal a remote-shard placement policy needs.  Results and per-query costs
-stay bit-identical to the ungrouped path because a query's candidates are
-unique and shard ranges are disjoint.
+"store-aware shard placement" in its single-process form.  The remote
+scatter/gather client routes its per-shard requests with the same
+(query, shard) split.  Results and per-query costs stay bit-identical to
+the ungrouped path because a query's candidates are unique and shard
+ranges are disjoint.
 """
 
 from __future__ import annotations
@@ -504,29 +502,16 @@ class RefineStage:
 
     One object owns the pipeline's exact-distance access: a binding from
     :func:`~repro.retrieval.context_binding.bind_context` (store-backed
-    through a context, every pair charged for a plain measure) and the
-    per-shard routing counters.  Every retriever, the planner's prefix
-    slices, the sweep and the remote client's fallback refine through
-    :meth:`run`, so accounting can never drift between them.
+    through a context, every pair charged for a plain measure).  Every
+    retriever, the planner's prefix slices, the sweep and the remote
+    client's fallback refine through :meth:`run`, so accounting can never
+    drift between them.
     """
 
     stat_name = "refine"
 
-    def __init__(self, binding: Binding, shards: Optional[Sequence[Any]] = None) -> None:
+    def __init__(self, binding: Binding) -> None:
         self.binding = binding
-        self.shards = list(shards) if shards is not None else None
-        #: Exact evaluations routed to each shard so far (sharded pipelines;
-        #: store hits are free on the context-backed path).  This is the
-        #: per-shard hit-rate signal a store-aware placement policy reads.
-        self.shard_evaluations: Optional[np.ndarray] = (
-            np.zeros(len(self.shards), dtype=int) if self.shards is not None else None
-        )
-        #: Candidate pairs *routed* to each shard so far (whether or not the
-        #: store absorbed them).  ``1 - shard_evaluations / shard_routed`` is
-        #: the per-shard store hit rate the cost-based planner fits.
-        self.shard_routed: Optional[np.ndarray] = (
-            np.zeros(len(self.shards), dtype=int) if self.shards is not None else None
-        )
 
     @property
     def calls(self) -> int:
@@ -536,11 +521,6 @@ class RefineStage:
     def reset(self) -> None:
         """Reset the evaluation counter."""
         self.binding.calls = 0
-
-    def record_shard(self, shard_id: int, routed: int, evaluations: int) -> None:
-        """Charge one (query, shard) group to the per-shard counters."""
-        self.shard_routed[shard_id] += int(routed)
-        self.shard_evaluations[shard_id] += int(evaluations)
 
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Evaluate exact distances for each query's candidate list.
@@ -555,44 +535,36 @@ class RefineStage:
         n_queries = len(plan.objects)
         work = plan.shard_work or [[(None, slice(None))]] * n_queries
         groups = [
-            (qi, sid, positions)
+            (qi, positions)
             for qi, query_work in enumerate(work)
-            for sid, positions in query_work
+            for _sid, positions in query_work
         ]
         values_list, spent_list = self.binding.distances_to_many(
-            [plan.objects[qi] for qi, _sid, _positions in groups],
-            [plan.candidate_lists[qi][positions] for qi, _sid, positions in groups],
+            [plan.objects[qi] for qi, _positions in groups],
+            [plan.candidate_lists[qi][positions] for qi, positions in groups],
             n_jobs=plan.n_jobs if n_queries > 1 else 1,
         )
         plan.exact_lists = [
             np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
         ]
         plan.refine_costs = [0] * n_queries
-        for (qi, sid, positions), values, spent in zip(groups, values_list, spent_list):
+        for (qi, positions), values, spent in zip(groups, values_list, spent_list):
             plan.exact_lists[qi][positions] = values
             plan.refine_costs[qi] += int(spent)
-            if sid is not None:
-                self.record_shard(sid, len(values), spent)
         return plan
 
 
 def refine_candidates(
-    refine: RefineStage,
-    obj: Any,
-    candidates: np.ndarray,
-    shard_work: Optional[List[ShardWork]] = None,
+    refine: RefineStage, obj: Any, candidates: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """Exact distances from one object to ``candidates`` through ``refine.run``.
 
-    Returns ``(values, spent)``.  ``shard_work`` (a sharded filter stage's
-    ``split(candidates)``) routes the groups to the per-shard counters.
-    The planner's prefix slices, the sweep's blocks, the shard server and
-    the remote client's dead-shard fallback use this, so they refine
-    exactly as a one-query pipeline batch does.
+    Returns ``(values, spent)``.  The planner's prefix slices, the sweep's
+    blocks, the shard server and the remote client's dead-shard fallback
+    use this, so they refine exactly as a one-query pipeline batch does.
     """
     plan = QueryPlan(objects=[obj], k=1, p=None)
     plan.candidate_lists = [candidates]
-    plan.shard_work = None if shard_work is None else [shard_work]
     refine.run(plan)
     return plan.exact_lists[0], plan.refine_costs[0]
 
@@ -712,7 +684,7 @@ class QueryEngine:
         return cls(
             embed=EmbedStage(embedder),
             filter=ShardedFilterStage(embedder, shards),
-            refine=RefineStage(bind_context(distance, database), shards=shards),
+            refine=RefineStage(bind_context(distance, database)),
             merge=MergeStage(),
             n_database=len(database),
         )

@@ -1,46 +1,47 @@
-"""Cost-based adaptive query planning: per-query ``p``, backend and fan-out.
+"""Cost-model planning of the filter size ``p`` with an early-exit refine.
 
 The paper's filter-and-refine operating point — the filter size ``p`` behind
 the Figure 4/5 accuracy-vs-cost curves — is a single knob tuned offline.
-This module turns it into a per-query decision made by a fitted cost model,
-the way a database optimizer chooses a physical plan:
+This module turns it into a per-query decision:
 
 * :class:`CostModel` — fitted online from *observed* stage timings: exact
-  evaluations per second, filter scan seconds per row, the store hit rate
-  (globally and per shard), and the remote round-trip overhead.
-  Calibrated from a few probe queries
+  evaluations per second, filter scan seconds per row and the store hit
+  rate.  Calibrated from a few probe queries
   (:meth:`PlannedRetriever.calibrate`) and updated from every served
-  batch.  All ``observe_*`` methods ingest values measured by the caller;
-  every ``choose_*``/``predict_*`` method is a pure function of the fitted
-  state — no clocks, no RNG (analysis rule RP012), so planning decisions
-  are deterministic given the model.
-* :class:`PlannedRetriever` — the ``"planned"`` index backend.  Per query
-  it (a) picks ``p`` to hit a target accuracy or cost budget, (b) chooses
-  the execution backend (flat, sharded, remote scatter/gather, full scan
-  for tiny residuals) from predicted cost, (c) sets ``n_jobs`` from pool
-  occupancy, and (d) shrinks the refine set adaptively: candidates are
-  refined in prefix-extending slices and refinement stops as soon as the
-  top-``k`` is stable across an extension (the incremental-refine early
-  exit), charging only the pairs actually evaluated.
+  batch.  :meth:`CostModel.observe_batch` ingests values measured by the
+  caller; every ``predict_*`` method is a pure function of the fitted
+  state — no clocks, no RNG (analysis rule RP012) — so ``explain()`` is
+  deterministic given the model.
+* :class:`PlannedRetriever` — the ``"planned"`` index backend.  With
+  ``p=None`` it (a) picks the refine ceiling ``p`` from the calibrated
+  rank profile to hit a target accuracy or cost budget and (b) shrinks
+  the refine set adaptively: candidates are refined in prefix-extending
+  slices and refinement stops as soon as the top-``k`` is stable across
+  an extension (the incremental-refine early exit), charging only the
+  pairs actually evaluated.  Everything runs on one flat
+  :class:`~repro.retrieval.engine.QueryEngine`.
 
 Exactness contract
 ------------------
-With an explicit ``p`` (or ``planner="off"``) the planned backend delegates
-to the shared :class:`~repro.retrieval.engine.QueryEngine` pipeline and is
-bit-identical to today's paths.  In adaptive mode, the chosen per-query
-``p'`` is *defined* as the refined prefix length at the deterministic
-stopping point; because a stable filter cut at ``p'`` is exactly the first
-``p'`` entries of the cut at the ceiling ``p_max`` (stable top-``p`` cuts
-are prefix-closed), the adaptive result — neighbors, tie order, candidate
-list and per-query accounting — is bit-identical *by construction* to the
-fixed-``p'`` run over the same store state.  Tests assert this for the
-flat, sharded and remote backends.
+With an explicit ``p`` the planned backend delegates to the flat
+:class:`~repro.retrieval.engine.QueryEngine` pipeline and is bit-identical
+to :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`.  With
+``p=None`` the chosen per-query ``p'`` is *defined* as the refined prefix
+length at the deterministic stopping point; because a stable filter cut at
+``p'`` is exactly the first ``p'`` entries of the cut at the ceiling
+``p_max`` (stable top-``p`` cuts are prefix-closed), the result —
+neighbors, tie order, candidate list and per-query accounting — is
+bit-identical *by construction* to the flat fixed-``p'`` run over the same
+store state.  The async serving layer has no early exit: a ``p=None``
+ticket runs the fixed pipeline at the ceiling
+:meth:`PlannedRetriever.choose_p` (``explain(k)["p"]``), so its bit-identity
+with ``query_many`` holds for explicit ``p``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from repro.exceptions import RetrievalError
 from repro.retrieval.engine import (
     QueryEngine,
     RetrievalResult,
-    ShardWork,
     build_retrieval_result,
     clamp_query_params,
     refine_candidates,
@@ -61,7 +61,6 @@ from repro.retrieval.evaluation import (
     filter_ranks,
 )
 from repro.retrieval.knn import knn_from_distances
-from repro.retrieval.sharded import ShardedRetriever
 
 __all__ = [
     "CostModel",
@@ -79,14 +78,6 @@ CALIBRATION_KMAX = 8
 #: candidates, clamped to the database size.
 DEFAULT_P_FACTOR = 8
 DEFAULT_P_MIN = 32
-
-#: Store hit rate above which the sharded execution path (store-aware
-#: per-shard refine grouping) is predicted to pay for its routing overhead.
-SHARDED_HIT_RATE = 0.25
-
-#: Minimum predicted refine misses per pool worker before parallel fan-out
-#: is predicted to beat the serial path (dispatch overhead amortization).
-MIN_MISSES_PER_WORKER = 8
 
 
 def refine_schedule(p_ceiling: int, k: int) -> List[int]:
@@ -155,12 +146,12 @@ def choose_operating_point(
 class CostModel:
     """Per-stage cost coefficients, fitted online from observed timings.
 
-    The split between measurement and decision is strict: ``observe_*``
-    methods ingest wall-clock values their *caller* measured (they never
-    read clocks themselves), and ``choose_*``/``predict_*`` methods are
-    pure functions of the fitted state — analysis rule RP012 enforces that
-    they call no clocks and no RNG, extending the RP004 bit-identity story
-    to planning: the same model state always produces the same plan.
+    The split between measurement and decision is strict:
+    :meth:`observe_batch` ingests wall-clock values its *caller* measured
+    (it never reads clocks itself), and ``predict_*`` methods are pure
+    functions of the fitted state — analysis rule RP012 enforces that they
+    call no clocks and no RNG, so the same model state always produces the
+    same ``explain()`` output.
 
     Fitted quantities (exponentially-weighted moving averages):
 
@@ -169,8 +160,7 @@ class CostModel:
     * ``embed_seconds`` — seconds to embed one query;
     * ``filter_row_seconds`` — filter scan seconds per database row;
     * ``store_hit_rate`` — fraction of routed refine pairs absorbed by the
-      distance store (and ``shard_hit_rates``, the same per shard);
-    * ``remote_round_trip_seconds`` — scatter/gather seconds per query.
+      distance store.
     """
 
     def __init__(self, alpha: float = 0.3) -> None:
@@ -182,8 +172,6 @@ class CostModel:
         self.embed_seconds = 0.0
         self.filter_row_seconds = 0.0
         self.store_hit_rate = 0.0
-        self.shard_hit_rates: Dict[int, float] = {}
-        self.remote_round_trip_seconds = 0.0
         #: Calibration record of the last :meth:`PlannedRetriever.calibrate`
         #: run (probe cost, fit seconds), ``None`` until calibrated.
         self.calibration: Optional[Dict[str, Any]] = None
@@ -232,26 +220,7 @@ class CostModel:
             self.store_hit_rate = self._blend(self.store_hit_rate, hit_rate)
         self.observations += 1
 
-    def observe_shards(self, signals: Sequence[Dict[str, Any]]) -> None:
-        """Fold per-shard routing signals (``shard_cost_signals()``) in."""
-        for signal in signals:
-            routed = int(signal.get("routed_pairs", 0))
-            if routed <= 0:
-                continue
-            hit_rate = 1.0 - int(signal.get("evaluations", 0)) / routed
-            sid = int(signal["shard"])
-            self.shard_hit_rates[sid] = self._blend(
-                self.shard_hit_rates.get(sid, 0.0), hit_rate
-            )
-
-    def observe_remote(self, seconds_per_query: float) -> None:
-        """Fold a measured remote scatter/gather cost (seconds/query) in."""
-        if seconds_per_query > 0.0:
-            self.remote_round_trip_seconds = self._blend(
-                self.remote_round_trip_seconds, seconds_per_query
-            )
-
-    # -- prediction and choice (pure over fitted state; RP012) -----------
+    # -- prediction (pure over fitted state; RP012) ----------------------
 
     def predict_filter_seconds(self, n_rows: int) -> float:
         """Predicted scan seconds for ``n_rows`` filter rows."""
@@ -270,47 +239,6 @@ class CostModel:
             + self.predict_refine_seconds(p)
         )
 
-    def choose_n_jobs(
-        self, n_queries: int, p: int, pool_workers: int
-    ) -> Optional[int]:
-        """Refine fan-out from pool occupancy and predicted store misses.
-
-        Returns ``None`` (the serial path) when the pool is absent, closed
-        or too small, or when the predicted miss volume would not amortize
-        dispatch — a dead pool therefore re-plans onto the serial path
-        automatically.
-        """
-        if pool_workers <= 1:
-            return None
-        misses = (1.0 - self.store_hit_rate) * p * n_queries
-        if misses < MIN_MISSES_PER_WORKER * pool_workers:
-            return None
-        return int(pool_workers)
-
-    def choose_backend(
-        self,
-        p: int,
-        n_rows: int,
-        sharded_available: bool,
-        remote_available: bool,
-    ) -> str:
-        """Pick the execution backend for one query from predicted cost.
-
-        Remote scatter/gather wins when its fitted round-trip cost
-        undercuts the predicted local query; otherwise the sharded
-        store-aware path wins once the store is warm enough
-        (hit rate ≥ ``SHARDED_HIT_RATE``) for per-shard grouping to pay;
-        otherwise flat.  Every choice is bit-identical — this only decides
-        *where* the same work runs.
-        """
-        if remote_available:
-            local = self.predict_query_seconds(p, n_rows)
-            if self.remote_round_trip_seconds <= local:
-                return "remote_sharded"
-        if sharded_available and self.store_hit_rate >= SHARDED_HIT_RATE:
-            return "sharded"
-        return "flat"
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly snapshot of the fitted state (health / explain)."""
         return {
@@ -319,38 +247,24 @@ class CostModel:
             "embed_seconds": self.embed_seconds,
             "filter_row_seconds": self.filter_row_seconds,
             "store_hit_rate": self.store_hit_rate,
-            "shard_hit_rates": {
-                int(k): float(v) for k, v in self.shard_hit_rates.items()
-            },
-            "remote_round_trip_seconds": self.remote_round_trip_seconds,
             "calibrated": self.calibration is not None,
         }
 
 
 class PlannedRetriever:
-    """The ``"planned"`` backend: cost-planned filter-and-refine retrieval.
+    """The ``"planned"`` backend: filter-and-refine at a planned ``p``.
 
-    Wraps the shared :class:`~repro.retrieval.engine.QueryEngine` pipeline
-    behind a :class:`CostModel`.  With an explicit ``p`` (or
-    ``mode="off"``) every call delegates to the flat engine and is
-    bit-identical to :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`;
-    with ``p=None`` in ``mode="adaptive"`` the planner picks the operating
-    point per query and refines incrementally (see the module docstring
-    for the exactness contract).
+    Wraps one flat :class:`~repro.retrieval.engine.QueryEngine` pipeline
+    behind a :class:`CostModel`.  With an explicit ``p`` every call
+    delegates to the engine and is bit-identical to
+    :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`; with
+    ``p=None`` the planner picks the refine ceiling per query and refines
+    incrementally (see the module docstring for the exactness contract).
 
     Parameters
     ----------
     distance, database, embedder, database_vectors:
         As for :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`.
-    n_shards:
-        When > 1, a sharded execution path is kept available and chosen by
-        predicted cost once the store is warm.
-    n_jobs:
-        Default refine fan-out for explicit-``p`` batches when the caller
-        does not pass one and the planner declines to choose.
-    mode:
-        ``"off"`` (explicit ``p`` required, pure pass-through) or
-        ``"adaptive"``.
     target_accuracy:
         Accuracy target for the calibrated ``p`` choice, in (0, 1].
     cost_budget:
@@ -364,23 +278,15 @@ class PlannedRetriever:
         database: Dataset,
         embedder: Any,
         database_vectors: Optional[np.ndarray] = None,
-        n_shards: int = 1,
-        n_jobs: Optional[int] = None,
-        mode: str = "off",
         target_accuracy: float = 0.95,
         cost_budget: Optional[int] = None,
     ) -> None:
-        if mode not in ("off", "adaptive"):
-            raise RetrievalError(
-                f"planner mode must be 'off' or 'adaptive', got {mode!r}"
-            )
         if not 0.0 < float(target_accuracy) <= 1.0:
             raise RetrievalError(
                 f"target_accuracy must be in (0, 1], got {target_accuracy}"
             )
         if cost_budget is not None and int(cost_budget) < 1:
             raise RetrievalError("cost_budget must be a positive evaluation count")
-        self.distance = distance
         self.database = database
         self.embedder = embedder
         if database_vectors is None:
@@ -389,22 +295,8 @@ class PlannedRetriever:
         self.engine = QueryEngine.filter_refine(
             distance, database, embedder, self.database_vectors
         )
-        self._sharded: Optional[ShardedRetriever] = None
-        if int(n_shards) > 1:
-            self._sharded = ShardedRetriever(
-                distance,
-                database,
-                embedder,
-                n_shards=int(n_shards),
-                database_vectors=self.database_vectors,
-                n_jobs=n_jobs,
-            )
-        #: Optional remote scatter/gather delegate (see :meth:`attach_remote`).
-        self.remote: Optional[Any] = None
-        self.mode = mode
         self.target_accuracy = float(target_accuracy)
         self.cost_budget = None if cost_budget is None else int(cost_budget)
-        self.n_jobs = n_jobs
         self.model = CostModel()
         #: Accuracy profile fitted by :meth:`calibrate` (``None`` = the
         #: deterministic uncalibrated fallback ceiling is used).
@@ -414,11 +306,6 @@ class PlannedRetriever:
         self._last_decision: Optional[Dict[str, Any]] = None
 
     # -- introspection ---------------------------------------------------
-
-    @property
-    def supports_adaptive_p(self) -> bool:
-        """Whether ``p=None`` is served adaptively (``mode="adaptive"``)."""
-        return self.mode == "adaptive"
 
     @property
     def dim(self) -> int:
@@ -432,19 +319,8 @@ class PlannedRetriever:
 
     @property
     def refine_distance_evaluations(self) -> int:
-        """Exact evaluations performed by the flat refine stage so far."""
+        """Exact evaluations performed by the refine stage so far."""
         return self.engine.refine.calls
-
-    def attach_remote(self, backend: Any) -> None:
-        """Make a remote scatter/gather backend available to the planner.
-
-        ``backend`` is a :class:`repro.remote.client.RemoteShardedBackend`
-        (or anything with the same ``query_many``/``health`` surface).  The
-        planner routes whole fixed-``p'`` queries to it when the fitted
-        round-trip cost undercuts the predicted local run, and re-plans
-        onto the local path as soon as its health reports degradation.
-        """
-        self.remote = backend
 
     # -- pure decision functions (RP012: no clocks, no RNG) --------------
 
@@ -452,8 +328,8 @@ class PlannedRetriever:
         """The planner's refine ceiling for one query at ``k``.
 
         Pure over the calibration profile and configured targets (see
-        :func:`choose_operating_point`); the async serving layer calls
-        this to resolve ``p=None`` submissions.
+        :func:`choose_operating_point`); the async serving layer serves
+        ``p=None`` submissions at this ceiling.
         """
         if k < 1:
             raise RetrievalError(f"k must be a positive integer, got {k}")
@@ -466,23 +342,7 @@ class PlannedRetriever:
             cost_budget=self.cost_budget,
         )
 
-    # -- measurement helpers (read live state; never used in choosers) ---
-
-    def _pool_workers(self) -> int:
-        """Width of the live worker pool (0 = absent or closed)."""
-        pool = getattr(self.distance, "pool", None)
-        if pool is None or getattr(pool, "closed", False):
-            return 0
-        return int(getattr(pool, "n_workers", 0))
-
-    def _remote_degraded(self) -> bool:
-        """Whether the attached remote backend currently reports degradation."""
-        if self.remote is None:
-            return True
-        try:
-            return bool(self.remote.health().get("degraded"))
-        except Exception:  # repro-lint: disable=RP003 -- supervision probe: a health check that raises IS the degraded signal; the planner re-plans locally instead of propagating
-            return True
+    # -- measurement -----------------------------------------------------
 
     def _observe_stats(self, stats: Optional[Dict[str, Any]]) -> None:
         """Fold an engine batch's ``plan.stats`` into the cost model."""
@@ -562,30 +422,18 @@ class PlannedRetriever:
     def explain(self, k: int, p: Optional[int] = None) -> Dict[str, Any]:
         """Describe the plan one query at ``k`` would execute, without running it.
 
-        Deterministic given the model state (the choosers it calls are
-        RP012-pure).  With an explicit ``p`` the plan is the fixed flat
-        pass-through; with ``p=None`` it is the adaptive plan the next
-        query would get.
+        Deterministic given the model state (RP012).  With an explicit
+        ``p`` the plan is the fixed pass-through; with ``p=None`` it is
+        the adaptive plan the next query would get.
         """
         n = self.engine.n_database
-        adaptive = p is None and self.mode == "adaptive"
-        ceiling = self.choose_p(k) if p is None else int(p)
+        adaptive = p is None
+        ceiling = self.choose_p(k) if adaptive else int(p)
         k_eff, p_eff = clamp_query_params(k, ceiling, n)
-        remote_usable = self.remote is not None and not self._remote_degraded()
-        backend = (
-            self.model.choose_backend(
-                p_eff, n, self._sharded is not None, remote_usable
-            )
-            if adaptive
-            else "flat"
-        )
         return {
-            "mode": self.mode,
             "adaptive": adaptive,
             "k": k_eff,
             "p": p_eff,
-            "backend": backend,
-            "n_jobs": self.model.choose_n_jobs(1, p_eff, self._pool_workers()),
             "schedule": refine_schedule(p_eff, k_eff) if adaptive else [p_eff],
             "predicted_seconds": self.model.predict_query_seconds(p_eff, n),
             "calibrated": self.rank_profile is not None,
@@ -595,7 +443,6 @@ class PlannedRetriever:
     def planner_health(self) -> Dict[str, Any]:
         """Planner status for ``EmbeddingIndex.health()["planner"]``."""
         return {
-            "mode": self.mode,
             "calibrated": self.rank_profile is not None,
             "target_accuracy": self.target_accuracy,
             "cost_budget": self.cost_budget,
@@ -611,7 +458,6 @@ class PlannedRetriever:
         """One query: fixed pass-through with explicit ``p``, planned without."""
         if p is not None:
             return self.engine.query(obj, k, p)
-        self._require_adaptive()
         return self._run_adaptive([obj], k)[0]
 
     def query_many(
@@ -622,111 +468,44 @@ class PlannedRetriever:
         n_jobs: Optional[int] = None,
     ) -> List[RetrievalResult]:
         """Batched :meth:`query`; explicit ``p`` stays bit-identical to the
-        flat pipeline, ``p=None`` runs the adaptive planner per query."""
+        flat pipeline (fanned out over ``n_jobs``), ``p=None`` plans each
+        query and refines its prefix slices serially."""
         objects = list(objects)
-        if p is not None:
-            if n_jobs is None:
-                n_jobs = self.model.choose_n_jobs(
-                    len(objects), p, self._pool_workers()
-                )
-                if n_jobs is None:
-                    n_jobs = self.n_jobs
-            results = self.engine.query_many(objects, k, p, n_jobs=n_jobs)
-            if results:
-                self._observe_stats(results[0].stats)
-            return results
-        self._require_adaptive()
-        return self._run_adaptive(objects, k)
-
-    def _require_adaptive(self) -> None:
-        if self.mode != "adaptive":
-            raise RetrievalError(
-                "backend 'planned' needs p (the number of filter candidates "
-                "to refine) unless the planner is adaptive; enable it with "
-                "IndexConfig(planner='adaptive') or pass p explicitly"
-            )
+        if p is None:
+            return self._run_adaptive(objects, k)
+        results = self.engine.query_many(objects, k, p, n_jobs=n_jobs)
+        if results:
+            self._observe_stats(results[0].stats)
+        return results
 
     # -- the adaptive path -----------------------------------------------
 
     def _run_adaptive(self, objects: List[Any], k: int) -> List[RetrievalResult]:
-        """Serve a batch with per-query planned ``p`` and incremental refine."""
-        n = self.engine.n_database
-        ceiling = self.choose_p(k)
-        k_eff, p_eff = clamp_query_params(k, ceiling, n)
+        """Serve a batch with the planned ceiling and incremental refine.
+
+        Embed and filter run once for the whole batch, cut at the ceiling;
+        each query's candidates are then refined in prefix slices.
+        """
+        k_eff, p_eff = clamp_query_params(
+            k, self.choose_p(k), self.engine.n_database
+        )
         if not objects:
             return []
-        remote_usable = self.remote is not None and not self._remote_degraded()
-        backend = self.model.choose_backend(
-            p_eff, n, self._sharded is not None, remote_usable
-        )
         decision = {
-            "backend": backend,
             "p": p_eff,
             "k": k_eff,
             "n_queries": len(objects),
             "calibrated": self.rank_profile is not None,
         }
         self._last_decision = decision
-        if backend == "remote_sharded":
-            return self._run_remote(objects, k, p_eff, decision)
-        return self._run_local(objects, k_eff, p_eff, backend, decision)
-
-    def _run_remote(
-        self,
-        objects: List[Any],
-        k: int,
-        p_eff: int,
-        decision: Dict[str, Any],
-    ) -> List[RetrievalResult]:
-        """Ship the whole batch to the remote delegate at the chosen ``p'``.
-
-        A fixed-``p'`` remote run — the scatter/gather client's own
-        bit-identity contract makes it equal to the local fixed-``p'``
-        paths; there is no incremental early exit over the wire.
-        """
-        started = time.perf_counter()
-        results = self.remote.query_many(objects, k, p_eff)
-        elapsed = time.perf_counter() - started
-        self.model.observe_remote(elapsed / len(objects))
-        signals = getattr(self.remote, "cost_signals", None)
-        if callable(signals):
-            self.model.observe_shards(signals())
-        self.planned_queries += len(objects)
-        for result in results:
-            result.stats = {
-                **decision,
-                "planned": True,
-                "planned_p": p_eff,
-                "early_exit": False,
-            }
-        return results
-
-    def _run_local(
-        self,
-        objects: List[Any],
-        k_eff: int,
-        p_eff: int,
-        backend: str,
-        decision: Dict[str, Any],
-    ) -> List[RetrievalResult]:
-        """The adaptive local path: cut the batch at the ceiling, refine in slices.
-
-        Embed and filter run once for the whole batch through the chosen
-        engine's stages; each query's candidates are then refined in
-        prefix slices.
-        """
-        engine = self._sharded.engine if backend == "sharded" else self.engine
-        plan = engine.prepare(engine.make_plan(objects, k_eff, p_eff))
-        split = engine.filter.split if backend == "sharded" else None
+        plan = self.engine.prepare(self.engine.make_plan(objects, k_eff, p_eff))
         refine_seconds = 0.0
         charged_total = 0
         refined_total = 0
         results: List[RetrievalResult] = []
         for obj, candidates in zip(plan.objects, plan.candidate_lists):
             t0 = time.perf_counter()
-            exact, charged, chosen, early = self._refine_slices(
-                obj, candidates, k_eff, engine.refine, split
-            )
+            exact, charged, chosen, early = self._refine_slices(obj, candidates, k_eff)
             refine_seconds += time.perf_counter() - t0
             charged_total += charged
             refined_total += chosen
@@ -753,17 +532,10 @@ class PlannedRetriever:
         plan.stats["refine_evaluations"] = charged_total
         plan.stats["candidates"] = refined_total
         self._observe_stats(plan.stats)
-        if backend == "sharded":
-            self.model.observe_shards(self._sharded.shard_cost_signals())
         return results
 
     def _refine_slices(
-        self,
-        obj: Any,
-        candidates: np.ndarray,
-        k_eff: int,
-        refine: Any,
-        split: Optional[Callable[[np.ndarray], List[ShardWork]]] = None,
+        self, obj: Any, candidates: np.ndarray, k_eff: int
     ) -> Tuple[np.ndarray, int, int, bool]:
         """Refine a filter-ordered candidate list in prefix-extending slices.
 
@@ -774,8 +546,6 @@ class PlannedRetriever:
         ``p'``.  Because stable cuts are prefix-closed and the refined
         pairs are exactly the fixed-``p'`` run's pairs, result and
         accounting are bit-identical to that run by construction.
-        ``split`` (a sharded filter stage's) routes each slice per shard,
-        so the per-shard hit-rate counters keep feeding the model.
         """
         p_ceiling = int(candidates.shape[0])
         exact = np.empty(p_ceiling, dtype=float)
@@ -786,7 +556,7 @@ class PlannedRetriever:
         for target in refine_schedule(p_ceiling, k_eff):
             block = candidates[done:target]
             exact[done:target], spent = refine_candidates(
-                refine, obj, block, None if split is None else split(block)
+                self.engine.refine, obj, block
             )
             charged += spent
             done = target

@@ -63,12 +63,8 @@ When the retriever is built on a
 through the context's shared store *per (query, shard) group*: each
 shard's store hits are resolved in the parent and only its missing pairs
 are evaluated, so a shard whose pairs are already cached receives zero
-exact evaluations.  :attr:`ShardedRetriever.shard_refine_evaluations`
-accumulates the evaluations routed to each shard — the hit-rate signal the
-ROADMAP's store-aware shard placement reads to route refine work where the
-pairs are already cached.  Per-query
-``refine_distance_computations`` reports the evaluations actually
-performed, ``n_jobs`` fan-out happens inside
+exact evaluations.  Per-query ``refine_distance_computations`` reports the
+evaluations actually performed, ``n_jobs`` fan-out happens inside
 :meth:`~repro.distances.context.DistanceContext.distances_to_many` (store
 and counters stay in the parent), and the refined values — and therefore
 the merged neighbors — remain bit-identical to the unsharded context path
@@ -218,38 +214,6 @@ class ShardedRetriever:
         performed (store hits are free).
         """
         return self.engine.refine.calls
-
-    @property
-    def shard_refine_evaluations(self) -> np.ndarray:
-        """Exact refine evaluations routed to each shard so far.
-
-        On the context-backed path store hits are free, so a shard whose
-        candidate pairs are already cached accumulates zero — the signal a
-        store-aware placement policy uses to route refine work to warm
-        shards.  On the plain-measure path this is the per-shard candidate
-        count.
-        """
-        return self.engine.refine.shard_evaluations.copy()
-
-    def shard_cost_signals(self) -> List[dict]:
-        """Per-shard routing/cost signals for the query planner.
-
-        One record per shard: ``shard`` (id), ``size`` (object count),
-        ``routed_pairs`` (candidate pairs routed to the shard so far) and
-        ``evaluations`` (how many of those the store did not absorb).  The
-        planner's :meth:`~repro.retrieval.planner.CostModel.observe_shards`
-        turns these into per-shard store hit rates.
-        """
-        refine = self.engine.refine
-        return [
-            {
-                "shard": sid,
-                "size": len(shard),
-                "routed_pairs": int(refine.shard_routed[sid]),
-                "evaluations": int(refine.shard_evaluations[sid]),
-            }
-            for sid, shard in enumerate(self.shards)
-        ]
 
     # ------------------------------------------------------------------ #
     # Filter + merge                                                     #

@@ -362,12 +362,10 @@ class TestDeadlines:
 
 
 class TestPlannerUnderFaults:
-    """The adaptive planner re-plans around dead infrastructure.
+    """The planned backend serves bit-identically around a dead pool.
 
-    Backend and fan-out choices come from live signals (pool health, the
-    remote's ``health()`` probe); when those die, the planner must fall
-    back onto the serial local path — bit-identically, since every choice
-    only moves *where* the same work runs.
+    With an explicit ``p`` it runs the flat pipeline, so pool failures
+    are recovered exactly as on every other backend.
     """
 
     def test_dead_pool_replans_onto_the_serial_path(
@@ -376,14 +374,9 @@ class TestPlannerUnderFaults:
         queries = list(chaos_split.queries)
         with _build(chaos_split, chaos_config) as index:
             index.enable_planner()
-            planner = index._backend
             pool = PersistentPool(2)
             _attach(index, pool)
-            # Live pool, enough predicted misses: the planner fans out.
-            assert planner.explain(3, p=24)["n_jobs"] == 2
             pool.close()
-            # Dead pool: the same decision function re-plans serial.
-            assert planner.explain(3, p=24)["n_jobs"] is None
             results = index.query_many(queries, k=3, p=12)
             _assert_same_results(results, reference["results"])
             assert index.distance_evaluations == reference["evaluations"]
@@ -400,36 +393,28 @@ class TestPlannerUnderFaults:
             assert index.distance_evaluations == reference["evaluations"]
             assert index.pool.restarts == 1
 
-    def test_dead_remote_replans_onto_the_local_path(
+    def test_planned_p_none_never_runs_on_a_faulty_pool(
         self, chaos_split, chaos_config
     ):
         queries = list(chaos_split.queries)
-
-        class DeadRemote:
-            """A shard service whose health probe is already unreachable."""
-
-            probes = 0
-
-            def query_many(self, objects, k, p):  # pragma: no cover
-                raise AssertionError("a dead remote must never be queried")
-
-            def health(self):
-                DeadRemote.probes += 1
-                raise ConnectionError("connection refused")
-
         with _build(chaos_split, chaos_config) as healthy:
             healthy.enable_planner()
             expected = healthy.query_many(queries, k=3)
+            expected_evaluations = healthy.distance_evaluations
         with _build(chaos_split, chaos_config) as index:
             index.enable_planner()
-            planner = index._backend
-            planner.attach_remote(DeadRemote())
-            # Fit a round-trip cost that would win if the remote were up.
-            planner.model.remote_round_trip_seconds = 1e-9
-            results = index.query_many(queries, k=3)
-            assert DeadRemote.probes >= 1
-            assert planner._last_decision["backend"] == "flat"
+            pool = PersistentPool(2, faults=FaultPlan(kill_after_chunks=1))
+            _attach(index, pool)
+            # p=None refines each query's slices serially whatever n_jobs
+            # is, so the pool's injected worker kill never fires.
+            results = index.query_many(queries, k=3, n_jobs=2)
             _assert_same_results(results, expected)
+            assert [r.stats["planned_p"] for r in results] == [
+                r.stats["planned_p"] for r in expected
+            ]
+            assert index.distance_evaluations == expected_evaluations
+            assert pool.started is False
+            assert pool.runs == 0 and pool.restarts == 0
 
 
 # --------------------------------------------------------------------- #

@@ -1,16 +1,17 @@
 """Tests for the cost-based query planner (``repro.retrieval.planner``).
 
 The planner's acceptance bar is the exactness contract: with an explicit
-``p`` (or ``mode="off"``) it is a bit-identical pass-through; in adaptive
-mode every served result must equal the fixed-``p`` run whose ``p`` is the
-planner's chosen ``p'`` — same neighbors, same distances, same honest
-per-query evaluation charge.  The suite asserts that contract on the
-flat, sharded and (stubbed) remote execution paths, plus the pure
-decision layer (schedules, operating points, the cost model) and the
+``p`` it is a bit-identical pass-through; with ``p=None`` every served
+result must equal the fixed-``p`` run whose ``p`` is the planner's chosen
+``p'`` — same neighbors, same distances, same honest per-query evaluation
+charge.  The suite asserts that contract on cold and warm stores, plus the
+pure decision layer (schedules, operating points, the cost model) and the
 sweep-parity property that anchors it to ``run_sweep``.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from repro import (
     FilterRefineRetriever,
     IndexConfig,
     L2Distance,
+    PersistentPool,
     RetrievalSplit,
-    ShardedRetriever,
     TrainingConfig,
     make_gaussian_clusters,
 )
@@ -38,11 +39,16 @@ from repro.retrieval import (
 K = 3
 
 
-def assert_bit_identical(lhs, rhs):
-    """Full-surface equality: answers, candidates, and the honest charge."""
+def assert_same_answers(lhs, rhs):
+    """Neighbors, distances and candidates equal (charges not compared)."""
     assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices)
     assert np.array_equal(lhs.neighbor_distances, rhs.neighbor_distances)
     assert np.array_equal(lhs.candidate_indices, rhs.candidate_indices)
+
+
+def assert_bit_identical(lhs, rhs):
+    """Full-surface equality: answers, candidates, and the honest charge."""
+    assert_same_answers(lhs, rhs)
     assert (
         lhs.refine_distance_computations == rhs.refine_distance_computations
     )
@@ -159,39 +165,25 @@ class TestCostModel:
         assert model.store_hit_rate == 0.5
         assert model.observations == 1
 
-    def test_choose_n_jobs_serial_without_a_pool(self):
+    def test_predictions_are_pure_over_the_fitted_state(self):
         model = CostModel()
-        assert model.choose_n_jobs(4, 100, 0) is None
-        assert model.choose_n_jobs(4, 100, 1) is None
-
-    def test_choose_n_jobs_needs_misses_to_amortize(self):
-        model = CostModel()
-        assert model.choose_n_jobs(1, 10, 4) is None  # 10 misses < 8 * 4
-        assert model.choose_n_jobs(4, 100, 4) == 4
-        model.store_hit_rate = 0.99  # warm store: nothing left to fan out
-        assert model.choose_n_jobs(4, 100, 4) is None
-
-    def test_choose_backend_prefers_warm_sharded(self):
-        model = CostModel()
-        assert model.choose_backend(10, 100, True, False) == "flat"
-        model.store_hit_rate = 0.5
-        assert (
-            model.choose_backend(10, 100, True, False) == "sharded"
+        model.observe_batch(
+            n_queries=2,
+            n_rows=200,
+            embed_seconds=2.0,
+            filter_seconds=4.0,
+            refine_seconds=3.0,
+            refine_evaluations=30,
+            refine_pairs=60,
         )
-        assert model.choose_backend(10, 100, False, False) == "flat"
-
-    def test_choose_backend_remote_only_when_round_trip_wins(self):
-        model = CostModel()
-        model.exact_eval_seconds = 1e-3
-        model.remote_round_trip_seconds = 10.0
-        assert (
-            model.choose_backend(10, 100, False, True) == "flat"
-        )
-        model.remote_round_trip_seconds = 1e-9
-        assert (
-            model.choose_backend(10, 100, False, True)
-            == "remote_sharded"
-        )
+        # 1 s per embed, 0.02 s per filter row, 0.1 s per exact evaluation
+        # and half of the routed pairs absorbed by the store.
+        assert model.predict_filter_seconds(100) == pytest.approx(2.0)
+        assert model.predict_refine_seconds(40) == pytest.approx(2.0)
+        assert model.predict_query_seconds(40, 100) == pytest.approx(5.0)
+        observations = model.observations
+        assert model.predict_query_seconds(40, 100) == pytest.approx(5.0)
+        assert model.observations == observations
 
     def test_to_dict_snapshot(self):
         snapshot = CostModel().to_dict()
@@ -201,8 +193,6 @@ class TestCostModel:
             "embed_seconds",
             "filter_row_seconds",
             "store_hit_rate",
-            "shard_hit_rates",
-            "remote_round_trip_seconds",
             "calibrated",
         }
         assert snapshot["calibrated"] is False
@@ -232,22 +222,24 @@ class TestFixedPassThrough:
         ):
             assert_bit_identical(lhs, rhs)
 
-    def test_off_mode_requires_p(self, l2, gaussian_split, trained_qs):
-        planned = PlannedRetriever(l2, gaussian_split.database, trained_qs.model)
-        with pytest.raises(RetrievalError, match="adaptive"):
-            planned.query(list(gaussian_split.queries)[0], K)
+    def test_constructors_take_no_backend_fan_out_or_mode_knob(self):
+        assert list(inspect.signature(PlannedRetriever).parameters) == [
+            "distance",
+            "database",
+            "embedder",
+            "database_vectors",
+            "target_accuracy",
+            "cost_budget",
+        ]
+        enable = inspect.signature(EmbeddingIndex.enable_planner)
+        assert list(enable.parameters) == ["self", "target_accuracy", "cost_budget"]
 
     def test_constructor_validation(self, l2, gaussian_split, trained_qs):
-        with pytest.raises(RetrievalError):
-            PlannedRetriever(
-                l2, gaussian_split.database, trained_qs.model, mode="clever"
-            )
         with pytest.raises(RetrievalError):
             PlannedRetriever(
                 l2,
                 gaussian_split.database,
                 trained_qs.model,
-                mode="adaptive",
                 target_accuracy=1.5,
             )
         with pytest.raises(RetrievalError):
@@ -255,13 +247,12 @@ class TestFixedPassThrough:
                 l2,
                 gaussian_split.database,
                 trained_qs.model,
-                mode="adaptive",
                 cost_budget=0,
             )
 
 
 # --------------------------------------------------------------------- #
-# Adaptive mode: flat path                                              #
+# Planned p                                                             #
 # --------------------------------------------------------------------- #
 
 
@@ -271,7 +262,7 @@ class TestAdaptiveFlat:
     ):
         queries = list(gaussian_split.queries)[:8]
         planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
+            l2, gaussian_split.database, trained_qs.model
         )
         results = planner.query_many(queries, K)
         assert len(results) == len(queries)
@@ -287,7 +278,7 @@ class TestAdaptiveFlat:
         self, l2, gaussian_split, trained_qs
     ):
         planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
+            l2, gaussian_split.database, trained_qs.model
         )
         assert planner.choose_p(K) == 32  # max(8k, 32), n = 150
         results = planner.query_many(list(gaussian_split.queries)[:5], K)
@@ -298,7 +289,7 @@ class TestAdaptiveFlat:
     ):
         queries = list(gaussian_split.queries)
         planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
+            l2, gaussian_split.database, trained_qs.model
         )
         results = planner.query_many(queries, K)
         exits = [r for r in results if r.stats["early_exit"]]
@@ -318,7 +309,6 @@ class TestAdaptiveFlat:
             l2,
             gaussian_split.database,
             trained_qs.model,
-            mode="adaptive",
             cost_budget=budget,
         )
         cap = budget - planner.embedding_cost
@@ -334,7 +324,6 @@ class TestAdaptiveFlat:
             l2,
             gaussian_split.database,
             trained_qs.model,
-            mode="adaptive",
             target_accuracy=0.9,
         )
         record = planner.calibrate(queries[:4], k_max=5)
@@ -351,7 +340,7 @@ class TestAdaptiveFlat:
         self, l2, gaussian_split, trained_qs
     ):
         planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
+            l2, gaussian_split.database, trained_qs.model
         )
         first = planner.explain(K)
         second = planner.explain(K)
@@ -359,31 +348,69 @@ class TestAdaptiveFlat:
         assert first["adaptive"] is True
         assert first["p"] == planner.choose_p(K)
         assert first["schedule"] == refine_schedule(first["p"], K)
-        assert first["backend"] == "flat"
         fixed = planner.explain(K, p=9)
         assert fixed["adaptive"] is False
         assert fixed["schedule"] == [9]
         result = planner.query(list(gaussian_split.queries)[0], K)
         assert result.stats["p"] == first["p"]
 
+    def test_surfaces_report_p_and_no_backend_choice(
+        self, l2, gaussian_split, trained_qs
+    ):
+        planner = PlannedRetriever(
+            l2, gaussian_split.database, trained_qs.model
+        )
+        result = planner.query(list(gaussian_split.queries)[0], K)
+        assert set(result.stats) == {
+            "p",
+            "k",
+            "n_queries",
+            "calibrated",
+            "planned",
+            "planned_p",
+            "early_exit",
+            "refine_evaluations",
+        }
+        plan = planner.explain(K)
+        assert set(plan) == {
+            "adaptive",
+            "k",
+            "p",
+            "schedule",
+            "predicted_seconds",
+            "calibrated",
+            "model",
+        }
+        assert plan["predicted_seconds"] == planner.model.predict_query_seconds(
+            plan["p"], len(gaussian_split.database)
+        )
+        assert set(planner.planner_health()) == {
+            "calibrated",
+            "target_accuracy",
+            "cost_budget",
+            "planned_queries",
+            "early_exits",
+            "last_decision",
+            "model",
+        }
+
     def test_planner_health_reports_counters(
         self, l2, gaussian_split, trained_qs
     ):
         planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
+            l2, gaussian_split.database, trained_qs.model
         )
         health = planner.planner_health()
-        assert health["mode"] == "adaptive"
         assert health["calibrated"] is False
         assert health["planned_queries"] == 0
         planner.query_many(list(gaussian_split.queries)[:3], K)
         health = planner.planner_health()
         assert health["planned_queries"] == 3
-        assert health["last_decision"]["backend"] == "flat"
+        assert health["last_decision"]["n_queries"] == 3
 
 
 # --------------------------------------------------------------------- #
-# Adaptive mode: warm store and the sharded path                        #
+# Planned p over a warm store                                           #
 # --------------------------------------------------------------------- #
 
 
@@ -403,7 +430,7 @@ class TestAdaptiveWarmAndSharded:
         context = make_context(l2, gaussian_split)
         context.register(queries)
         planner = PlannedRetriever(
-            context, gaussian_split.database, trained_qs.model, mode="adaptive"
+            context, gaussian_split.database, trained_qs.model
         )
         cold = planner.query_many(queries, K)
         warm = planner.query_many(queries, K)
@@ -413,110 +440,6 @@ class TestAdaptiveWarmAndSharded:
             assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
             assert np.array_equal(a.neighbor_distances, b.neighbor_distances)
         assert planner.model.store_hit_rate > 0.5
-
-    def test_sharded_choice_is_bit_identical_to_sharded_fixed_run(
-        self, l2, gaussian_split, trained_qs
-    ):
-        queries = list(gaussian_split.queries)[:6]
-        planner = PlannedRetriever(
-            make_context(l2, gaussian_split),
-            gaussian_split.database,
-            trained_qs.model,
-            n_shards=3,
-            mode="adaptive",
-        )
-        # Pretend the store is warm so the model routes to the sharded
-        # path; the choice may only move *where* the work runs.
-        planner.model.store_hit_rate = 0.5
-        results = planner.query_many(queries, K)
-        assert planner._last_decision["backend"] == "sharded"
-        reference = ShardedRetriever(
-            make_context(l2, gaussian_split),
-            gaussian_split.database,
-            trained_qs.model,
-            n_shards=3,
-        )
-        for query, result in zip(queries, results):
-            fixed = reference.query(query, K, p=result.stats["planned_p"])
-            assert_bit_identical(result, fixed)
-        assert planner.model.shard_hit_rates  # per-shard signals observed
-
-    def test_remote_choice_ships_the_batch_and_stays_bit_identical(
-        self, l2, gaussian_split, trained_qs
-    ):
-        queries = list(gaussian_split.queries)[:5]
-
-        class StubRemote:
-            """Remote delegate surface backed by a local sharded run."""
-
-            def __init__(self, retriever):
-                self.retriever = retriever
-                self.batches = 0
-
-            def query_many(self, objects, k, p):
-                self.batches += 1
-                return self.retriever.query_many(objects, k, p)
-
-            def health(self):
-                return {"degraded": False}
-
-            def cost_signals(self):
-                return self.retriever.shard_cost_signals()
-
-        planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
-        )
-        remote = StubRemote(
-            ShardedRetriever(
-                make_context(l2, gaussian_split),
-                gaussian_split.database,
-                trained_qs.model,
-                n_shards=2,
-            )
-        )
-        planner.attach_remote(remote)
-        # Make the fitted round-trip beat the predicted local cost.
-        planner.model.exact_eval_seconds = 1.0
-        planner.model.remote_round_trip_seconds = 1e-9
-        results = planner.query_many(queries, K)
-        assert remote.batches == 1
-        assert planner._last_decision["backend"] == "remote_sharded"
-        reference = ShardedRetriever(
-            make_context(l2, gaussian_split),
-            gaussian_split.database,
-            trained_qs.model,
-            n_shards=2,
-        )
-        for query, result in zip(queries, results):
-            assert result.stats["early_exit"] is False
-            fixed = reference.query(query, K, p=result.stats["planned_p"])
-            assert_bit_identical(result, fixed)
-        assert planner.model.shard_hit_rates  # cost_signals were folded in
-
-    def test_degraded_remote_replans_onto_the_local_path(
-        self, l2, gaussian_split, trained_qs
-    ):
-        queries = list(gaussian_split.queries)[:4]
-
-        class DeadRemote:
-            def query_many(self, objects, k, p):  # pragma: no cover
-                raise AssertionError("a degraded remote must not be queried")
-
-            def health(self):
-                raise ConnectionError("shard service unreachable")
-
-        planner = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
-        )
-        planner.attach_remote(DeadRemote())
-        planner.model.remote_round_trip_seconds = 1e-9
-        results = planner.query_many(queries, K)
-        assert planner._last_decision["backend"] == "flat"
-        local = PlannedRetriever(
-            l2, gaussian_split.database, trained_qs.model, mode="adaptive"
-        )
-        for lhs, rhs in zip(results, local.query_many(queries, K)):
-            assert_bit_identical(lhs, rhs)
 
 
 # --------------------------------------------------------------------- #
@@ -549,7 +472,6 @@ class TestSweepParity:
             make_context(l2, gaussian_split),
             gaussian_split.database,
             trained_qs.model,
-            mode="adaptive",
         )
         planned = planner.query_many(queries, K)
         chosen = sorted({r.stats["planned_p"] for r in planned})
@@ -587,20 +509,22 @@ def planner_split():
     return RetrievalSplit.from_dataset(dataset, n_queries=10, seed=32)
 
 
+PLANNER_TRAINING = TrainingConfig(
+    n_candidates=20,
+    n_training_objects=25,
+    n_triples=300,
+    n_rounds=6,
+    classifiers_per_round=12,
+    intervals_per_candidate=4,
+    kmax=5,
+    seed=3,
+)
+
+
 @pytest.fixture(scope="module")
 def planned_index(planner_split):
     config = IndexConfig(
-        training=TrainingConfig(
-            n_candidates=20,
-            n_training_objects=25,
-            n_triples=300,
-            n_rounds=6,
-            classifiers_per_round=12,
-            intervals_per_candidate=4,
-            kmax=5,
-            seed=3,
-        ),
-        planner="adaptive",
+        training=PLANNER_TRAINING,
         planner_target_accuracy=0.9,
         backend="planned",
     )
@@ -618,30 +542,35 @@ class TestIndexFacade:
     def test_config_roundtrip_preserves_planner_fields(self):
         config = IndexConfig(
             training=TrainingConfig(),
-            planner="adaptive",
             planner_target_accuracy=0.85,
             planner_cost_budget=64,
         )
-        restored = IndexConfig.from_dict(config.to_dict())
-        assert restored.planner == "adaptive"
-        assert restored.planner_target_accuracy == 0.85
-        assert restored.planner_cost_budget == 64
+        # A payload that still carries the retired ``planner`` mode opens.
+        with_mode = {**config.to_dict(), "planner": "adaptive"}
+        for payload in (config.to_dict(), with_mode):
+            restored = IndexConfig.from_dict(payload)
+            assert restored.planner_target_accuracy == 0.85
+            assert restored.planner_cost_budget == 64
 
     def test_config_rejects_bad_planner_fields(self):
-        with pytest.raises(Exception):
-            IndexConfig(training=TrainingConfig(), planner="sometimes")
         with pytest.raises(Exception):
             IndexConfig(training=TrainingConfig(), planner_target_accuracy=0.0)
         with pytest.raises(Exception):
             IndexConfig(training=TrainingConfig(), planner_cost_budget=0)
 
+    def test_config_has_no_planner_mode(self):
+        with pytest.raises(TypeError):
+            IndexConfig(training=TrainingConfig(), planner="adaptive")
+        assert "planner" not in IndexConfig(training=TrainingConfig()).to_dict()
+
     def test_pre_planner_payload_defaults_off(self):
         config = IndexConfig(training=TrainingConfig())
         payload = config.to_dict()
-        for key in ("planner", "planner_target_accuracy", "planner_cost_budget"):
+        for key in ("planner_target_accuracy", "planner_cost_budget"):
             payload.pop(key)
         restored = IndexConfig.from_dict(payload)
-        assert restored.planner == "off"
+        assert restored.planner_target_accuracy == 0.95
+        assert restored.planner_cost_budget is None
 
     def test_adaptive_serving_matches_fixed_p_neighbors(
         self, planned_index, planner_split
@@ -665,7 +594,6 @@ class TestIndexFacade:
         assert plan["adaptive"] is True
         assert plan["p"] >= K
         health = planned_index.health()
-        assert health["planner"]["mode"] == "adaptive"
         assert health["planner"]["planned_queries"] > 0
 
     def test_submit_resolves_p_through_the_planner(
@@ -682,24 +610,59 @@ class TestIndexFacade:
         )
 
     def test_enable_planner_switches_backend(self, planner_split):
-        config = IndexConfig(
-            training=TrainingConfig(
-                n_candidates=20,
-                n_training_objects=25,
-                n_triples=300,
-                n_rounds=6,
-                classifiers_per_round=12,
-                intervals_per_candidate=4,
-                kmax=5,
-                seed=3,
-            ),
-        )
+        config = IndexConfig(training=PLANNER_TRAINING)
         with EmbeddingIndex.build(
             L2Distance(), planner_split.database, config
         ) as index:
             assert index.backend != "planned"
             index.enable_planner(target_accuracy=0.9)
             assert index.backend == "planned"
-            assert index.config.planner == "adaptive"
             result = index.query(list(planner_split.queries)[0], k=K)
             assert result.stats["planned"] is True
+
+    def test_explicit_p_batches_take_the_config_n_jobs(self, planner_split):
+        queries = list(planner_split.queries)
+        config = IndexConfig(
+            training=PLANNER_TRAINING, backend="planned", n_jobs=2
+        )
+        with EmbeddingIndex.build(
+            L2Distance(), planner_split.database, config
+        ) as index:
+            flat = FilterRefineRetriever(
+                L2Distance(),
+                planner_split.database,
+                index.embedder,
+                index.database_vectors,
+            )
+            runs = index.pool.runs
+            results = index.query_many(queries, k=K, p=12)
+            # No n_jobs from the caller: IndexConfig.n_jobs fans the refine
+            # out on the index's own pool, with the flat pipeline's answers.
+            assert index.pool.runs > runs
+            for lhs, rhs in zip(results, flat.query_many(queries, K, p=12)):
+                assert_same_answers(lhs, rhs)
+
+    def test_borrowed_pool_refines_explicit_p_only_when_asked(
+        self, planner_split
+    ):
+        queries = list(planner_split.queries)
+        config = IndexConfig(training=PLANNER_TRAINING, backend="planned")
+        with PersistentPool(2) as pool, EmbeddingIndex.build(
+            L2Distance(), planner_split.database, config, pool=pool
+        ) as index:
+            flat = FilterRefineRetriever(
+                L2Distance(),
+                planner_split.database,
+                index.embedder,
+                index.database_vectors,
+            )
+            expected = flat.query_many(queries, K, p=12)
+            runs = pool.runs
+            serial = index.query_many(queries[:5], k=K, p=12)
+            # Without IndexConfig.n_jobs an explicit-p batch runs serially,
+            # as on every backend, until the caller passes n_jobs.
+            assert pool.runs == runs
+            fanned = index.query_many(queries[5:], k=K, p=12, n_jobs=2)
+            assert pool.runs > runs
+            for lhs, rhs in zip(serial + fanned, expected):
+                assert_same_answers(lhs, rhs)

@@ -106,34 +106,43 @@ class TestStoreAwareShardedRefine:
         return context, retriever
 
     def test_shard_evaluations_accumulate(self, gaussian_split, trained_qs):
-        _context, retriever = self._context_retriever(gaussian_split, trained_qs)
-        results = retriever.query_many(list(gaussian_split.queries)[:5], k=3, p=12)
-        per_shard = retriever.shard_refine_evaluations
-        assert per_shard.shape == (retriever.n_shards,)
-        assert per_shard.sum() == sum(
-            r.refine_distance_computations for r in results
-        )
+        context, retriever = self._context_retriever(gaussian_split, trained_qs)
+        queries = list(gaussian_split.queries)
+        # The second batch repeats queries 3 and 4: their pairs are in the
+        # store, so it charges only the three new queries' candidates.
+        charged = []
+        for batch in (queries[:5], queries[3:8]):
+            context_before = context.distance_evaluations
+            refine_before = retriever.refine_distance_evaluations
+            results = retriever.query_many(batch, k=3, p=12)
+            spent = sum(r.refine_distance_computations for r in results)
+            assert context.distance_evaluations - context_before == spent
+            assert retriever.refine_distance_evaluations - refine_before == spent
+            charged.append([r.refine_distance_computations for r in results])
+        assert charged == [[12] * 5, [0, 0, 12, 12, 12]]
+        assert retriever.refine_distance_evaluations == 5 * 12 + 3 * 12
 
     def test_fully_cached_shard_gets_zero_evaluations(self, gaussian_split, trained_qs):
         context, retriever = self._context_retriever(gaussian_split, trained_qs)
         queries = list(gaussian_split.queries)[:4]
         # Warm every (query, shard-0 member) pair: shard 0's refine work is
-        # then fully cached, so the store-aware split must route zero exact
-        # evaluations to it.
+        # then fully cached, so the store-aware split must evaluate exactly
+        # the candidates outside shard 0.
         shard0 = retriever.shards[0]
         warm_targets = np.arange(shard0.offset, shard0.offset + len(shard0))
         for query in queries:
             context.distances_to(query, warm_targets)
-        baseline = retriever.shard_refine_evaluations
-        assert baseline.sum() == 0
+        before = context.distance_evaluations
         results = retriever.query_many(queries, k=3, p=15)
-        per_shard = retriever.shard_refine_evaluations
-        assert per_shard[0] == 0
+        outside = sum(
+            int(np.count_nonzero(r.candidate_indices >= shard0.offset + len(shard0)))
+            for r in results
+        )
         # The other shards did real work (the filter keeps 15 candidates
         # spread across shards for these queries).
-        assert per_shard.sum() == sum(
-            r.refine_distance_computations for r in results
-        )
+        assert outside > 0
+        assert context.distance_evaluations - before == outside
+        assert sum(r.refine_distance_computations for r in results) == outside
         # And results equal the unsharded pipeline exactly.
         flat = FilterRefineRetriever(
             L2Distance(), gaussian_split.database, trained_qs.model

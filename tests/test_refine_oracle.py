@@ -12,10 +12,11 @@ they rank and what they cost.  This module runs the full cross product of
   ``run_sweep``;
 * call: ``query`` per object, ``query_many`` and ``query_many(n_jobs=2)``;
 
-plus the adaptive planner (flat and sharded slices) against a fixed-``p'``
-run, and the ``EmbeddingIndex`` serving entry points (``query``,
+plus the adaptive planner against fixed-``p'`` flat and sharded runs,
+and the ``EmbeddingIndex`` serving entry points (``query``,
 ``query_many``, ``submit``, ``stream``, ``aquery_many``) on a freshly
-built index and on one reopened from its saved artifact.  It asserts that
+built index, on one reopened from its saved artifact and on a planned
+index at ``p=None``.  It asserts that
 
 * at ``p = n`` neighbours, distances and tie order equal a brute-force scan
   over the raw measure;
@@ -221,28 +222,31 @@ def test_retrievers_agree_with_brute_force_and_flat(data, measure, retriever, ca
 )
 @pytest.mark.parametrize("call", ("query", "query_many"))
 def test_adaptive_planner_equals_fixed_p(data, measure, backend, call):
-    """The planner's chosen ``p'`` equals a fixed-``p'`` flat run, cost included."""
+    """The planner's chosen ``p'`` equals a fixed-``p'`` run, cost included.
+
+    ``backend`` names the fixed-``p'`` reference: the flat
+    ``FilterRefineRetriever``, or, over a cold or warm store, the
+    store-aware 3-shard ``ShardedRetriever``.
+    """
     database, queries, embedding, vectors = data
     distance, counter = _measure(measure, database, queries)
-    planner = PlannedRetriever(
-        distance, database, embedding, vectors, n_shards=N_SHARDS, mode="adaptive"
-    )
+    planner = PlannedRetriever(distance, database, embedding, vectors)
     before = counter() if counter is not None else 0
     if call == "query":
-        results = []
-        for obj in queries:
-            planner.model.store_hit_rate = 1.0 if backend == "sharded" else 0.0
-            results.append(planner.query(obj, K))
+        results = [planner.query(obj, K) for obj in queries]
     else:
-        planner.model.store_hit_rate = 1.0 if backend == "sharded" else 0.0
         results = planner.query_many(queries, K)
     spent = counter() - before if counter is not None else None
-    assert all(r.stats["backend"] == backend for r in results)
 
     reference, _ = _measure(measure, database, queries)
-    flat = FilterRefineRetriever(reference, database, embedding, vectors)
+    if backend == "flat":
+        fixed: Any = FilterRefineRetriever(reference, database, embedding, vectors)
+    else:
+        fixed = ShardedRetriever(
+            reference, database, embedding, n_shards=N_SHARDS, database_vectors=vectors
+        )
     expected = _rows(
-        [flat.query(obj, K, r.stats["planned_p"]) for obj, r in zip(queries, results)]
+        [fixed.query(obj, K, r.stats["planned_p"]) for obj, r in zip(queries, results)]
     )
     rows = _rows(results)
     _assert_rows_equal(rows, expected, candidates=True)
@@ -270,7 +274,7 @@ INDEX_CONFIG = IndexConfig(
 ENTRY_POINTS = ("query", "query_many", "submit", "stream", "aquery_many")
 
 
-def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: int) -> List[Row]:
+def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: Optional[int]):
     if entry == "query":
         results = [index.query(obj, K, p) for obj in queries]
     elif entry == "query_many":
@@ -281,7 +285,7 @@ def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: int) -> Lis
         results = [r for _, r in index.stream(queries, K, p, order="submission")]
     else:
         results = asyncio.run(index.aquery_many(queries, K, p))
-    return _rows(results)
+    return results
 
 
 @pytest.fixture(scope="module", params=("raw", "counting"))
@@ -324,7 +328,7 @@ def test_index_entry_points_agree(data, saved_index, reopen):
                 expected = _rows(flat.query_many(queries, K, p))
                 before = index.distance_evaluations
                 caller_before = counting.calls if counting is not None else 0
-                rows = _serve(index, entry, queries, p)
+                rows = _rows(_serve(index, entry, queries, p))
                 evaluations[entry] = index.distance_evaluations - before
                 if counting is not None:
                     assert counting.calls - caller_before == evaluations[entry], entry
@@ -334,3 +338,32 @@ def test_index_entry_points_agree(data, saved_index, reopen):
             costs[entry] = [row.cost for row in rows]
         assert all(c == costs["query_many"] for c in costs.values()), costs
         assert len(set(evaluations.values())) == 1, evaluations
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_planned_index_entry_points_at_p_none(data, entry):
+    """``p=None`` on a planned index: blocking calls plan, async ones do not.
+
+    ``query``/``query_many`` refine with the early exit and equal the flat
+    run at each result's ``planned_p``; ``submit``/``stream``/
+    ``aquery_many`` have no early exit and equal the flat run at the
+    planner's ceiling ``explain(k)["p"]``.  Candidate lists and per-query
+    costs are compared too.
+    """
+    database, queries, _, _ = data
+    with EmbeddingIndex.build(L2Distance(), database, INDEX_CONFIG) as index:
+        index.enable_planner(cost_budget=index.embedding_cost + 2 * P)
+        ceiling = index.explain(K)["p"]
+        results = _serve(index, entry, queries, None)
+    assert ceiling == 2 * P
+    if entry in ("query", "query_many"):
+        ps = [r.stats["planned_p"] for r in results]
+    else:
+        ps = [ceiling] * len(queries)
+    # A fresh flat index over the same config: equal embedder, and equal
+    # store state per query, so per-query costs are comparable too.
+    with EmbeddingIndex.build(L2Distance(), database, INDEX_CONFIG) as flat:
+        expected = _rows([flat.query(obj, K, p) for obj, p in zip(queries, ps)])
+    rows = _rows(results)
+    _assert_rows_equal(rows, expected, candidates=True)
+    assert [row.cost for row in rows] == [row.cost for row in expected]

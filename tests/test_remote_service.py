@@ -215,39 +215,6 @@ def test_killed_shard_degrades_to_local_fallback_then_revives(world):
         remote.close()
 
 
-def test_remote_cost_signals_match_the_local_backend(world):
-    """Streamed and fallback refine charges feed the per-shard counters.
-
-    The planner reads ``routed_pairs`` vs ``evaluations`` per shard as a
-    store hit rate; the remote backend must report the same counts as the
-    in-process sharded backend for the same batches, healthy or with a
-    shard down.
-    """
-    _, split = world
-    queries = list(split.queries)
-    local = open_local(world)
-    with LocalCluster(world[0], split.database, n_shards=N_SHARDS) as cluster:
-        remote, backend = open_remote(world, cluster)
-        for batch in (queries[:5], queries[:5]):
-            local.query_many(batch, k=K, p=P)
-            remote.query_many(batch, k=K, p=P)
-        cluster.kill(1)
-        local.query_many(queries[5:], k=K, p=P)
-        remote.query_many(queries[5:], k=K, p=P)
-        assert backend.health()["fallbacks"] > 0
-
-        def counts(signals):
-            return [
-                (s["shard"], s["routed_pairs"], s["evaluations"]) for s in signals
-            ]
-
-        signals = backend.cost_signals()
-        assert counts(signals) == counts(local._backend.shard_cost_signals())
-        assert all(s["routed_pairs"] > s["evaluations"] > 0 for s in signals)
-        local.close()
-        remote.close()
-
-
 def test_remote_refine_evaluations_reach_the_index_counter(world):
     """Pairs a healthy shard server evaluates are charged in the parent.
 
@@ -271,53 +238,40 @@ def test_remote_refine_evaluations_reach_the_index_counter(world):
         remote.close()
 
 
-def test_planner_routes_remote_then_replans_local_when_a_shard_dies(world):
-    """The adaptive planner over real sockets keeps the bit-identity bar.
+def test_streamed_and_fallback_charges_match_the_local_backend(world):
+    """Both kinds of remote refine charge move the counters as locally.
 
-    With a fitted round-trip cost that undercuts the local prediction the
-    planner ships whole fixed-``p'`` batches to the shard service; those
-    results must equal the local run at the same ``p'``.  Once a shard is
-    killed (and a probe marks the backend degraded), the next batch must
-    re-plan onto the local path — same answers, no remote traffic.
+    Over a cold batch, its warm repeat and a batch with a shard down (its
+    refine work then runs in the parent), the index's evaluation counter
+    and the refine-stage counter must move batch by batch exactly as the
+    in-process sharded backend's do, the latter by the refine charges the
+    results report.
     """
-    from repro.retrieval import PlannedRetriever
-
     _, split = world
     queries = list(split.queries)
     local = open_local(world)
     with LocalCluster(world[0], split.database, n_shards=N_SHARDS) as cluster:
         remote, backend = open_remote(world, cluster)
-        remote.enable_planner()
-        planner = remote._backend
-        assert isinstance(planner, PlannedRetriever)
-        planner.attach_remote(backend)
-        # Fit a round-trip cost the predicted local run cannot beat.
-        planner.model.exact_eval_seconds = 1.0
-        planner.model.remote_round_trip_seconds = 1e-9
-        planned = remote.query_many(queries, k=K)
-        assert planner._last_decision["backend"] == "remote_sharded"
-        chosen = {result.stats["planned_p"] for result in planned}
-        assert len(chosen) == 1  # one fixed p' per shipped batch
-        p_prime = chosen.pop()
-        assert_bit_identical(
-            local.query_many(queries, k=K, p=p_prime), planned
-        )
-        # Kill a shard: the client's own fallback marks the connection
-        # dead, the planner's health probe sees it, and the batch after
-        # that runs locally.
-        cluster.kill(0)
-        backend.query(queries[0], K, P)
-        assert backend.health()["degraded"] is True
-        replanned = remote.query_many(queries, k=K)
-        assert planner._last_decision["backend"] != "remote_sharded"
-        for query, result in zip(queries, replanned):
-            check = local.query(query, k=K, p=result.stats["planned_p"])
-            np.testing.assert_array_equal(
-                result.neighbor_indices, check.neighbor_indices
-            )
-            np.testing.assert_array_equal(
-                result.neighbor_distances, check.neighbor_distances
-            )
+        for step, batch in enumerate((queries[:5], queries[:5], queries[5:])):
+            if step == 2:
+                cluster.kill(1)
+            moved = []
+            for index in (local, remote):
+                refine = index._backend.engine.refine
+                evaluations, calls = index.distance_evaluations, refine.calls
+                results = index.query_many(batch, k=K, p=P)
+                moved.append(
+                    (index.distance_evaluations - evaluations, refine.calls - calls)
+                )
+                assert moved[-1][1] == sum(
+                    r.refine_distance_computations for r in results
+                )
+            assert moved[1] == moved[0], step
+            if step == 1:
+                assert moved[0] == (0, 0)  # the warm repeat is free
+            else:
+                assert moved[0][1] > 0
+        assert backend.health()["fallbacks"] > 0
         local.close()
         remote.close()
 
