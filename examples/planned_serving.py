@@ -1,19 +1,21 @@
 #!/usr/bin/env python
-"""Cost-planned serving: per-query ``p`` chosen by a fitted cost model.
+"""Planned serving: per-query ``p`` chosen from a calibrated rank profile.
 
 The filter-and-refine operating point ``p`` is normally a global knob
 tuned offline.  The ``"planned"`` backend turns it into a per-query
-decision: a cost model calibrated from a few probe queries picks ``p``
-for a target accuracy (or a hard per-query evaluation budget) and
-refines incrementally — stopping as soon as the top-``k`` is stable.
+decision: the filter-rank profile calibrated from a few probe queries
+picks the refine ceiling ``p`` for a target accuracy (capped by an
+optional per-query evaluation budget), and the query refines
+incrementally up to it — stopping as soon as the top-``k`` is stable.
 This walkthrough, on DTW time-series data:
 
 1. builds an index and enables the adaptive planner,
-2. calibrates the cost model from probe queries (charged honestly),
+2. calibrates the planner from probe queries (charged honestly),
 3. serves a batch with ``p=None`` and shows bit-identity against the
    fixed-``p`` run at each query's planner-chosen ``p'``,
-4. re-serves the warm batch to show the early exit: far fewer exact
-   evaluations per query, same answers,
+4. re-serves the warm batch: the distance store answers every pair the
+   first pass evaluated, so it costs no refine evaluations and gives
+   the same answers,
 5. inspects ``explain(k)`` and ``health()["planner"]``,
 6. streams under a per-query cost *budget* — the cost-budgeted
    ``stream(...)`` a latency-bound service would run.  The async paths
@@ -83,7 +85,7 @@ def main() -> None:
         f"{chosen_ps} (fixed-p' runs agree bit for bit)"
     )
 
-    # -- 4. warm re-serve: the early exit does the saving --------------
+    # -- 4. warm re-serve: the store does the saving -------------------
     cold = sum(r.refine_distance_computations for r in planned)
     warm_results = index.query_many(served_queries, k=3)
     warm = sum(r.refine_distance_computations for r in warm_results)

@@ -156,6 +156,16 @@ def main() -> int:
         index.health()["planner"] is not None,
         "index.health surfaces the planner",
     )
+    index.calibrate_planner(queries[:4])
+    calibrated = index.explain(k=3)
+    index.enable_planner(cost_budget=index.embedding_cost + calibrated["p"])
+    retargeted = index.explain(k=3)
+    check(
+        calibrated["calibrated"]
+        and retargeted["calibrated"]
+        and retargeted["p"] == calibrated["p"],
+        "enable_planner on a planned index keeps its calibration",
+    )
     index.set_backend("sharded")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,7 @@ fan-out, at 3 a.m.; this rule catches it in the diff.
 
 Detection is dataflow-lite: within each scope, simple assignments are
 tracked (``ctx = DistanceContext(...)``, one level of aliasing), and every
-argument of a fan-out call — ``parallel_rows(...)``, ``parallel_refine``,
+argument of a fan-out call — ``parallel_refine(...)``,
 ``<pool>.submit/run/map``, ``ProcessPoolExecutor(...)`` — is checked for a
 banned constructor, a name whose tracked origin is one, or a closure
 (lambda / nested ``def``) capturing one.
@@ -45,7 +45,7 @@ BANNED_CONSTRUCTORS = {
 }
 
 #: Free-function fan-out entry points (every argument is shipped).
-SINK_FUNCTIONS = {"parallel_rows", "parallel_refine"}
+SINK_FUNCTIONS = {"parallel_refine"}
 
 #: Methods that ship their arguments when called on a pool-like receiver.
 SINK_METHODS = {"submit", "run", "map"}
@@ -119,7 +119,7 @@ class ParallelSafetyRule(Rule):
     description = (
         "No DistanceContext / PersistentPool / CountingDistance / "
         "multiprocessing manager may appear in arguments or closures shipped "
-        "to parallel_rows / parallel_refine / pool.submit / "
+        "to parallel_refine / pool.submit / "
         "ProcessPoolExecutor — worker copies would fork the store and lose "
         "cache updates and counter charges."
     )

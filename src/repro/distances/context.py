@@ -49,13 +49,15 @@ Cost accounting
 measure; store hits are free.  This models the paper's setting where
 precomputed distances are a one-time preprocessing cost.  Every (query,
 targets) request takes one path, :meth:`DistanceContext.distances_to_many`:
-resolve the request against the store, evaluate only the missing pairs —
-in the parent, or in worker processes through
-:func:`repro.distances.parallel.parallel_refine`, which never see the
-context or its store — and complete it, storing the fresh values and
-charging the counters one evaluation per computed pair.  The async serving
-layer and the remote shard client run the same resolve and complete steps
+resolve the request against the store, evaluate only the missing pairs
+with one :func:`repro.distances.parallel.parallel_refine` call — in the
+parent or in worker processes, which never see the context or its store —
+and complete it, storing the fresh values and charging the counters one
+evaluation per computed pair.  The async serving layer and the remote
+shard client run the same resolve and complete steps
 (:class:`PendingDistances`) around evaluations they schedule themselves.
+The matrix primitives (:meth:`pairwise`, :meth:`cross`) send their misses
+through the same fan-out, which charges the counters for them.
 """
 
 from __future__ import annotations
@@ -1357,10 +1359,10 @@ class DistanceContext(DistanceMeasure):
 
         The one path from requests to exact distances: every request is
         resolved against the store (:meth:`resolve_distances`), the misses
-        of all requests are evaluated in one place — in the parent, or over
-        worker processes through
-        :func:`~repro.distances.parallel.parallel_refine` when ``n_jobs >
-        1`` and more than one request has misses — and the requests are
+        of all requests are one
+        :func:`~repro.distances.parallel.parallel_refine` call — over
+        worker processes when ``n_jobs > 1`` and more than one request has
+        misses, in the parent otherwise — and the requests are
         completed in order (:meth:`complete_distances`), which stores the
         fresh values and charges the counters one evaluation per pair.  A
         pair an earlier request of the same call already claims is
@@ -1380,13 +1382,15 @@ class DistanceContext(DistanceMeasure):
             self.resolve_distances(obj, targets, in_flight)
             for obj, targets in zip(objects, target_indices_lists)
         ]
+        # complete_distances charges the counters, so the fan-out gets the
+        # peeled measure and charges nothing itself.
         inner, _counters = split_counting(self.counting)
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
         fresh = parallel_refine(
             inner,
-            [self.objects],
+            self.objects,
             [
-                (key, pending.obj, 0, pending.miss_targets)
+                (key, pending.obj, pending.miss_targets)
                 for key, pending in enumerate(pendings)
                 if pending.n_missing
             ],
@@ -1644,7 +1648,10 @@ class DistanceContext(DistanceMeasure):
         """Fill matrix rows from the store plus batched fresh evaluations.
 
         ``targets[r]`` lists the column *positions* row ``r`` needs; each
-        row is one :meth:`DistanceStore.get_many` call.  Returns
+        row is one :meth:`DistanceStore.get_many` call, and the misses of
+        every row are one :func:`~repro.distances.parallel.parallel_refine`
+        batch (which charges the counters).  ``progress`` is reported once,
+        at the end.  Returns
         ``(fresh, had_hits)`` — the ``(row, column positions)`` freshly
         evaluated into ``matrix`` (not yet stored) and whether any
         requested pair came from the store, so callers can record a fully
@@ -1663,40 +1670,20 @@ class DistanceContext(DistanceMeasure):
 
         rows_with_work = [r for r in range(n_rows) if missing_by_row[r].size]
         n_workers = resolve_jobs(self.n_jobs if n_jobs is None else n_jobs)
-        if n_workers > 1 and len(rows_with_work) > 1:
-            inner, counters = split_counting(self.counting)
-            items = [
-                (
-                    r,
-                    self.objects[int(row_idx[r])],
-                    0,
-                    col_idx[missing_by_row[r]],
-                )
+        by_row = parallel_refine(
+            self.counting,
+            self.objects,
+            [
+                (r, self.objects[int(row_idx[r])], col_idx[missing_by_row[r]])
                 for r in rows_with_work
-            ]
-            by_row = parallel_refine(
-                inner, [self.objects], items, n_workers,
-                pool=self._pool_for(n_workers),
-            )
-            computed = 0
-            for r in rows_with_work:
-                values = np.asarray(by_row[r], dtype=float)
-                computed += values.size
-                matrix[r, missing_by_row[r]] = values
-            for counter in counters:
-                counter.calls += computed
-            if progress is not None:
-                progress(n_rows, n_rows)
-        else:
-            for done, r in enumerate(range(n_rows)):
-                missing = missing_by_row[r]
-                if missing.size:
-                    matrix[r, missing] = self.counting.compute_many(
-                        self.objects[int(row_idx[r])],
-                        [self.objects[j] for j in col_idx[missing].tolist()],
-                    )
-                if progress is not None:
-                    progress(done + 1, n_rows)
+            ],
+            n_workers,
+            pool=self._pool_for(n_workers),
+        )
+        for r in rows_with_work:
+            matrix[r, missing_by_row[r]] = by_row[r]
+        if progress is not None:
+            progress(n_rows, n_rows)
         return [(r, missing_by_row[r]) for r in rows_with_work], had_hits
 
     # -- DistanceMeasure interface --------------------------------------

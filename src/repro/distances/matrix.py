@@ -15,8 +15,9 @@ Parallelism
 -----------
 Pass ``n_jobs > 1`` to spread rows over a pool of worker processes
 (``n_jobs=-1`` uses every CPU).  The distance measure and the objects must be
-picklable.  The pool and accounting rules are shared with the retrieval
-pipelines through :mod:`repro.distances.parallel`: top-level
+picklable.  Every row is one ``(row, object, columns)`` item of
+:func:`repro.distances.parallel.parallel_refine`, the fan-out the retrieval
+pipelines use too: top-level
 :class:`~repro.distances.base.CountingDistance` wrappers are peeled off so
 that cost accounting stays *exact* (the wrapped measure is shipped to the
 workers and the parent-process counters are charged one evaluation per
@@ -30,10 +31,11 @@ When ``distance`` is a :class:`~repro.distances.context.DistanceContext`
 and every object belongs to the context's universe, the build is delegated
 to the context's store-aware primitives: pairs already in the store are
 free, fresh pairs are recorded, and only the missing work is fanned out
-over the pool.  Objects outside the universe fall back to the generic
-serial loop (the context still computes, counts and simply cannot cache
-them); combining out-of-universe objects with ``n_jobs > 1`` is rejected
-because the context must not cross the process boundary.
+over the pool.  Objects outside the universe are evaluated in the parent
+through the context's ``compute_many`` (it still computes, counts and
+simply cannot cache them); combining out-of-universe objects with
+``n_jobs > 1`` is rejected because the context must not cross the process
+boundary.
 """
 
 from __future__ import annotations
@@ -44,15 +46,7 @@ import numpy as np
 
 from repro.distances.base import DistanceMeasure
 from repro.distances.context import DistanceContext
-from repro.distances.parallel import (
-    ProgressCallback,
-    ensure_parallel_safe,
-    parallel_rows,
-    pool_full_rows,
-    pool_upper_rows,
-    resolve_jobs,
-    split_counting,
-)
+from repro.distances.parallel import ProgressCallback, parallel_refine, resolve_jobs
 from repro.exceptions import DistanceError
 
 __all__ = ["ProgressCallback", "pairwise_distances", "cross_distances"]
@@ -64,8 +58,9 @@ def _context_indices(
     """Universe indices for a delegated context build, or ``None``.
 
     ``None`` means at least one object is outside the context's universe:
-    the caller then falls back to the generic serial loop, which is only
-    legal without a pool (the context cannot cross a process boundary).
+    the caller then evaluates through the context's ``compute_many`` in
+    the parent, which is only legal without a pool (the context cannot
+    cross a process boundary).
     """
     try:
         return context.indices_of(objects)
@@ -114,7 +109,6 @@ def pairwise_distances(
         raise DistanceError("distance must be a DistanceMeasure instance")
     objects = list(objects)
     n = len(objects)
-    matrix = np.zeros((n, n), dtype=float)
     n_workers = resolve_jobs(n_jobs)
 
     if isinstance(distance, DistanceContext):
@@ -124,33 +118,16 @@ def pairwise_distances(
                 indices, symmetric=symmetric, n_jobs=n_jobs, progress=progress
             )
 
-    if n_workers > 1 and n > 1:
-        ensure_parallel_safe(distance)
-        inner, counters = split_counting(distance)
-        task = pool_upper_rows if symmetric else pool_full_rows
-        rows = parallel_rows(inner, objects, objects, task, n_workers, progress)
-        for i, row in enumerate(rows):
-            if symmetric:
-                matrix[i, i + 1 :] = row
-                matrix[i + 1 :, i] = row
-            else:
-                matrix[i, :] = row
-        n_pairs = n * (n - 1) // 2 if symmetric else n * n
-        for counting in counters:
-            counting.calls += n_pairs
-        return matrix
-
-    for i in range(n):
+    columns = np.arange(n)
+    items = [
+        (i, objects[i], columns[i + 1 :] if symmetric else columns) for i in range(n)
+    ]
+    rows = parallel_refine(distance, objects, items, n_workers, progress=progress)
+    matrix = np.zeros((n, n), dtype=float)
+    for i, _obj, row_columns in items:
+        matrix[i, row_columns] = rows[i]
         if symmetric:
-            tail = objects[i + 1 :]
-            if tail:
-                row = distance.compute_many(objects[i], tail)
-                matrix[i, i + 1 :] = row
-                matrix[i + 1 :, i] = row
-        else:
-            matrix[i, :] = distance.compute_many(objects[i], objects)
-        if progress is not None:
-            progress(i + 1, n)
+            matrix[row_columns, i] = rows[i]
     return matrix
 
 
@@ -171,9 +148,8 @@ def cross_distances(
         raise DistanceError("distance must be a DistanceMeasure instance")
     rows = list(rows)
     columns = list(columns)
-    matrix = np.zeros((len(rows), len(columns)), dtype=float)
     if not rows or not columns:
-        return matrix
+        return np.zeros((len(rows), len(columns)), dtype=float)
     n_workers = resolve_jobs(n_jobs)
 
     if isinstance(distance, DistanceContext):
@@ -184,20 +160,7 @@ def cross_distances(
                 row_indices, col_indices, n_jobs=n_jobs, progress=progress
             )
 
-    if n_workers > 1 and len(rows) > 1:
-        ensure_parallel_safe(distance)
-        inner, counters = split_counting(distance)
-        row_values = parallel_rows(
-            inner, rows, columns, pool_full_rows, n_workers, progress
-        )
-        for i, row in enumerate(row_values):
-            matrix[i, :] = row
-        for counting in counters:
-            counting.calls += len(rows) * len(columns)
-        return matrix
-
-    for i, row_obj in enumerate(rows):
-        matrix[i, :] = distance.compute_many(row_obj, columns)
-        if progress is not None:
-            progress(i + 1, len(rows))
-    return matrix
+    all_columns = np.arange(len(columns))
+    items = [(i, row, all_columns) for i, row in enumerate(rows)]
+    values = parallel_refine(distance, columns, items, n_workers, progress=progress)
+    return np.array([values[i] for i in range(len(rows))], dtype=float)

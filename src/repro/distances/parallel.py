@@ -1,45 +1,38 @@
-"""Shared process-pool and cost-accounting helpers for parallel evaluation.
+"""The one fan-out for exact-distance work, with exact cost accounting.
 
-Both the matrix builders (:mod:`repro.distances.matrix`) and the retrieval
-pipelines (:mod:`repro.retrieval.filter_refine`,
-:mod:`repro.retrieval.sharded`) can spread exact-distance work over a pool of
-worker processes.  The rules that keep the paper's cost accounting *exact*
-across process boundaries live here so every ``n_jobs`` path behaves the same
-way:
+Every batch of exact evaluations in the repo — distance-matrix rows, the
+store misses of a :class:`~repro.distances.context.DistanceContext`
+request, a store-less refine — is a list of ``(key, query, indices)``
+items over one object list: the distances from ``query`` to
+``objects[i]`` for each ``i`` in ``indices``.  :func:`parallel_refine`
+evaluates such a batch in the parent, on a one-shot process pool or on a
+:class:`~repro.index.pool.PersistentPool`, and the rules that keep the
+paper's cost accounting *exact* across process boundaries live here, so
+every ``n_jobs`` path behaves the same way:
 
 * **Counting** — any top-level chain of
   :class:`~repro.distances.base.CountingDistance` wrappers is peeled off
-  before the measure is shipped to workers (:func:`split_counting`); workers
-  evaluate the inner measure and the parent process charges each peeled
-  counter one evaluation per computed pair, exactly as the serial path
-  would have.
+  (:func:`split_counting`); workers evaluate the inner measure and
+  :func:`parallel_refine` charges each peeled counter one evaluation per
+  returned distance, exactly as a serial ``compute_many`` would.  A
+  caller that charges its counters itself (the context's
+  ``complete_distances``) passes the already-peeled measure.
 * **Caching** — a :class:`~repro.distances.context.DistanceContext` is
-  rejected up front (:func:`ensure_parallel_safe`): its store and counters
-  must stay in the parent, which pools only the missing pairs itself.
+  rejected before anything is shipped (:func:`ensure_parallel_safe`): its
+  store and counters must stay in the parent, which pools only the
+  missing pairs itself.
 
-Two pool shapes are provided:
-
-* :func:`parallel_rows` — one task per chunk of distance-matrix rows (used by
-  the matrix builders);
-* :func:`parallel_refine` — one task per chunk of ``(key, query, shard,
-  local_indices)`` refine work items, returning the exact distances from
-  each query to its candidates.  A
-  :class:`~repro.distances.context.DistanceContext` evaluates the store
-  misses of every batch through it: ``n_jobs`` only chooses whether they
-  are evaluated in the parent or over workers.
-
-Worker state (the measure and the object collections) is installed once per
+Worker state (the measure and the object list) is installed once per
 worker by a pool initializer, so large databases are pickled once per worker
 instead of once per task.
 
-Refine work can also run on a :class:`~repro.index.pool.PersistentPool`,
-whose long-lived workers receive a state reused across calls — the serving
-loop of an :class:`~repro.index.embedding_index.EmbeddingIndex` issuing
-batches against one database — once for the pool's lifetime.  Submitting to
-it, collecting the replies and repairing them exist once:
-:func:`submit_refine` ships chunks without blocking, and
-:func:`collect_refine` gathers the replies and recomputes in the parent
-every item a dead worker or a damaged reply did not deliver.
+On a :class:`~repro.index.pool.PersistentPool` the long-lived workers
+receive that state once for the pool's lifetime — the serving loop of an
+:class:`~repro.index.embedding_index.EmbeddingIndex` issuing batches
+against one database reuses it.  Submitting to it, collecting the replies
+and repairing them exist once: :func:`submit_refine` ships chunks without
+blocking, and :func:`collect_refine` gathers the replies and recomputes in
+the parent every item a dead worker or a damaged reply did not deliver.
 :func:`parallel_refine` and the async serving layer
 (:class:`~repro.index.serving.AsyncServer`, which overlaps one query's
 refine with the next query's embed and filter) both use the pair.  Results
@@ -54,8 +47,8 @@ worker is always safe.  Each worker resolves its own backend lazily on
 first use: an explicit name resolves identically everywhere, and the
 process default travels through ``REPRO_KERNEL_BACKEND`` (exported by
 :func:`~repro.distances.kernels.set_default_kernel_backend`), which forked
-and spawned workers inherit — so parallel refine/row builds run the same
-kernel as the serial path and stay bit-identical to it.
+and spawned workers inherit — so pooled evaluations run the same kernel
+as the serial path and stay bit-identical to it.
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,12 +65,14 @@ from repro.exceptions import DistanceError
 
 ProgressCallback = Callable[[int, int], None]
 
-#: A unit of refine work: ``(key, query_object, shard_id, local_indices)``.
-#: ``key`` is an opaque identifier the caller uses to reassemble results.
-RefineItem = Tuple[Any, Any, int, Sequence[int]]
+#: A unit of exact-distance work: ``(key, query_object, indices)`` asks for
+#: the distances from ``query_object`` to ``objects[i]`` for each ``i`` in
+#: ``indices``.  ``key`` is an opaque identifier the caller uses to
+#: reassemble results.
+RefineItem = Tuple[Any, Any, Sequence[int]]
 
-# Worker-process state, installed once per worker by the pool initializers so
-# that the object collections are pickled once instead of once per task.
+# Worker-process state, installed once per worker by the pool initializer so
+# that the object list is pickled once instead of once per task.
 _POOL_STATE: Dict[str, Any] = {}
 
 
@@ -141,130 +135,55 @@ def ensure_parallel_safe(distance: DistanceMeasure) -> None:
 
 
 def row_chunks(n_rows: int, n_workers: int) -> List[List[int]]:
-    """Contiguous row chunks, several per worker so progress stays granular."""
+    """Contiguous item chunks, several per worker so progress stays granular."""
     n_chunks = max(1, min(n_rows, n_workers * 4))
     return [list(chunk) for chunk in np.array_split(np.arange(n_rows), n_chunks)]
 
 
-# --------------------------------------------------------------------------- #
-# Matrix-row pool (used by repro.distances.matrix)                            #
-# --------------------------------------------------------------------------- #
-
-
-def _rows_pool_init(
-    distance: DistanceMeasure, rows: List[Any], columns: List[Any]
-) -> None:
+def _refine_pool_init(distance: DistanceMeasure, objects: List[Any]) -> None:
     _POOL_STATE["distance"] = distance
-    _POOL_STATE["rows"] = rows
-    _POOL_STATE["columns"] = columns
-
-
-def pool_full_rows(state: Dict[str, Any], indices: Sequence[int]) -> List[np.ndarray]:
-    """Worker task: full rows against every column object."""
-    distance = state["distance"]
-    rows = state["rows"]
-    columns = state["columns"]
-    return [np.asarray(distance.compute_many(rows[i], columns)) for i in indices]
-
-
-def pool_upper_rows(state: Dict[str, Any], indices: Sequence[int]) -> List[np.ndarray]:
-    """Worker task: strict-upper-triangle rows (symmetric pairwise case)."""
-    distance = state["distance"]
-    rows = state["rows"]
-    columns = state["columns"]
-    out = []
-    for i in indices:
-        tail = columns[i + 1 :]
-        if tail:
-            out.append(np.asarray(distance.compute_many(rows[i], tail)))
-        else:
-            out.append(np.zeros(0))
-    return out
-
-
-def _oneshot_task(task: Callable[[Dict[str, Any], Any], Any], chunk: Any) -> Any:
-    """Adapter for the one-shot executor path: bind the initializer state."""
-    return task(_POOL_STATE, chunk)
-
-
-def parallel_rows(
-    distance: DistanceMeasure,
-    rows: List[Any],
-    columns: List[Any],
-    task: Callable[[Dict[str, Any], Sequence[int]], List[np.ndarray]],
-    n_workers: int,
-    progress: Optional[ProgressCallback],
-) -> List[np.ndarray]:
-    """Run a matrix-row task over a process pool, preserving row order.
-
-    ``distance`` must already be parallel-safe (see
-    :func:`ensure_parallel_safe`) and stripped of parent-side counters
-    (see :func:`split_counting`).  Persistent-pool reuse happens one layer
-    up: a :class:`~repro.distances.context.DistanceContext` build routes
-    its missing pairs through :func:`parallel_refine` with the context's
-    pool instead of coming here.
-    """
-    chunks = row_chunks(len(rows), n_workers)
-    results: List[Optional[np.ndarray]] = [None] * len(rows)
-    done = 0
-    with ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_rows_pool_init,
-        initargs=(distance, rows, columns),
-    ) as executor:
-        bound = partial(_oneshot_task, task)
-        for chunk, chunk_rows in zip(chunks, executor.map(bound, chunks)):
-            for i, row in zip(chunk, chunk_rows):
-                results[i] = row
-            done += len(chunk)
-            if progress is not None:
-                progress(done, len(rows))
-    return results  # type: ignore[return-value]
-
-
-# --------------------------------------------------------------------------- #
-# Refine pool (used by the retrieval pipelines)                               #
-# --------------------------------------------------------------------------- #
-
-
-def _refine_pool_init(distance: DistanceMeasure, shards: List[List[Any]]) -> None:
-    _POOL_STATE["distance"] = distance
-    _POOL_STATE["shards"] = shards
+    _POOL_STATE["objects"] = objects
 
 
 def _pool_refine_chunk(
     state: Dict[str, Any],
     items: Sequence[RefineItem],
 ) -> List[Tuple[Any, np.ndarray]]:
-    """Worker task: exact distances from each query to its shard candidates.
+    """Worker task: exact distances from each query to its target objects.
 
-    Every item is ``(key, query_object, shard_id, local_indices)``; the
-    result pairs the key with ``distance.compute_many(query, candidates)``
-    evaluated in ``local_indices`` order, so asymmetric measures keep the
-    query as the first argument exactly as in the serial path.
+    Every item is ``(key, query_object, indices)``; the result pairs the key
+    with ``distance.compute_many(query, targets)`` evaluated in ``indices``
+    order, so asymmetric measures keep the query as the first argument.  An
+    item without targets gets an empty array and no measure call.
     """
     distance = state["distance"]
-    shards = state["shards"]
+    objects = state["objects"]
     out = []
-    for key, query, shard_id, local_indices in items:
-        shard = shards[shard_id]
-        candidates = [shard[i] for i in np.asarray(local_indices, dtype=np.intp).tolist()]
-        out.append((key, np.asarray(distance.compute_many(query, candidates))))
+    for key, query, indices in items:
+        indices = np.asarray(indices, dtype=np.intp)
+        if not indices.size:
+            out.append((key, np.zeros(0)))
+            continue
+        targets = [objects[i] for i in indices.tolist()]
+        out.append((key, np.asarray(distance.compute_many(query, targets))))
     return out
 
 
-def _refine_signature(distance: DistanceMeasure, shards: List[List[Any]]) -> Tuple:
-    """Persistent-pool state signature for refine work (identity + lengths)."""
-    return (
-        "refine",
-        id(distance),
-        tuple((id(shard), len(shard)) for shard in shards),
-    )
+def _oneshot_refine_chunk(
+    items: Sequence[RefineItem],
+) -> List[Tuple[Any, np.ndarray]]:
+    """One-shot executor task: the worker task over the initializer's state."""
+    return _pool_refine_chunk(_POOL_STATE, items)
+
+
+def _refine_signature(distance: DistanceMeasure, objects: List[Any]) -> Tuple:
+    """Persistent-pool state signature for refine work (identity + length)."""
+    return ("refine", id(distance), id(objects), len(objects))
 
 
 def _serial_refine(
     distance: DistanceMeasure,
-    shards: List[List[Any]],
+    objects: List[Any],
     items: Sequence[RefineItem],
     results: Dict[Any, np.ndarray],
 ) -> None:
@@ -273,41 +192,42 @@ def _serial_refine(
     The serial and recovery path: a result computed here is bit-identical
     to the one a worker would have delivered.
     """
-    results.update(_pool_refine_chunk({"distance": distance, "shards": shards}, items))
+    state = {"distance": distance, "objects": objects}
+    results.update(_pool_refine_chunk(state, items))
 
 
 def _damaged(
     items: Sequence[RefineItem], results: Dict[Any, np.ndarray]
 ) -> List[RefineItem]:
-    """Items without exactly one delivered distance per candidate."""
+    """Items without exactly one delivered distance per target."""
     return [
         item
         for item in items
-        if results.get(item[0]) is None or len(results[item[0]]) != len(item[3])
+        if results.get(item[0]) is None or len(results[item[0]]) != len(item[2])
     ]
 
 
 def submit_refine(
     pool: Any,
     distance: DistanceMeasure,
-    shards: List[List[Any]],
+    objects: List[Any],
     chunks: Sequence[Sequence[RefineItem]],
     max_retries: Optional[int] = None,
 ) -> Any:
     """Submit chunks of refine items to a persistent pool without blocking.
 
     Returns the :class:`~repro.index.pool.PoolJob`; pass it to
-    :func:`collect_refine`.  The ``(distance, shards)`` state is checked
+    :func:`collect_refine`.  The ``(distance, objects)`` state is checked
     with :func:`ensure_parallel_safe` and shipped once per worker per pool
     lifetime, shared by every caller that refines against the same measure
-    and object lists.
+    and object list.
     """
     ensure_parallel_safe(distance)
     return pool.submit(
         _pool_refine_chunk,
-        {"distance": distance, "shards": shards},
+        {"distance": distance, "objects": objects},
         chunks,
-        signature=_refine_signature(distance, shards),
+        signature=_refine_signature(distance, objects),
         max_retries=max_retries,
     )
 
@@ -315,7 +235,7 @@ def submit_refine(
 def collect_refine(
     job: Optional[Any],
     distance: DistanceMeasure,
-    shards: List[List[Any]],
+    objects: List[Any],
     items: Sequence[RefineItem],
     timeout: Optional[float] = None,
     deadline: Optional[float] = None,
@@ -351,71 +271,91 @@ def collect_refine(
         for item in damaged:
             results.pop(item[0], None)
     else:
-        _serial_refine(distance, shards, damaged, results)
+        _serial_refine(distance, objects, damaged, results)
     return results, job is not None and bool(damaged)
 
 
 def parallel_refine(
     distance: DistanceMeasure,
-    shards: List[List[Any]],
+    objects: List[Any],
     items: Sequence[RefineItem],
     n_workers: int,
     pool: Optional[Any] = None,
+    progress: Optional[ProgressCallback] = None,
 ) -> Dict[Any, np.ndarray]:
-    """Evaluate refine work items, over a process pool when it can help.
+    """Evaluate and charge a batch of work items, over workers when asked.
 
     Parameters
     ----------
     distance:
-        The measure to evaluate.  Callers are expected to have already
-        peeled parent-side counters with :func:`split_counting`; the parent
-        charges the peeled counters itself (one evaluation per candidate).
-        Checked with :func:`ensure_parallel_safe` before it is shipped to
-        workers.
-    shards:
-        Per-shard object lists, installed once per worker.
+        The measure to evaluate.  Its top-level
+        :class:`~repro.distances.base.CountingDistance` wrappers are peeled
+        (:func:`split_counting`) and each is charged one evaluation per
+        returned distance, whichever path runs the items; the inner measure
+        is checked with :func:`ensure_parallel_safe` before it is shipped
+        to workers.
+    objects:
+        The object list item indices point into, installed once per worker.
     items:
-        Work items ``(key, query_object, shard_id, local_indices)``.  Keys
-        must be unique (and hashable); the mapping they index is returned.
+        Work items ``(key, query_object, indices)``.  Keys must be unique
+        (and hashable); the mapping they index is returned.  An item with
+        no indices maps to an empty array without a measure call.
     n_workers:
         Pool size.  With one worker, or at most one item, the items are
         evaluated in the parent.
     pool:
         Optional :class:`~repro.index.pool.PersistentPool`.  When given, the
-        items run on its long-lived workers and the (distance, shards) state
-        is shipped once per worker per pool lifetime instead of once per
-        call; ``n_workers`` only shapes the chunking then.
+        items run on its long-lived workers and the (distance, objects)
+        state is shipped once per worker per pool lifetime instead of once
+        per call; ``n_workers`` only shapes the chunking then.
+    progress:
+        Optional ``progress(done, total)`` callback over items: after each
+        item in the parent, after each chunk on a one-shot pool, once at
+        the end on a persistent pool.  Monotonic, ending at
+        ``(total, total)``.
     """
     from repro.index.pool import WORKER_FAILURES
 
+    inner, counters = split_counting(distance)
     item_list = list(items)
+    total = len(item_list)
     results: Dict[Any, np.ndarray] = {}
-    if n_workers <= 1 or len(item_list) <= 1:
-        _serial_refine(distance, shards, item_list, results)
-        return results
-    chunks = row_chunks(len(item_list), n_workers)
-    payloads = [[item_list[i] for i in chunk] for chunk in chunks]
-    if pool is not None:
-        try:
-            job = submit_refine(pool, distance, shards, payloads)
-        except WORKER_FAILURES:
-            # Even a respawned pool refused the work: finish in the parent.
-            job = None
-        return collect_refine(job, distance, shards, item_list)[0]
-    ensure_parallel_safe(distance)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_refine_pool_init,
-            initargs=(distance, shards),
-        ) as executor:
-            bound = partial(_oneshot_task, _pool_refine_chunk)
-            for chunk_result in executor.map(bound, payloads):
-                results.update(chunk_result)
-    except WORKER_FAILURES:
-        # A worker died: the replies that arrived stand, and the rest of
-        # the batch is finished in the parent below — same calls, same
-        # values.
-        pass
-    _serial_refine(distance, shards, _damaged(item_list, results), results)
+    if n_workers <= 1 or total <= 1:
+        for done, item in enumerate(item_list, 1):
+            _serial_refine(inner, objects, [item], results)
+            if progress is not None:
+                progress(done, total)
+    else:
+        chunks = row_chunks(total, n_workers)
+        payloads = [[item_list[i] for i in chunk] for chunk in chunks]
+        if pool is not None:
+            try:
+                job = submit_refine(pool, inner, objects, payloads)
+            except WORKER_FAILURES:
+                # Even a respawned pool refused the work: finish in the parent.
+                job = None
+            results = collect_refine(job, inner, objects, item_list)[0]
+        else:
+            ensure_parallel_safe(inner)
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=n_workers,
+                    initializer=_refine_pool_init,
+                    initargs=(inner, objects),
+                ) as executor:
+                    for chunk_result in executor.map(_oneshot_refine_chunk, payloads):
+                        results.update(chunk_result)
+                        if progress is not None and len(results) < total:
+                            progress(len(results), total)
+            except WORKER_FAILURES:
+                # A worker died: the replies that arrived stand, and the
+                # rest of the batch is finished in the parent below — same
+                # calls, same values.
+                pass
+            _serial_refine(inner, objects, _damaged(item_list, results), results)
+        if progress is not None:
+            progress(total, total)
+    evaluated = sum(values.size for values in results.values())
+    for counter in counters:
+        counter.calls += evaluated
     return results

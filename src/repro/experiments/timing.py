@@ -239,7 +239,6 @@ def run_retrieval_timing(
         embedding,
         n_shards=n_shards,
         database_vectors=database_vectors,
-        n_jobs=n_jobs,
     )
     query_objects = list(queries)
 
@@ -248,7 +247,7 @@ def run_retrieval_timing(
     single_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded_results = sharded.query_many(query_objects, k=k, p=p)
+    sharded_results = sharded.query_many(query_objects, k=k, p=p, n_jobs=n_jobs)
     sharded_seconds = time.perf_counter() - start
 
     for lhs, rhs in zip(single_results, sharded_results):

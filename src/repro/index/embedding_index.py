@@ -340,7 +340,6 @@ def _sharded_factory(distance, database, embedder, database_vectors, config):
         embedder,
         n_shards=config.n_shards,
         database_vectors=database_vectors,
-        n_jobs=config.n_jobs,
     )
 
 
@@ -1054,7 +1053,8 @@ class EmbeddingIndex:
         ``p=None`` at the planner's ceiling.  Call
         :meth:`calibrate_planner` to fit the cost model from probe
         queries; uncalibrated, the planner uses a deterministic fallback
-        ceiling.
+        ceiling.  On an index already on ``"planned"`` the live planner is
+        retargeted and keeps its calibration.
         """
         overrides: Dict[str, Any] = {}
         if target_accuracy is not None:
@@ -1063,7 +1063,12 @@ class EmbeddingIndex:
             overrides["planner_cost_budget"] = int(cost_budget)
         self._check_open()
         self.config = self.config.with_overrides(**overrides)
-        self.set_backend("planned")
+        if self._backend_name != "planned":
+            self.set_backend("planned")
+            return
+        with self._serving_guard():
+            self._backend.target_accuracy = self.config.planner_target_accuracy
+            self._backend.cost_budget = self.config.planner_cost_budget
 
     def calibrate_planner(self, probes: Sequence[Any], **kwargs) -> Dict[str, Any]:
         """Fit the planner's cost model from probe queries (charged honestly).

@@ -83,20 +83,6 @@ __all__ = ["QueryTicket", "QueryStream", "AsyncServer"]
 logger = logging.getLogger(__name__)
 
 
-class _Group:
-    """One per-shard (or whole-query) slice of a ticket's refine work."""
-
-    __slots__ = ("positions", "pending")
-
-    def __init__(
-        self, positions: Optional[np.ndarray], pending: PendingDistances
-    ) -> None:
-        #: Positions inside the candidate array this group scatters back to
-        #: (``None`` = the whole array, in order).
-        self.positions = positions
-        self.pending = pending
-
-
 class QueryTicket:
     """A submitted query whose refine work may still be in flight.
 
@@ -142,11 +128,12 @@ class QueryTicket:
         self._merge = True
         self._refine_stage: Optional[Any] = None
         self._candidates: Optional[np.ndarray] = None
-        self._exact: Optional[np.ndarray] = None
-        self._groups: List[_Group] = []
+        #: The store resolution of every candidate; its ``values`` become
+        #: the exact distances, in candidate order, once completed.
+        self._pending: Optional[PendingDistances] = None
         self._job = None
-        #: Refine items ``((group, part), obj, 0, miss_targets)`` covering
-        #: every group's misses (see :meth:`AsyncServer._submit_misses`).
+        #: Refine items ``(part, obj, miss_targets)`` covering the
+        #: resolution's misses (see :meth:`AsyncServer._submit_misses`).
         self._items: List[RefineItem] = []
         self._deps: List["QueryTicket"] = []
         self._state = "pending"
@@ -473,27 +460,21 @@ class AsyncServer:
             ticket._refine_stage = engine.refine
             candidates = plan.candidate_lists[0]
             ticket._candidates = candidates
-            ticket._exact = np.empty(candidates.shape[0], dtype=float)
             binding = engine.refine.binding
             if not isinstance(binding, ContextBinding):
                 raise RetrievalError(
                     "async serving requires a context-backed backend (an "
                     "EmbeddingIndex always builds one)"
                 )
-            units = plan.shard_work[0] if plan.shard_work is not None else [(None, None)]
-            deps: List[QueryTicket] = []
-            for _sid, positions in units:
-                targets = candidates if positions is None else candidates[positions]
-                pending = self._context.resolve_distances(
-                    obj, binding.indices[targets], in_flight=self._in_flight
-                )
-                pending.owner = ticket
-                ticket._groups.append(_Group(positions, pending))
-                for _pos, _j, owner_pending in pending.deferred:
-                    owner = owner_pending.owner
-                    if owner is not None and owner is not ticket and owner not in deps:
-                        deps.append(owner)
-            ticket._deps = deps
+            pending = self._context.resolve_distances(
+                obj, binding.indices[candidates], in_flight=self._in_flight
+            )
+            pending.owner = ticket
+            ticket._pending = pending
+            for _pos, _j, owner_pending in pending.deferred:
+                owner = owner_pending.owner
+                if owner is not None and owner not in ticket._deps:
+                    ticket._deps.append(owner)
             self._submit_misses(ticket, effective_jobs)
             self.submitted += 1
         return ticket
@@ -505,27 +486,21 @@ class AsyncServer:
         evaluated in the parent at completion time, so cancellation can
         still save the work.
         """
-        groups = [
-            (group_index, group.pending.miss_targets)
-            for group_index, group in enumerate(ticket._groups)
-            if group.pending.n_missing
-        ]
+        miss = ticket._pending.miss_targets
+        if not len(miss):
+            return
         n_workers = resolve_jobs(n_jobs)
         pool = None
-        if groups and n_workers > 1 and not self.degraded:
+        if n_workers > 1 and not self.degraded:
             # A degraded server refines in the parent until an operator
             # replaces the pool (see class docstring).
             pool = self._context._pool_for(n_workers)
-        # One group (unsharded, or all survivors in one shard) splits its
-        # misses so a single query still fans out over the workers; with
-        # several (query, shard) groups each ships whole, warm shards none.
-        parts = n_workers if pool is not None and len(groups) == 1 else 1
+        # On the pool the misses split so a single query still fans out
+        # over the workers.
+        parts = min(n_workers if pool is not None else 1, len(miss))
         ticket._items = [
-            ((group_index, part_index), ticket.obj, 0, part)
-            for group_index, miss in groups
-            for part_index, part in enumerate(
-                np.array_split(np.asarray(miss, dtype=int), min(parts, len(miss)))
-            )
+            (part_index, ticket.obj, part)
+            for part_index, part in enumerate(np.array_split(miss, parts))
         ]
         if pool is None:
             return
@@ -534,7 +509,7 @@ class AsyncServer:
             ticket._job = submit_refine(
                 pool,
                 inner,
-                [self._context.objects],
+                self._context.objects,
                 [[item] for item in ticket._items],
                 max_retries=ticket._max_retries,
             )
@@ -575,23 +550,15 @@ class AsyncServer:
                     # own result; this ticket recovers by evaluating the
                     # deferred pairs itself at complete time.
                     pass
-            fresh_by_group = self._collect(ticket, end)
+            fresh = self._collect(ticket, end)
             with self._lock:
                 if ticket._state != "pending":  # cancelled meanwhile
                     return
-                stage = ticket._refine_stage
-                spent_total = 0
-                for group, fresh in zip(ticket._groups, fresh_by_group):
-                    values, spent = self._context.complete_distances(
-                        group.pending, fresh, in_flight=self._in_flight
-                    )
-                    spent_total += spent
-                    if group.positions is None:
-                        ticket._exact[:] = values
-                    else:
-                        ticket._exact[group.positions] = values
-                stage.binding.calls += spent_total
-                ticket._result = self._build_result(ticket, spent_total)
+                _values, spent = self._context.complete_distances(
+                    ticket._pending, fresh, in_flight=self._in_flight
+                )
+                ticket._refine_stage.binding.calls += spent
+                ticket._result = self._build_result(ticket, spent)
                 ticket._state = "done"
         except ServingTimeout:
             budget = ticket._remaining()
@@ -615,10 +582,9 @@ class AsyncServer:
                     # cannot poison the server: later tickets stop
                     # deferring onto it, and tickets that already did fall
                     # back to evaluating those pairs themselves.
-                    for group in ticket._groups:
-                        self._context.cancel_distances(
-                            group.pending, in_flight=self._in_flight, force=True
-                        )
+                    self._context.cancel_distances(
+                        ticket._pending, in_flight=self._in_flight, force=True
+                    )
             raise
         finally:
             if terminal:
@@ -638,38 +604,25 @@ class AsyncServer:
                     "rank the candidates resolved in time instead)"
                 )
                 ticket._state = "error"
-                for group in ticket._groups:
-                    self._context.cancel_distances(
-                        group.pending, in_flight=self._in_flight, force=True
-                    )
+                self._context.cancel_distances(
+                    ticket._pending, in_flight=self._in_flight, force=True
+                )
                 ticket._event.set()
                 return
             # Partial result: rank only the candidates whose exact
             # distances resolved (store hits and earlier tickets' values)
             # before the deadline.  No evaluations happened, none are
             # charged; distances are real, neighbors may be missing.
+            pending = ticket._pending
             mask = np.ones(ticket._candidates.shape[0], dtype=bool)
-            for group in ticket._groups:
-                pending = group.pending
-                unresolved = set(pending.fill_pos.tolist())
-                unresolved.update(pos for pos, _j, _owner in pending.deferred)
-                if group.positions is None:
-                    for local in range(pending.values.size):
-                        if local in unresolved:
-                            mask[local] = False
-                        else:
-                            ticket._exact[local] = pending.values[local]
-                else:
-                    for local, absolute in enumerate(group.positions):
-                        if local in unresolved:
-                            mask[int(absolute)] = False
-                        else:
-                            ticket._exact[int(absolute)] = pending.values[local]
-                self._context.cancel_distances(
-                    pending, in_flight=self._in_flight, force=True
-                )
+            mask[pending.fill_pos] = False
+            for pos, _j, _owner in pending.deferred:
+                mask[pos] = False
+            self._context.cancel_distances(
+                pending, in_flight=self._in_flight, force=True
+            )
             candidates = ticket._candidates[mask]
-            exact = ticket._exact[mask]
+            exact = pending.values[mask]
             # refine_order's lexsort tie-breaks by database index, which
             # for the brute-force shape (ascending candidates) matches the
             # stable scan ranking — one partial builder serves both shapes.
@@ -687,8 +640,8 @@ class AsyncServer:
 
     def _collect(
         self, ticket: QueryTicket, end: Optional[float] = None
-    ) -> List[Optional[np.ndarray]]:
-        """Fresh miss values per group: pool replies, repaired in the parent.
+    ) -> Optional[np.ndarray]:
+        """Fresh miss values: pool replies, repaired in the parent.
 
         :func:`~repro.distances.parallel.collect_refine` recomputes in the
         parent whatever the pool did not deliver — a job that failed beyond
@@ -709,7 +662,7 @@ class AsyncServer:
         results, failed = collect_refine(
             ticket._job,
             inner,
-            [self._context.objects],
+            self._context.objects,
             ticket._items,
             timeout=budget,
             deadline=ticket._deadline_at,
@@ -719,22 +672,17 @@ class AsyncServer:
                 self._note_pool_failure("lost workers or a damaged reply")
             else:
                 self._note_pool_success()
-        if any(key not in results for key, *_rest in ticket._items):
+        if any(key not in results for key, _obj, _miss in ticket._items):
             raise ServingTimeout(expired)
-        return [
-            np.concatenate(
-                [results[key] for key, *_rest in ticket._items if key[0] == group_index]
-            )
-            if group.pending.n_missing
-            else None
-            for group_index, group in enumerate(ticket._groups)
-        ]
+        if not ticket._items:
+            return None
+        return np.concatenate([results[key] for key, _obj, _miss in ticket._items])
 
     def _build_result(self, ticket: QueryTicket, spent: int) -> RetrievalResult:
         if ticket._merge:
             return build_retrieval_result(
                 ticket._candidates,
-                ticket._exact,
+                ticket._pending.values,
                 ticket._k_eff,
                 ticket._p_eff,
                 ticket._embedding_cost,
@@ -742,7 +690,7 @@ class AsyncServer:
             )
         # Brute-force shape: rank the full scan, candidates shared.
         return build_scan_result(
-            ticket._exact, ticket._candidates, ticket._k_eff, spent
+            ticket._pending.values, ticket._candidates, ticket._k_eff, spent
         )
 
     # -- cancellation ----------------------------------------------------
@@ -751,14 +699,11 @@ class AsyncServer:
         with self._lock:
             if ticket._state != "pending" or ticket._finishing:
                 return False
-            if any(group.pending.dependents for group in ticket._groups):
+            if ticket._pending.dependents:
                 return False
             if ticket._job is not None and not ticket._job.cancel():
                 return False
-            for group in ticket._groups:
-                self._context.cancel_distances(
-                    group.pending, in_flight=self._in_flight
-                )
+            self._context.cancel_distances(ticket._pending, in_flight=self._in_flight)
             ticket._state = "cancelled"
             ticket._event.set()
             return True

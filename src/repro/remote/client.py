@@ -438,7 +438,6 @@ class RemoteShardedBackend:
             embedder,
             n_shards=config.n_shards,
             database_vectors=database_vectors,
-            n_jobs=None,
         )
         shards = self.retriever.engine.filter.shards
         if len(addresses) != len(shards):
@@ -501,7 +500,7 @@ class RemoteShardedBackend:
     # -- pipeline stages -------------------------------------------------
 
     def _scatter_filter(self, plan) -> None:
-        """Fill ``plan.candidate_lists``/``shard_work`` via remote cuts."""
+        """Fill ``plan.candidate_lists`` via remote cuts."""
         stage = self.engine.filter
         vectors = np.asarray(plan.query_vectors, dtype=float)
         n_queries = vectors.shape[0]
@@ -532,7 +531,6 @@ class RemoteShardedBackend:
             ]
             dists = [per_shard[sid][1][qi] for sid in range(len(self.connections))]
             plan.candidate_lists.append(merge_shard_cuts(indices, dists, p))
-        plan.shard_work = [stage.split(c) for c in plan.candidate_lists]
 
     def _charge_entry(
         self, obj: Any, global_indices: np.ndarray, values: np.ndarray
@@ -557,10 +555,14 @@ class RemoteShardedBackend:
     def _gather_refine(self, plan) -> None:
         """Fill ``plan.exact_lists``/``refine_costs`` via remote entries.
 
-        Streamed and fallback charges both land on the local twin's refine
-        stage counter, exactly as the in-process backend's do.
+        Each query's candidates are split by shard
+        (:meth:`~repro.retrieval.engine.ShardedFilterStage.split`), since
+        every server holds only its own rows.  Streamed and fallback
+        charges both land on the local twin's refine stage counter, exactly
+        as the in-process backend's do.
         """
         refine = self.engine.refine
+        splits = [self.engine.filter.split(c) for c in plan.candidate_lists]
         plan.exact_lists = [
             np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
         ]
@@ -568,7 +570,7 @@ class RemoteShardedBackend:
         for sid, conn in enumerate(self.connections):
             groups = [
                 (qi, positions)
-                for qi, work in enumerate(plan.shard_work)
+                for qi, work in enumerate(splits)
                 for work_sid, positions in work
                 if work_sid == sid
             ]

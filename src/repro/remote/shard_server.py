@@ -124,7 +124,6 @@ class ShardServer:
             index.embedder,
             n_shards=index.config.n_shards,
             database_vectors=index.database_vectors,
-            n_jobs=None,
         )
         self.host = host
         self.port = int(port)

@@ -23,12 +23,7 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.distances.base import DistanceMeasure
 from repro.distances.context import DistanceContext
-from repro.distances.parallel import (
-    ensure_parallel_safe,
-    parallel_refine,
-    resolve_jobs,
-    split_counting,
-)
+from repro.distances.parallel import parallel_refine, resolve_jobs
 from repro.exceptions import DistanceError, RetrievalError
 
 __all__ = ["ContextBinding", "MeasureBinding", "Binding", "bind_context"]
@@ -87,8 +82,9 @@ class MeasureBinding:
 
     ``database`` is read at call time, so a mutable list (the
     :class:`~repro.retrieval.dynamic.DynamicDatabase` contents) stays valid
-    as it grows and shrinks.  Top-level
-    :class:`~repro.distances.base.CountingDistance` wrappers are peeled:
+    as it grows and shrinks.  Every call is one
+    :func:`~repro.distances.parallel.parallel_refine` batch, which peels
+    top-level :class:`~repro.distances.base.CountingDistance` wrappers:
     the inner measure evaluates, serially or over worker processes, and
     each peeled counter — the caller's — is charged one evaluation per
     pair in the parent, exactly as a serial ``compute_many`` would.
@@ -120,27 +116,15 @@ class MeasureBinding:
         list spends exactly its length.  With ``n_jobs > 1`` and more than
         one list, the lists fan out over a process pool.
         """
-        inner, counters = split_counting(self.distance)
-        n_workers = resolve_jobs(n_jobs)
-        if n_workers > 1 and len(objects) > 1:
-            ensure_parallel_safe(self.distance)
-            items = [
-                (i, obj, 0, np.asarray(positions, dtype=int))
-                for i, (obj, positions) in enumerate(zip(objects, position_lists))
-            ]
-            by_key = parallel_refine(inner, [list(self.database)], items, n_workers)
-            values = [np.asarray(by_key[i], dtype=float) for i in range(len(items))]
-        else:
-            values = [
-                np.asarray(
-                    inner.compute_many(obj, [self.database[int(i)] for i in positions]),
-                    dtype=float,
-                )
-                for obj, positions in zip(objects, position_lists)
-            ]
-        spent = [int(np.size(positions)) for positions in position_lists]
-        for counter in counters:
-            counter.calls += sum(spent)
+        items = [
+            (i, obj, np.asarray(positions, dtype=int))
+            for i, (obj, positions) in enumerate(zip(objects, position_lists))
+        ]
+        by_key = parallel_refine(
+            self.distance, self.database, items, resolve_jobs(n_jobs)
+        )
+        values = [np.asarray(by_key[i], dtype=float) for i in range(len(items))]
+        spent = [int(positions.size) for _i, _obj, positions in items]
         self.calls += sum(spent)
         return values, spent
 

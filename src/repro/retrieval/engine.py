@@ -14,7 +14,7 @@ plan`` step over a shared :class:`QueryPlan`:
   and keep the stable top-``p`` cut (no exact distances);
 * :class:`ShardedFilterStage` — the same cut evaluated per contiguous shard
   and merged into the identical global candidate list, plus the per-shard
-  candidate split the refine stage routes work with;
+  candidate split the remote client routes its refine requests with;
 * :class:`ScanStage` — the degenerate "filter" of brute force: every
   database position is a candidate;
 * :class:`RefineStage` — evaluate the exact distances from each query to
@@ -37,18 +37,6 @@ parallel fan-out rules exist exactly once.  The async serving layer
 queries in the parent while refine batches run on the persistent pool;
 the adaptive planner and the ``p`` sweep prepare their batches the same
 way and refine their prefix slices through :meth:`RefineStage.run`.
-
-Store-aware sharded refine
---------------------------
-In the sharded pipeline the refine stage routes work *per (query, shard)
-group*.  On a ``DistanceContext`` store hits are resolved in the parent and
-only each shard's missing pairs become refine work, so a shard whose pairs
-are already cached receives **zero** exact evaluations — the ROADMAP's
-"store-aware shard placement" in its single-process form.  The remote
-scatter/gather client routes its per-shard requests with the same
-(query, shard) split.  Results and per-query costs stay bit-identical to
-the ungrouped path because a query's candidates are unique and shard
-ranges are disjoint.
 """
 
 from __future__ import annotations
@@ -302,22 +290,15 @@ class RetrievalResult:
 # The plan                                                                    #
 # --------------------------------------------------------------------------- #
 
-#: One (shard_id, positions) unit of per-shard refine work: ``positions``
-#: (an index array, or a slice) locates each shard candidate inside the
-#: filter-ordered candidate array, so refined distances can be scattered
-#: back.
-ShardWork = Tuple[int, Union[np.ndarray, slice]]
-
-
 @dataclass
 class QueryPlan:
     """The state one query batch accumulates as it flows through the stages.
 
     A plan is built by :meth:`QueryEngine.make_plan`, then each stage's
     ``run(plan)`` reads the fields earlier stages filled and adds its own —
-    embed fills :attr:`query_vectors`, filter fills :attr:`candidate_lists`
-    (and :attr:`shard_work` when sharded), refine fills :attr:`exact_lists`
-    and :attr:`refine_costs`, merge fills :attr:`results`.
+    embed fills :attr:`query_vectors`, filter fills :attr:`candidate_lists`,
+    refine fills :attr:`exact_lists` and :attr:`refine_costs`, merge fills
+    :attr:`results`.
     """
 
     objects: List[Any]
@@ -329,8 +310,6 @@ class QueryPlan:
     embedding_cost: int = 0
     query_vectors: Optional[np.ndarray] = None
     candidate_lists: List[np.ndarray] = field(default_factory=list)
-    #: Per-query per-shard refine routing (sharded pipelines only).
-    shard_work: Optional[List[List[ShardWork]]] = None
     exact_lists: List[np.ndarray] = field(default_factory=list)
     #: Exact evaluations actually performed per query.
     refine_costs: List[int] = field(default_factory=list)
@@ -410,8 +389,8 @@ class FilterStage:
 class ShardedFilterStage:
     """Per-shard filter cut merged into the identical global candidate list.
 
-    Also computes the per-shard candidate split the refine stage routes
-    work with (``plan.shard_work``).
+    :meth:`split` partitions a candidate list by shard, for the remote
+    client, whose shard servers hold different rows.
     """
 
     stat_name = "filter"
@@ -459,9 +438,13 @@ class ShardedFilterStage:
             shard_indices.append(shard.offset + local)
         return merge_shard_cuts(shard_indices, shard_distances, p)
 
-    def split(self, candidates: np.ndarray) -> List[ShardWork]:
-        """Partition a global candidate list into per-shard refine work."""
-        work: List[ShardWork] = []
+    def split(self, candidates: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+        """Partition a global candidate list into per-shard refine work.
+
+        Returns ``(shard_id, positions)`` for every shard with candidates;
+        ``positions`` locates them in the filter-ordered candidate array.
+        """
+        work: List[Tuple[int, np.ndarray]] = []
         for sid, shard in enumerate(self.shards):
             mask = (candidates >= shard.offset) & (
                 candidates < shard.offset + len(shard)
@@ -476,7 +459,6 @@ class ShardedFilterStage:
         plan.candidate_lists = [
             self.merged(vector, plan.p_eff) for vector in plan.query_vectors
         ]
-        plan.shard_work = [self.split(c) for c in plan.candidate_lists]
         return plan
 
 
@@ -525,32 +507,15 @@ class RefineStage:
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Evaluate exact distances for each query's candidate list.
 
-        Work is grouped per query, or per (query, shard) when the filter
-        routed the candidates to shards (``plan.shard_work``), and resolved
-        in one ``distances_to_many`` call on the binding; a one-query plan
-        stays serial.  Grouping cannot change values or per-query costs: a
-        query's candidates are unique and shard ranges are disjoint, so the
-        groups partition exactly the pairs an ungrouped call would resolve.
+        One ``distances_to_many`` call on the binding resolves every
+        query's candidates; a one-query plan stays serial.
         """
         n_queries = len(plan.objects)
-        work = plan.shard_work or [[(None, slice(None))]] * n_queries
-        groups = [
-            (qi, positions)
-            for qi, query_work in enumerate(work)
-            for _sid, positions in query_work
-        ]
-        values_list, spent_list = self.binding.distances_to_many(
-            [plan.objects[qi] for qi, _positions in groups],
-            [plan.candidate_lists[qi][positions] for qi, positions in groups],
+        plan.exact_lists, plan.refine_costs = self.binding.distances_to_many(
+            plan.objects,
+            plan.candidate_lists,
             n_jobs=plan.n_jobs if n_queries > 1 else 1,
         )
-        plan.exact_lists = [
-            np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
-        ]
-        plan.refine_costs = [0] * n_queries
-        for (qi, positions), values, spent in zip(groups, values_list, spent_list):
-            plan.exact_lists[qi][positions] = values
-            plan.refine_costs[qi] += int(spent)
         return plan
 
 

@@ -1,20 +1,20 @@
 """Sharded filter-and-refine retrieval.
 
 :class:`ShardedRetriever` partitions the database into ``S`` contiguous
-shards and runs the embedding-filter + exact-refine pipeline of
-:class:`~repro.retrieval.filter_refine.FilterRefineRetriever` per shard,
-merging per-shard candidates into globally exact top-``k`` results.  The
-point is serving shape: each shard's filter scan and refine batch is an
-independent unit of work that can fan out across worker processes today
-(``n_jobs``) and across remote workers later, while results stay
-*bit-identical* to the single-process unsharded path.
+shards, runs the embedding filter of
+:class:`~repro.retrieval.filter_refine.FilterRefineRetriever` per shard and
+merges the per-shard candidates into the global candidate list, whose
+exact refine yields globally exact top-``k`` results.  The
+point is serving shape: each shard's filter scan is an independent unit
+of work, and the :mod:`repro.remote` shard servers run each shard's filter
+and refine on their own rows, while results stay *bit-identical* to the
+single-process unsharded path.
 
-Since the :mod:`repro.retrieval.engine` refactor the retriever is a thin
-configuration of :class:`~repro.retrieval.engine.QueryEngine`: the shard
-merge lives in :class:`~repro.retrieval.engine.ShardedFilterStage` and the
-per-(query, shard) refine routing in
-:class:`~repro.retrieval.engine.RefineStage` — shared with the unsharded
-pipeline, so tie-breaking, clamping and accounting cannot drift.
+The retriever is a thin configuration of
+:class:`~repro.retrieval.engine.QueryEngine`: the shard merge lives in
+:class:`~repro.retrieval.engine.ShardedFilterStage` and the refine in the
+same :class:`~repro.retrieval.engine.RefineStage` the unsharded pipeline
+runs, so tie-breaking, clamping and accounting cannot drift.
 
 Shard/merge semantics
 ---------------------
@@ -35,41 +35,28 @@ database index and global tie-breaking by index is preserved.  Per query:
    :meth:`~repro.retrieval.filter_refine.FilterRefineRetriever.filter_order`.
    (A shard's local top-``min(p, shard_size)`` necessarily contains every
    global top-``p`` member of that shard, so no candidate is lost.)
-3. **Refine per shard** — evaluate the exact distances from the query to its
-   surviving candidates shard by shard (one group per shard in the refine
-   stage's single batched call), scatter them back into filter order, and
-   keep the best ``min(k, n)`` with ties again resolved by global database
-   index — the same brute-force-identical order as the unsharded path.
+3. **Refine** — evaluate the exact distances from the query to its merged
+   candidate list in filter order, exactly as the unsharded pipeline does,
+   and keep the best ``min(k, n)`` with ties again resolved by global
+   database index — the same brute-force-identical order as the unsharded
+   path.
 
 The per-query cost is unchanged: ``embedding.cost`` exact distances to embed
 plus exactly ``p`` to refine, regardless of the shard count.
 
 Parallelism and accounting
 --------------------------
-``n_jobs`` fans the refine work of a :meth:`ShardedRetriever.query_many`
-batch out over a process pool, one unit per (query, shard) pair, through
+The ``n_jobs`` argument of :meth:`ShardedRetriever.query_many` fans the
+batch's refine work out over a process pool, one unit per query, through
 :func:`repro.distances.parallel.parallel_refine`; a one-query call stays
-serial.  Accounting follows the matrix builders' rule: top-level
+serial.  That fan-out keeps accounting exact: top-level
 :class:`~repro.distances.base.CountingDistance` wrappers stay in the parent
-and are charged one evaluation per refined candidate (so per-query counts
-are identical to the serial path), and workers receive the inner measure.
-A :class:`~repro.distances.context.DistanceContext` is never shipped: it
-pools only its missing pairs itself (see below).
-
-Store-aware refine routing
---------------------------
-When the retriever is built on a
-:class:`~repro.distances.context.DistanceContext`, the refine step goes
-through the context's shared store *per (query, shard) group*: each
-shard's store hits are resolved in the parent and only its missing pairs
-are evaluated, so a shard whose pairs are already cached receives zero
-exact evaluations.  Per-query ``refine_distance_computations`` reports the
-evaluations actually performed, ``n_jobs`` fan-out happens inside
-:meth:`~repro.distances.context.DistanceContext.distances_to_many` (store
-and counters stay in the parent), and the refined values — and therefore
-the merged neighbors — remain bit-identical to the unsharded context path
-(a query's candidates are unique and shard ranges disjoint, so the groups
-partition exactly the pairs the unsharded call resolves).
+and are charged one evaluation per refined candidate, and workers receive
+the inner measure.  On a :class:`~repro.distances.context.DistanceContext`
+the refine resolves store hits in the parent and evaluates only the
+missing pairs (the context is never shipped), so per-query
+``refine_distance_computations`` reports the evaluations actually
+performed, exactly as on the unsharded context path.
 """
 
 from __future__ import annotations
@@ -137,10 +124,6 @@ class ShardedRetriever:
         Optional precomputed ``(n, d)`` matrix of database embeddings (the
         same matrix an unsharded retriever would use; it is sliced per
         shard).  When omitted, the database is embedded at construction time.
-    n_jobs:
-        Default worker-process count for :meth:`query_many`;
-        ``None``/``0``/``1`` = serial, ``-1`` = all CPUs.  Overridable per
-        call.
     """
 
     def __init__(
@@ -150,7 +133,6 @@ class ShardedRetriever:
         embedder: Union[QuerySensitiveModel, Embedding],
         n_shards: int = 2,
         database_vectors: Optional[np.ndarray] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if not isinstance(distance, DistanceMeasure):
             raise RetrievalError("distance must be a DistanceMeasure instance")
@@ -164,7 +146,6 @@ class ShardedRetriever:
             raise RetrievalError(f"n_shards must be at least 1, got {n_shards}")
         self.database = database
         self.embedder = embedder
-        self.n_jobs = n_jobs
         if database_vectors is None:
             database_vectors = embedder.embed_many(list(database))
         self.database_vectors = np.asarray(database_vectors, dtype=float)
@@ -216,19 +197,6 @@ class ShardedRetriever:
         return self.engine.refine.calls
 
     # ------------------------------------------------------------------ #
-    # Filter + merge                                                     #
-    # ------------------------------------------------------------------ #
-
-    def merged_candidates(self, query_vector: np.ndarray, p: int) -> np.ndarray:
-        """Global top-``p`` filter candidates, merged across shards.
-
-        Identical — including tie-breaking by database index — to the
-        unsharded ``filter_order(query_vector, p)`` (see the module
-        docstring for why the merge preserves the stable order).
-        """
-        return self.engine.filter.merged(query_vector, p)
-
-    # ------------------------------------------------------------------ #
     # Queries                                                            #
     # ------------------------------------------------------------------ #
 
@@ -251,12 +219,11 @@ class ShardedRetriever:
         """Batched :meth:`query` over a sequence of query objects.
 
         Queries are embedded with one batched ``embed_many`` call and
-        filtered/merged in the parent process; the refine work — one batch
-        per (query, shard) pair — runs serially or over a process pool
-        (``n_jobs``).  Results and per-query exact-distance accounting are
-        bit-identical to the serial unsharded
+        filtered/merged in the parent process; the refine work — one unit
+        per query — runs serially or over a process pool (``n_jobs``;
+        ``None``/``0``/``1`` = serial, ``-1`` = all CPUs).  Results and
+        per-query exact-distance accounting are bit-identical to the serial
+        unsharded
         :meth:`~repro.retrieval.filter_refine.FilterRefineRetriever.query_many`.
         """
-        return self.engine.query_many(
-            objects, k, p, n_jobs=self.n_jobs if n_jobs is None else n_jobs
-        )
+        return self.engine.query_many(objects, k, p, n_jobs=n_jobs)

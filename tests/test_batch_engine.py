@@ -36,11 +36,13 @@ from repro.distances import (
     cross_distances,
     pairwise_distances,
 )
+from repro.distances.parallel import parallel_refine, split_counting
 from repro.embeddings.composite import CompositeEmbedding
 from repro.embeddings.fastmap import build_fastmap_embedding
 from repro.embeddings.lipschitz import build_lipschitz_embedding
 from repro.embeddings.pivot import PivotEmbedding
 from repro.embeddings.reference import ReferenceEmbedding
+from repro.index.pool import PersistentPool
 from repro.retrieval.engine import stable_smallest
 from repro.retrieval.filter_refine import FilterRefineRetriever
 
@@ -356,6 +358,54 @@ class TestMatrixBuilders:
             cross, cross_distances(l2, objects[:3], objects), atol=ATOL, rtol=0.0
         )
         assert counting.calls == 36
+
+    @pytest.mark.parametrize("path", ["parent", "one-shot pool", "persistent pool"])
+    def test_parallel_refine_evaluates_and_charges_once(self, rng, l2, path):
+        objects = [rng.normal(size=4) for _ in range(12)]
+        queries = [rng.normal(size=4) for _ in range(3)]
+        items = [
+            ("a", queries[0], np.array([3, 0, 7])),
+            ("empty", queries[1], np.array([], dtype=int)),
+            ("all", queries[2], np.arange(12)),
+            ("repeat", queries[0], np.array([11, 11])),
+        ]
+        expected = {
+            key: l2.compute_many(query, [objects[i] for i in indices])
+            for key, query, indices in items
+            if indices.size
+        }
+        n_workers = 1 if path == "parent" else 2
+        pool = PersistentPool(2) if path == "persistent pool" else None
+        nested = CountingDistance(l2)
+        outer = CountingDistance(nested)
+        peeled = CountingDistance(l2)
+        seen = []
+        try:
+            charged = parallel_refine(
+                outer,
+                objects,
+                items,
+                n_workers,
+                pool=pool,
+                progress=lambda done, total: seen.append((done, total)),
+            )
+            uncharged = parallel_refine(
+                split_counting(peeled)[0], objects, items, n_workers, pool=pool
+            )
+        finally:
+            if pool is not None:
+                pool.close()
+        for values in (charged, uncharged):
+            assert set(values) == {"a", "empty", "all", "repeat"}
+            assert values["empty"].shape == (0,)
+            for key, exact in expected.items():
+                assert np.array_equal(values[key], exact)
+        # One charge per evaluated pair on every peeled counter, none on a
+        # counter the caller peeled off itself.
+        assert outer.calls == nested.calls == 3 + 12 + 2
+        assert peeled.calls == 0
+        assert seen[-1] == (4, 4)
+        assert [done for done, _ in seen] == sorted(done for done, _ in seen)
 
     @pytest.mark.slow
     def test_training_tables_parallel_identical(self, rng, l2, gaussian_dataset):

@@ -620,6 +620,40 @@ class TestIndexFacade:
             result = index.query(list(planner_split.queries)[0], k=K)
             assert result.stats["planned"] is True
 
+    def test_enable_planner_keeps_the_calibration(self):
+        dataset = make_gaussian_clusters(
+            n_objects=300, n_clusters=6, n_dims=5, seed=31
+        )
+        config = IndexConfig(
+            training=TrainingConfig(
+                n_candidates=20,
+                n_training_objects=20,
+                n_triples=200,
+                n_rounds=4,
+                classifiers_per_round=8,
+                kmax=5,
+                seed=1,
+            )
+        )
+        with EmbeddingIndex.build(
+            L2Distance(), dataset.subset(range(260)), config
+        ) as index:
+            index.enable_planner(target_accuracy=0.9)
+            index.calibrate_planner(list(dataset)[260:265])
+            calibrated = index.explain(K)
+            assert calibrated["calibrated"]
+            # A budget that does not bind leaves the calibrated ceiling.
+            index.enable_planner(cost_budget=60)
+            assert index.explain(K)["calibrated"]
+            assert index.explain(K)["p"] == calibrated["p"]
+            # The live planner is retargeted: a binding budget caps it.
+            index.enable_planner(cost_budget=index.embedding_cost + 5)
+            assert index.explain(K)["calibrated"]
+            assert index.explain(K)["p"] == 5
+            health = index.health()["planner"]
+            assert health["target_accuracy"] == 0.9
+            assert health["cost_budget"] == index.embedding_cost + 5
+
     def test_explicit_p_batches_take_the_config_n_jobs(self, planner_split):
         queries = list(planner_split.queries)
         config = IndexConfig(

@@ -73,7 +73,6 @@ class TestEngineComposition:
         plan = engine.run(plan)
         assert plan.query_vectors.shape == (3, trained_qs.model.dim)
         assert all(c.shape == (9,) for c in plan.candidate_lists)
-        assert plan.shard_work is not None and len(plan.shard_work) == 3
         assert all(e.shape == (9,) for e in plan.exact_lists)
         assert len(plan.results) == 3
 

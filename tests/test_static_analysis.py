@@ -150,7 +150,7 @@ def test_rp001_scope_isolation_no_cross_function_bleed(tmp_path):
             return context.compute_table()
 
         def fans_out(measure, rows):
-            return parallel_rows(measure, rows, n_jobs=2)
+            return parallel_refine(measure, rows, n_jobs=2)
         """,
         rule_ids=["RP001"],
     )
