@@ -15,7 +15,8 @@ result out as soon as it lands.  This walkthrough, on DTW time-series data:
      look-ahead (``max_in_flight`` backpressure),
    * ``aquery_many`` → the ``asyncio``-friendly batch call,
 4. re-streams the same batch to show warm serving: zero exact distance
-   evaluations, every pair answered by the store,
+   evaluations, every pair answered by the store (step 3 served each
+   query at least twice, and a query's second sighting stores its pairs),
 5. puts a deadline on a deliberately slowed pool: without
    ``allow_partial`` the ticket resolves to a typed ``ServingError``
    instead of hanging; with it, whatever refine work finished in time is
@@ -130,7 +131,9 @@ def main() -> None:
         )[1])
         slow = EmbeddingIndex.open(artifact, database)
         # Warm a small candidate prefix first, so the partial result
-        # below has resolved distances to rank.
+        # below has resolved distances to rank: the first sighting is
+        # served transiently, the second is admitted and stores its pairs.
+        slow.query(fresh[1], k=3, p=5)
         slow.query(fresh[1], k=3, p=5)
         delayed = PersistentPool(2, faults=FaultPlan(delay_seconds=2.0))
         slow.pool = delayed

@@ -13,9 +13,10 @@ This walkthrough, on DTW time-series data:
 2. calibrates the planner from probe queries (charged honestly),
 3. serves a batch with ``p=None`` and shows bit-identity against the
    fixed-``p`` run at each query's planner-chosen ``p'``,
-4. re-serves the warm batch: the distance store answers every pair the
-   first pass evaluated, so it costs no refine evaluations and gives
-   the same answers,
+4. re-serves the warm batch: each query's fixed-``p'`` run in step 3
+   was its second sighting, which admitted it and stored the pairs it
+   evaluated, so the re-serve costs no refine evaluations and gives the
+   same answers,
 5. inspects ``explain(k)`` and ``health()["planner"]``,
 6. streams under a per-query cost *budget* — the cost-budgeted
    ``stream(...)`` a latency-bound service would run.  The async paths
@@ -71,8 +72,9 @@ def main() -> None:
     for query, result in zip(served_queries, planned):
         chosen = result.stats["planned_p"]
         fixed = index.query(query, k=3, p=chosen)
-        # The fixed-p' re-run hits the store the adaptive pass just warmed,
-        # so its evaluation *charge* is lower; the answers are identical.
+        # The adaptive pass was the query's first sighting (served
+        # transiently); this fixed-p' re-run is its second, which admits it
+        # and stores its pairs.  The answers are identical.
         assert np.array_equal(
             result.neighbor_indices, fixed.neighbor_indices
         )

@@ -69,14 +69,25 @@ def main() -> int:
         n_jobs=2,
     )
 
-    # build + serve (twice: the repeat batch must be store-resident)
+    # build + serve three times: a first sighting stays out of the
+    # universe, the second is admitted and stored, the third is free
     index = EmbeddingIndex.build(L2Distance(), split.database, config)
+    n_objects = index.context.n_objects
     first = index.query_many(queries, k=3, p=12, n_jobs=2)
     check(len(first) == len(queries), "build + pooled query_many serves a batch")
+    check(
+        index.context.n_objects == n_objects,
+        "a first-sighting batch leaves the universe unchanged",
+    )
+    index.query_many(queries, k=3, p=12, n_jobs=2)
+    check(
+        index.context.n_objects == n_objects + len(queries),
+        "its second sighting grows the universe by the batch size",
+    )
     warm = index.query_many(queries, k=3, p=12, n_jobs=2)
     check(
         all(r.refine_distance_computations == 0 for r in warm),
-        "repeated batch is store-resident (zero refine evaluations)",
+        "third sighting of a batch is store-resident (zero refine evaluations)",
     )
     check(index.pool.launches <= 1, "one persistent pool launch per index")
 

@@ -29,7 +29,9 @@ True
 ``index.save(directory)`` persists the trained model, the embedded
 database and the warm distance store as one versioned artifact;
 ``EmbeddingIndex.open(directory, database)`` restores it (dataset
-fingerprint verified) and serves previously-evaluated pairs for free.
+fingerprint verified) and serves the stored pairs for free: the
+training tables and the pairs of every query served at least twice (a
+query's first sighting is served without touching the store).
 ``index.query_many(queries, k, p, n_jobs=...)`` batches queries through
 one persistent pool of worker processes, and the retriever backend —
 ``"filter_refine"`` (default), ``"sharded"``, ``"brute_force"``, or a

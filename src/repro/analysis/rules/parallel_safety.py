@@ -5,7 +5,10 @@ The invariant (ROADMAP, "Distance lifecycle"): worker processes receive
 a worker would copy its store per worker and silently discard the worker's
 cache updates and counter charges; a :class:`CountingDistance` would count
 in the child where the parent cannot see it; a :class:`PersistentPool` or
-``multiprocessing`` manager is process-local machinery by definition.
+``multiprocessing`` manager is process-local machinery by definition.  The
+one exception is the measure ``parallel_refine`` is given: it peels that
+measure's top-level counters (``split_counting``) and charges them in the
+parent, so ``parallel_refine(CountingDistance(m), ...)`` ships only ``m``.
 ``ensure_parallel_safe`` catches some of this at runtime, in the worker
 fan-out, at 3 a.m.; this rule catches it in the diff.
 
@@ -71,6 +74,27 @@ def _banned_origin(
     return _banned_constructor(origin)
 
 
+def _peel_counters(expr: ast.expr, assignments: Dict[str, ast.expr]) -> ast.expr:
+    """The measure under ``expr``'s top-level ``CountingDistance`` wrappers."""
+    origin = resolve_origin(expr, assignments)
+    while _banned_constructor(origin) == "CountingDistance":
+        base = origin.args[:1] or [kw.value for kw in origin.keywords if kw.arg == "base"]
+        if not base:
+            break
+        origin = resolve_origin(base[0], assignments)
+    return origin
+
+
+def _peeled_measure(call: ast.Call) -> Optional[ast.expr]:
+    """``parallel_refine``'s measure argument, whose counters it peels."""
+    name = call_name(call)
+    if name is None or name.split(".")[-1] != "parallel_refine":
+        return None
+    if call.args:
+        return call.args[0]
+    return next((kw.value for kw in call.keywords if kw.arg == "distance"), None)
+
+
 def _is_sink(call: ast.Call) -> bool:
     name = call_name(call)
     if name is None:
@@ -121,7 +145,10 @@ class ParallelSafetyRule(Rule):
         "multiprocessing manager may appear in arguments or closures shipped "
         "to parallel_refine / pool.submit / "
         "ProcessPoolExecutor — worker copies would fork the store and lose "
-        "cache updates and counter charges."
+        "cache updates and counter charges. The one exception: the measure "
+        "parallel_refine is given may be wrapped in CountingDistance, "
+        "because parallel_refine peels those counters and charges them in "
+        "the parent."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -153,7 +180,10 @@ class ParallelSafetyRule(Rule):
                 continue
             arguments: List[ast.expr] = list(node.args)
             arguments.extend(kw.value for kw in node.keywords if kw.value is not None)
+            measure = _peeled_measure(node)
             for argument in arguments:
+                if argument is measure:
+                    argument = _peel_counters(argument, assignments)
                 banned = self._argument_violation(
                     argument, assignments, local_defs
                 )

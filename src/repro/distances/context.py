@@ -58,10 +58,25 @@ shard client run the same resolve and complete steps
 (:class:`PendingDistances`) around evaluations they schedule themselves.
 The matrix primitives (:meth:`pairwise`, :meth:`cross`) send their misses
 through the same fan-out, which charges the counters for them.
+
+Transient requests
+------------------
+A serving request (one blocking query batch, one calibration, one async
+submission up to its resolve) runs inside :meth:`DistanceContext.request`,
+which first applies the admission rule (:meth:`DistanceContext.admit`): an
+object the universe knows by identity or content keeps its index, and an
+unknown one joins the universe on its second sighting (or at once, when
+the request holds it twice).  A first sighting stays *transient*: it gets
+no universe index and never reaches the store, so its pairs cost no store
+traffic and no memory once the request ends.  The request's memo holds the
+pairs its transient objects evaluate, so a refine reuses the same
+request's embedding-anchor distances and every pair is still computed and
+charged once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import pickle
@@ -75,6 +90,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -1030,6 +1046,43 @@ class PendingDistances:
         return len(self.miss_targets)
 
 
+class _RequestMemo:
+    """The pairs one request evaluated for its transient objects.
+
+    Keyed by object identity: the memo holds its objects, so their ids
+    cannot be recycled while it lives.  Per object it keeps a sorted array
+    of universe indices and the distances ``D(obj, objects[j])`` evaluated
+    for them, so a lookup is one ``searchsorted``.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, objects: Sequence[Any]) -> None:
+        self._entries: Dict[int, list] = {
+            id(obj): [obj, _NO_INDICES, _NO_VALUES] for obj in objects
+        }
+
+    def __contains__(self, obj: Any) -> bool:
+        return id(obj) in self._entries
+
+    def lookup(self, obj: Any, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(values, hit)`` for ``targets``; ``values`` is valid where ``hit``."""
+        _obj, known, values = self._entries[id(obj)]
+        if not known.size:
+            return np.empty(targets.size, dtype=float), np.zeros(targets.size, dtype=bool)
+        slots = np.searchsorted(known, targets)
+        np.minimum(slots, known.size - 1, out=slots)
+        return values[slots], known[slots] == targets
+
+    def record(self, obj: Any, targets: np.ndarray, values: np.ndarray) -> None:
+        """Remember freshly evaluated pairs (the misses of a :meth:`lookup`)."""
+        entry = self._entries[id(obj)]
+        known = np.concatenate([entry[1], targets])
+        order = np.argsort(known, kind="stable")
+        entry[1] = known[order]
+        entry[2] = np.concatenate([entry[2], values])[order]
+
+
 # --------------------------------------------------------------------------- #
 # The context                                                                 #
 # --------------------------------------------------------------------------- #
@@ -1043,6 +1096,10 @@ class DistanceContext(DistanceMeasure):
     the store when possible and recorded into it when computed, and
     evaluations involving unknown objects fall through to the base measure
     (computed, counted, but not cached — there is no stable key for them).
+    Inside a :meth:`request`, the request's transient objects are the
+    exception: :meth:`compute_many` and :meth:`distances_to_many` keep
+    their pairs in the request's memo, never in the store, so each pair is
+    evaluated once per request.
 
     Parameters
     ----------
@@ -1140,14 +1197,21 @@ class DistanceContext(DistanceMeasure):
         # keyed by their id; held (LRU-bounded) so the ids serving as
         # _index_by_id keys cannot be recycled while mapped.
         self._adopted: "OrderedDict[int, Any]" = OrderedDict()
+        # Content digests of first sightings (see admit), oldest first.
+        self._sightings: "OrderedDict[bytes, None]" = OrderedDict()
+        # The active request's memo (see request); None between requests.
+        self._memo: Optional[_RequestMemo] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state.pop("_index_by_id", None)
         state.pop("_index_by_digest", None)
         # Identity-keyed bookkeeping is rebuilt on load; content-matched
-        # duplicates re-adopt on their next register call.
+        # duplicates re-adopt on their next register call.  Sightings and
+        # the request memo are process-local serving state.
         state.pop("_adopted", None)
+        state.pop("_sightings", None)
+        state.pop("_memo", None)
         # Worker pools hold live processes; a pickled copy starts pool-less.
         state["pool"] = None
         return state
@@ -1314,6 +1378,70 @@ class DistanceContext(DistanceMeasure):
             indices.append(index)
         return np.asarray(indices, dtype=int)
 
+    def admit(self, objects: Sequence[Any], max_sightings: int) -> List[Any]:
+        """Apply the admission rule to one request; return its transient objects.
+
+        Per object:
+
+        * known by identity or content: it keeps its universe index;
+        * content sighted before, or present twice in ``objects``: it is
+          registered (``match_content=True``, so equal copies share one
+          index) and its pairs are stored from now on;
+        * otherwise its content digest is remembered as a first sighting
+          and the object is returned, to be served transiently.
+
+        The sightings form an LRU of at most ``max_sightings`` digests, so
+        a sighting is forgotten after ``max_sightings`` other first
+        sightings.
+        """
+        objects = list(objects)
+        digests = {
+            pos: object_digest(obj)
+            for pos, obj in enumerate(objects)
+            if id(obj) not in self._index_by_id
+        }
+        counts: Dict[bytes, int] = {}
+        for digest in digests.values():
+            counts[digest] = counts.get(digest, 0) + 1
+        known = self._digest_index() if digests else {}
+        transient = set()
+        for pos, digest in digests.items():
+            if digest in self._sightings:
+                del self._sightings[digest]  # a second sighting: admitted
+                continue
+            if digest in known or counts[digest] > 1:
+                continue
+            self._sightings[digest] = None
+            while len(self._sightings) > max_sightings:
+                self._sightings.popitem(last=False)
+            transient.add(pos)
+        if len(transient) < len(objects):
+            self.register(
+                [obj for pos, obj in enumerate(objects) if pos not in transient],
+                match_content=True,
+            )
+        return [objects[pos] for pos in sorted(transient)]
+
+    @contextlib.contextmanager
+    def request(self, objects: Sequence[Any], max_sightings: int) -> Iterator[None]:
+        """Scope one serving request: admit ``objects``, memoise the rest.
+
+        :meth:`admit` runs first; for the duration of the ``with`` block
+        the transient objects it returns are served through a fresh memo
+        (see the module docstring), which is dropped when the block exits.
+        """
+        transient = self.admit(objects, max_sightings)
+        outer, self._memo = self._memo, _RequestMemo(transient)
+        try:
+            yield
+        finally:
+            self._memo = outer
+
+    def _memo_of(self, obj: Any) -> Optional[_RequestMemo]:
+        """The active request's memo if ``obj`` is one of its transient objects."""
+        memo = self._memo
+        return memo if memo is not None and obj in memo else None
+
     # -- persistence ----------------------------------------------------
 
     def save_store(self, path, compress: bool = True) -> None:
@@ -1421,19 +1549,26 @@ class DistanceContext(DistanceMeasure):
         key → resolution), pairs another registered resolution is already
         computing are deferred instead of recomputed (see
         :class:`PendingDistances`), and this resolution's own missing keys
-        are registered in the mapping until completed or cancelled.
+        are registered in the mapping until completed or cancelled.  A
+        transient object of the active :meth:`request` resolves against
+        the request's memo instead and never enters ``in_flight``.
         """
         targets = np.asarray(target_indices, dtype=int)
         query_index = self.index_of(obj)
         pending = PendingDistances(query_index, obj, targets)
-        if query_index is None:
+        memo = self._memo_of(obj)
+        if query_index is not None:
+            values, hit = self.store.get_many(query_index, targets)
+        elif memo is not None:
+            values, hit = memo.lookup(obj, targets)
+            in_flight = None
+        else:
             # No stable key: compute everything (duplicates included),
             # cache nothing; fresh values align with the targets by
             # position.
             pending.miss_targets = targets
             pending.fill_pos = pending.fill_slot = np.arange(targets.size)
             return pending
-        values, hit = self.store.get_many(query_index, targets)
         pending.values = values
         miss_pos = np.flatnonzero(~hit)
         misses = targets[miss_pos]
@@ -1497,10 +1632,13 @@ class DistanceContext(DistanceMeasure):
                     f"complete_distances needs {n_missing} fresh "
                     f"values, got {fresh.shape[0]}"
                 )
+            memo = self._memo_of(pending.obj)
             if query_index is not None:
                 self.store.put_many(query_index, pending.miss_targets, fresh)
                 if pending.dependents:
                     pending.computed = dict(zip(pending.owned_keys, fresh.tolist()))
+            elif memo is not None:
+                memo.record(pending.obj, pending.miss_targets, fresh)
             # Fill from the computed batch, not the store: a bounded store
             # may already have evicted the earliest entries.
             pending.values[pending.fill_pos] = fresh[pending.fill_slot]
@@ -1702,12 +1840,15 @@ class DistanceContext(DistanceMeasure):
         return float(self.counting.compute(x, y))
 
     def compute_many(self, x: Any, ys: Sequence[Any]) -> np.ndarray:
-        """Distances from ``x`` to each of ``ys``, charging only store misses."""
+        """Distances from ``x`` to each of ``ys``, charging only store misses.
+
+        A transient ``x`` of the active :meth:`request` resolves against
+        the request's memo, so its anchor distances serve its refine.
+        """
         ys = list(ys)
         if not ys:
             return np.zeros(0, dtype=float)
-        i = self.index_of(x)
-        if i is None:
+        if self.index_of(x) is None and self._memo_of(x) is None:
             return np.asarray(self.counting.compute_many(x, ys), dtype=float)
         indices = list(map(self._index_by_id.get, map(id, ys)))
         if None not in indices:

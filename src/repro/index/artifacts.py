@@ -12,7 +12,7 @@ re-embedding**.  Layout (format version 1)::
       arrays.npz      database_vectors + candidate_to_candidate
       store.npz       the DistanceStore (.npz, fingerprint-checked)
       distance.pkl    the pickled base distance measure
-      extras.pkl      universe objects beyond the database (registered
+      extras.pkl      universe objects beyond the database (admitted
                       queries), present only when there are any
 
 Integrity rules

@@ -23,10 +23,12 @@ What the facade owns
   embedding anchors, refine candidates) goes through its store, so a pair is
   paid for at most once per index lifetime and
   :attr:`EmbeddingIndex.distance_evaluations` is the exact cost of
-  everything done so far.  Queried objects are registered into the context
-  (by content, so reopened indexes recognise equal query objects), which is
-  what makes a warm-opened index serve previously-queried batches with zero
-  exact evaluations.
+  everything done so far.  A served query joins the context universe on
+  its second sighting (by content, so reopened indexes recognise equal
+  query objects); from then on its pairs are stored, which is what makes a
+  warm-opened index serve a batch it has stored with zero exact
+  evaluations.  A first sighting is served transiently and leaves the
+  universe and the store as they were.
 * **One** :class:`~repro.index.pool.PersistentPool` — long-lived worker
   processes reused by every ``n_jobs`` code path the index touches (matrix
   builds, refine fan-out) instead of a throwaway pool per call.  The index
@@ -97,6 +99,10 @@ __all__ = [
 class IndexConfig:
     """Everything an :class:`EmbeddingIndex` needs beyond data and distance.
 
+    How served queries are cached is not configurable: every index stores
+    a query from its second sighting on (see :meth:`EmbeddingIndex._register`),
+    so ever-novel traffic never grows the universe or the store.
+
     Attributes
     ----------
     training:
@@ -117,14 +123,6 @@ class IndexConfig:
         Optional LRU bound on the store's sparse entries (dense training /
         ground-truth blocks are never evicted) so a long-serving index
         cannot grow its cache without limit.
-    register_queries:
-        Whether served query objects join the context universe (default
-        ``True``): their refine pairs then cache under stable keys, which
-        is what makes repeated and save/open-restored batches free.  Set
-        ``False`` for high-volume serving of *ever-novel* queries — there
-        the registrations would grow the universe (and the state shipped
-        to pool workers) per batch with no reuse to show for it; queries
-        are then evaluated uncached, with identical results.
     planner_target_accuracy:
         Retrieval accuracy the ``"planned"`` backend aims for when its
         planner is calibrated and ``p=None`` (see
@@ -141,7 +139,6 @@ class IndexConfig:
     n_jobs: Optional[int] = None
     symmetric: bool = True
     max_sparse_entries: Optional[int] = None
-    register_queries: bool = True
     planner_target_accuracy: float = 0.95
     planner_cost_budget: Optional[int] = None
 
@@ -179,7 +176,6 @@ class IndexConfig:
             "n_jobs": self.n_jobs,
             "symmetric": self.symmetric,
             "max_sparse_entries": self.max_sparse_entries,
-            "register_queries": self.register_queries,
             "planner_target_accuracy": self.planner_target_accuracy,
             "planner_cost_budget": self.planner_cost_budget,
         }
@@ -202,7 +198,6 @@ class IndexConfig:
                 n_jobs=payload.get("n_jobs"),
                 symmetric=bool(payload["symmetric"]),
                 max_sparse_entries=payload.get("max_sparse_entries"),
-                register_queries=bool(payload.get("register_queries", True)),
                 planner_target_accuracy=float(
                     payload.get("planner_target_accuracy", 0.95)
                 ),
@@ -448,9 +443,10 @@ class EmbeddingIndex:
             The :class:`IndexConfig`; defaults are laptop-scale.
         queries:
             Optional query objects known upfront (an experiment's held-out
-            set).  They join the context universe immediately, so their
-            exact distances — ground truth, refine candidates — are cached
-            under stable keys from the first evaluation on.
+            set).  They join the context universe immediately, without
+            waiting for a second sighting, so their exact distances —
+            ground truth, refine candidates — are cached under stable keys
+            from the first evaluation on.
         tables:
             Optional precomputed :class:`~repro.core.trainer.TrainingTables`
             (shared across several indexes in method comparisons).
@@ -666,8 +662,10 @@ class EmbeddingIndex:
 
         Everything needed for a zero-retraining :meth:`open` is written:
         the serialized model (with its candidate provenance), the embedded
-        database, the distance store (warm pairs included — queries served
-        so far stay free forever), the config and the dataset fingerprints.
+        database, the distance store (warm pairs included — a query served
+        at least twice so far, or passed to ``build(queries=...)``, stays
+        free after :meth:`open`; a query seen only once is not stored), the
+        config and the dataset fingerprints.
         The manifest is committed last, so a crashed save never leaves an
         openable half-artifact.
 
@@ -766,20 +764,22 @@ class EmbeddingIndex:
             return self._server._lock
         return contextlib.nullcontext()
 
-    def _register(self, objects: Sequence[Any]) -> None:
-        """Admit query objects into the context universe (by content).
+    def _register(self, objects: Sequence[Any]):
+        """The request scope of one serving call over query ``objects``.
 
-        Registration is what makes serving cacheable: a query's refine
-        pairs land in the store under stable keys, so repeating it — in
-        this process or after a save/open round trip — costs nothing.
-        Content matching maps equal-but-distinct objects (e.g. the caller's
-        own copies of queries a reopened index has already served) onto
-        their existing universe indices.  Disabled by
-        ``IndexConfig(register_queries=False)`` for ever-novel-query
-        serving, where caching per-query pairs buys nothing.
+        Applies the context's admission rule
+        (:meth:`~repro.distances.context.DistanceContext.admit`): a query
+        is stored from its second sighting and is free from its third, in
+        this process and after a :meth:`save`/:meth:`open` round trip;
+        duplicates within one request are admitted at once.  Content
+        matching maps equal-but-distinct objects (e.g. the caller's own
+        copies of queries a reopened index has already stored) onto their
+        universe indices.  A first sighting is served transiently: no
+        universe index, no store traffic, its pairs held in the request's
+        memo until the ``with`` block exits.  Sightings are remembered for
+        the last ``len(database)`` novel queries.
         """
-        if self.config.register_queries:
-            self.context.register(objects, match_content=True)
+        return self.context.request(objects, len(self.database))
 
     def _check_p(self, p: Optional[int]) -> None:
         """Reject ``p=None`` unless the backend scans all or plans ``p``."""
@@ -806,8 +806,8 @@ class EmbeddingIndex:
         self._check_open()
         with self._serving_guard():
             self._check_p(p)
-            self._register([obj])
-            return self._backend.query(obj, k, p)
+            with self._register([obj]):
+                return self._backend.query(obj, k, p)
 
     def query_many(
         self,
@@ -833,7 +833,8 @@ class EmbeddingIndex:
 
         With ``deadline``/``max_retries``/``allow_partial`` the batch runs
         through the submission-ordered serving stream (bit-identical for
-        an explicit ``p``; see :meth:`stream` for ``p=None``): a query
+        an explicit ``p``; see :meth:`stream` for ``p=None`` and for a
+        batch's duplicates): a query
         that misses its per-query deadline raises its typed
         :class:`~repro.exceptions.ServingError` — within the deadline,
         instead of hanging — unless ``allow_partial=True``, in which case
@@ -861,9 +862,9 @@ class EmbeddingIndex:
             return results
         with self._serving_guard():
             self._check_p(p)
-            self._register(objects)
             effective_jobs = self.config.n_jobs if n_jobs is None else n_jobs
-            return self._backend.query_many(objects, k, p, n_jobs=effective_jobs)
+            with self._register(objects):
+                return self._backend.query_many(objects, k, p, n_jobs=effective_jobs)
 
     # -- async serving ---------------------------------------------------
 
@@ -937,9 +938,12 @@ class EmbeddingIndex:
         is ``"completion"`` (yield each result as soon as its refine lands)
         or ``"submission"`` (yield in input order).  For an explicit
         ``p``, results — and their exact cost accounting — are
-        bit-identical to :meth:`query_many` over the same batch; with
-        ``p=None`` on the ``"planned"`` backend every query is served at
-        the planner's ceiling ``explain(k)["p"]`` (see :meth:`submit`).
+        bit-identical to :meth:`query_many` over the same batch, except
+        that a novel query present twice pays twice (each submission is its
+        own request, so the first copy is served transiently where
+        ``query_many`` admits both at once); with ``p=None`` on the
+        ``"planned"`` backend every query is served at the planner's
+        ceiling ``explain(k)["p"]`` (see :meth:`submit`).
 
         ``deadline``/``max_retries``/``allow_partial`` apply per query (see
         :meth:`submit`).  A query that resolves to a
@@ -978,7 +982,8 @@ class EmbeddingIndex:
 
         Drains :meth:`stream` on an executor thread (the event loop stays
         responsive).  For an explicit ``p`` it resolves to the same list —
-        same order, same neighbors, same per-query costs — that
+        same order, same neighbors, same per-query costs (but for the
+        duplicates :meth:`stream` names) — that
         ``query_many`` returns; with ``p=None`` on the ``"planned"``
         backend it serves the fixed run at ``explain(k)["p"]``.
         With a ``deadline``, a query that misses it appears in the list as
@@ -1082,8 +1087,7 @@ class EmbeddingIndex:
                 f"backend {self._backend_name!r} has no planner to calibrate; "
                 "call enable_planner() first"
             )
-        with self._serving_guard():
-            self._register(list(probes))
+        with self._serving_guard(), self._register(list(probes)):
             return calibrate(probes, **kwargs)
 
     def explain(self, k: int, p: Optional[int] = None) -> Dict[str, Any]:

@@ -30,13 +30,19 @@ ceiling (``explain(k)["p"]``) without the blocking path's early exit, so
 its ``p'``, cost and (rarely) neighbors can differ from ``query_many``'s.
 Per-query cost accounting follows the
 in-flight dedup rule of
-:meth:`~repro.distances.context.DistanceContext.distances_to_many`: a pair
-an earlier in-flight ticket is already computing is free for later
-tickets, exactly like a pair an earlier request of one batch claims, so
-with an unbounded store ``refine_distance_computations`` matches
-``query_many`` for the same batch.  With ``max_sparse_entries`` the costs
-can differ: a pair evicted after its owning ticket completed is charged
-again to a later ticket, where one ``query_many`` call evaluates it once.
+:meth:`~repro.distances.context.DistanceContext.distances_to_many` for
+admitted queries: a pair an earlier in-flight ticket is already computing
+is free for later tickets, exactly like a pair an earlier request of one
+batch claims, so with an unbounded store ``refine_distance_computations``
+matches ``query_many`` for the same batch of distinct queries.  Each
+``submit`` is its own request for admission
+(:meth:`~repro.distances.context.DistanceContext.admit`): a first sighting
+is served transiently and shares no in-flight work, so a novel query
+submitted twice pays twice, where ``query_many`` admits a batch's
+duplicates at once and refines the second copy for free.  With
+``max_sparse_entries`` the costs can also differ: a pair evicted after its
+owning ticket completed is charged again to a later ticket, where one
+``query_many`` call evaluates it once.
 
 Threading model
 ---------------
@@ -327,9 +333,9 @@ class AsyncServer:
     """The serving state an :class:`EmbeddingIndex` drives tickets through.
 
     One per index, created lazily.  Owns the in-flight pair map (the
-    cross-ticket dedup that keeps stream accounting identical to
-    ``query_many``) and the lock every store/counter interaction runs
-    under.
+    cross-ticket dedup of admitted queries that keeps stream accounting
+    identical to ``query_many``) and the lock every store/counter
+    interaction runs under.
 
     Degradation: the server tracks *consecutive* pool failures (worker
     deaths that exhausted a job's retries, corrupt replies).  After
@@ -446,8 +452,10 @@ class AsyncServer:
             allow_partial=allow_partial,
         )
         effective_jobs = index.config.n_jobs if n_jobs is None else n_jobs
-        with self._lock:
-            index._register([obj])
+        # One request scope from admission through the resolve: a first
+        # sighting's refine then reuses its embedding's anchor distances,
+        # and its ticket completes outside the store.
+        with self._lock, index._register([obj]):
             engine = self._engine()
             plan = engine.make_plan([obj], k, p, n_jobs=effective_jobs)
             engine.prepare(plan)

@@ -21,9 +21,11 @@ Per-query ``refine_distance_computations`` must equal the local sharded
 backend's.  The client does not take the servers' word for it: every
 streamed refine entry is charged against the **parent's own store** — a
 pair already present is free, a missing pair is charged once and installed
-with the streamed distance.  Because installation keeps the parent store
-evolving exactly as if the parent had computed every pair itself, the
-counts match the local path unconditionally — across batches, across
+with the streamed distance (a query the parent serves transiently is
+charged against its request's memo instead, exactly as locally).  Because
+installation keeps the parent store evolving exactly as if the parent had
+computed every pair itself, the counts match the local path
+unconditionally — across batches, across
 repeated queries, and across shard deaths (the serial local fallback then
 sees exactly the store a purely local run would have seen).  Both kinds of
 charge land on the local twin's refine-stage counter, as the in-process
@@ -312,10 +314,12 @@ class ShardConnection:
     ) -> List[Dict[str, Any]]:
         """Exact distances for per-query candidate lists, streamed back.
 
-        Returns one validated entry dict (``values`` aligned with the
-        request's global indices) per request slot, buffered until the
-        server's REFINE_DONE — so a connection that dies mid-stream leaves
-        no partial effects and the request can be replayed.
+        ``register`` asks the server to add the queries to its universe,
+        so their pairs are stored there too.  Returns one validated entry
+        dict (``values`` aligned with the request's global indices) per
+        request slot, buffered until the server's REFINE_DONE — so a
+        connection that dies mid-stream leaves no partial effects and the
+        request can be replayed.
         """
         index_lists = [np.asarray(lst, dtype=np.int64) for lst in index_lists]
 
@@ -445,7 +449,6 @@ class RemoteShardedBackend:
                 f"need one shard server address per shard: the layout has "
                 f"{len(shards)} shards, got {len(addresses)} addresses"
             )
-        self.register_queries = bool(config.register_queries)
         n_database = len(database)
         self.connections = [
             ShardConnection(
@@ -538,11 +541,13 @@ class RemoteShardedBackend:
         """Charge one streamed refine entry through the parent's context.
 
         The entry is resolved and completed like a local refine request:
-        a registered query's cached pairs are free, and each missing pair
+        an admitted query's cached pairs are free, and each missing pair
         is installed with its streamed distance (keeping the parent store
         bit-identical to a purely local run) and charged once on every
-        counter the context charges — its own and a caller's.  Returns the
-        evaluations charged.
+        counter the context charges — its own and a caller's.  A
+        transient query resolves against the request's memo instead, so
+        its embedding-anchor pairs are free, as they are locally.  Returns
+        the evaluations charged.
         """
         binding = self.engine.refine.binding
         context = binding.context
@@ -562,6 +567,7 @@ class RemoteShardedBackend:
         as the in-process backend's do.
         """
         refine = self.engine.refine
+        context = refine.binding.context
         splits = [self.engine.filter.split(c) for c in plan.candidate_lists]
         plan.exact_lists = [
             np.empty(c.shape[0], dtype=float) for c in plan.candidate_lists
@@ -578,12 +584,13 @@ class RemoteShardedBackend:
                 continue
             objects = [plan.objects[qi] for qi, _ in groups]
             targets = [plan.candidate_lists[qi][positions] for qi, positions in groups]
+            # Only queries the parent admitted may join a server's
+            # universe; a frame with a transient query registers nothing.
+            admitted = all(context.index_of(obj) is not None for obj in objects)
             entries = None
             if conn.alive:
                 try:
-                    entries = conn.request_refine(
-                        objects, targets, self.register_queries
-                    )
+                    entries = conn.request_refine(objects, targets, admitted)
                 except _RETRIABLE:
                     conn.mark_dead()
             if entries is None:

@@ -130,6 +130,8 @@ class TestStreamSemantics:
     ):
         queries = list(serve_split.queries)
         with _build(serve_split, serve_config, n_jobs=2) as index:
+            index.query_many(queries[:7], k=3, p=12, n_jobs=2)
+            # The second sighting stores the queries' pairs.
             blocking = index.query_many(queries[:7], k=3, p=12, n_jobs=2)
             pairs = list(index.stream(queries[:7], k=3, p=12, order="submission"))
             assert index.pool is not None
@@ -186,7 +188,11 @@ class TestTickets:
         query = serve_split.queries[0]
         with _build(serve_split, serve_config) as reference:
             blocking = reference.query_many([query, query], k=2, p=10)
-        with _build(serve_split, serve_config) as index:
+        # Admitted up front with nothing stored: each submit is its own
+        # request, so a first sighting would be served transiently.
+        with EmbeddingIndex.build(
+            L2Distance(), serve_split.database, serve_config, queries=[query]
+        ) as index:
             first = index.submit(query, k=2, p=10)
             second = index.submit(query, k=2, p=10)
             results = [first.result(), second.result()]
@@ -309,6 +315,8 @@ class TestAqueryMany:
     def test_aquery_on_warm_reopened_index(self, tmp_path, serve_split, serve_config):
         queries = list(serve_split.queries)
         with _build(serve_split, serve_config) as index:
+            index.query_many(queries, k=3, p=12)
+            # The second sighting stores the queries' pairs.
             blocking = index.query_many(queries, k=3, p=12)
             index.save(tmp_path / "artifact")
         with EmbeddingIndex.open(
@@ -328,6 +336,8 @@ class TestMmapStore:
     def test_uncompressed_artifact_opens_mapped(self, tmp_path, serve_split, serve_config):
         queries = list(serve_split.queries)
         with _build(serve_split, serve_config) as index:
+            index.query_many(queries, k=3, p=12)
+            # The second sighting stores the queries' pairs.
             blocking = index.query_many(queries, k=3, p=12)
             index.save(tmp_path / "artifact", compress_store=False)
         with EmbeddingIndex.open(
@@ -351,6 +361,8 @@ class TestMmapStore:
         self, tmp_path, serve_split, serve_config
     ):
         with _build(serve_split, serve_config) as index:
+            index.query_many(list(serve_split.queries)[:4], k=3, p=12)
+            # The second sighting stores the queries' pairs.
             index.query_many(list(serve_split.queries)[:4], k=3, p=12)
             index.save(tmp_path / "artifact")  # compressed (default)
         with pytest.warns(RuntimeWarning, match="mmap"):

@@ -294,6 +294,7 @@ class TestArtifactLifecycle:
         )
         index.query_many(list(queries), k=3, p=12)
         assert index.distance_evaluations > 0
+        index.query_many(list(queries), k=3, p=12)  # second sighting: stored
         warm = index.query_many(list(queries), k=3, p=12)
         index.save(tmp_path / "artifact")
         index.close()
@@ -376,34 +377,6 @@ class TestArtifactLifecycle:
             index.save(tmp_path / "artifact")
         index.close()
 
-    def test_register_queries_false_keeps_universe_fixed(self, l2_split):
-        """Novel-query serving mode: results identical, universe constant."""
-        config = _tiny_training()
-        registered = EmbeddingIndex.build(
-            L2Distance(), l2_split.database, IndexConfig(training=config)
-        )
-        unregistered = EmbeddingIndex.build(
-            L2Distance(),
-            l2_split.database,
-            IndexConfig(training=config, register_queries=False),
-        )
-        n_before = unregistered.context.n_objects
-        a = registered.query_many(list(l2_split.queries), k=3, p=10)
-        b = unregistered.query_many(list(l2_split.queries), k=3, p=10)
-        # Same neighbors either way; only the *cost* differs (a registered
-        # query's embedding-anchor pairs are reusable by its refine step).
-        for lhs, rhs in zip(a, b):
-            assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices)
-            assert np.array_equal(lhs.neighbor_distances, rhs.neighbor_distances)
-        assert unregistered.context.n_objects == n_before
-        assert registered.context.n_objects > n_before
-        # Repeat batch: the registered index serves from the store, the
-        # unregistered one re-evaluates (by design).
-        again = unregistered.query_many(list(l2_split.queries), k=3, p=10)
-        assert all(r.refine_distance_computations > 0 for r in again)
-        registered.close()
-        unregistered.close()
-
     def test_crashed_resave_leaves_unopenable_artifact(
         self, tmp_path, built_index, l2_split
     ):
@@ -440,6 +413,131 @@ class TestArtifactLifecycle:
         built_index.save(tmp_path / "artifact")
         manifest = read_manifest(tmp_path / "artifact")
         assert manifest["n_extra_objects"] > 0  # the registered queries
+
+
+def _novel(n, seed):
+    """``n`` fresh query vectors no index has seen."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=5) for _ in range(n)]
+
+
+class TestQueryAdmission:
+    """A query is stored from its second sighting and free from its third."""
+
+    @pytest.fixture
+    def index(self, l2_split):
+        index = EmbeddingIndex.build(
+            L2Distance(), l2_split.database, IndexConfig(training=_tiny_training())
+        )
+        yield index
+        index.close()
+
+    @staticmethod
+    def _sizes(index):
+        return index.context.n_objects, index.context.store.n_sparse_entries
+
+    def test_first_sighting_is_served_transiently(self, index, l2_split):
+        """No universe index, no store entry, and the answers and costs of
+        a query stored up front."""
+        queries = list(l2_split.queries)
+        before = self._sizes(index)
+        served = index.query_many(queries, k=3, p=10)
+        assert self._sizes(index) == before
+        assert all(index.context.index_of(q) is None for q in queries)
+        with EmbeddingIndex.build(
+            L2Distance(),
+            l2_split.database,
+            IndexConfig(training=_tiny_training()),
+            queries=queries,
+        ) as stored:
+            assert_results_identical(served, stored.query_many(queries, k=3, p=10))
+
+    def test_anchor_that_is_a_candidate_is_evaluated_once(self, index, l2_split):
+        """With every database object a candidate, each embedding anchor is
+        also refined: the request's memo serves it, so a first sighting
+        evaluates each database object exactly once."""
+        n = len(l2_split.database)
+        queries = _novel(4, seed=21)
+        before = self._sizes(index)
+        evaluations = index.distance_evaluations
+        served = index.query_many(queries, k=3, p=n)
+        assert self._sizes(index) == before
+        assert index.distance_evaluations - evaluations == n * len(queries)
+        for result in served:
+            assert result.refine_distance_computations == n - index.embedding_cost
+
+    def test_second_sighting_admits_the_query(self, index):
+        (query,) = _novel(1, seed=22)
+        n_objects, _ = self._sizes(index)
+        index.query(query, k=3, p=10)
+        assert self._sizes(index)[0] == n_objects
+        entries = index.context.store.n_sparse_entries
+        again = index.query(query, k=3, p=10)
+        assert index.context.index_of(query) == n_objects
+        assert self._sizes(index)[0] == n_objects + 1
+        assert index.context.store.n_sparse_entries > entries
+        assert again.refine_distance_computations > 0  # stored, not yet reused
+
+    def test_third_sighting_is_free_in_process_and_after_open(
+        self, index, l2_split, tmp_path
+    ):
+        queries = _novel(5, seed=23)
+        once = _novel(2, seed=24)
+        index.query_many(queries + once, k=3, p=10)
+        second = index.query_many(queries, k=3, p=10)
+        assert all(r.refine_distance_computations > 0 for r in second)
+        evaluations = index.distance_evaluations
+        third = index.query_many(queries, k=3, p=10)
+        assert index.distance_evaluations == evaluations
+        assert all(r.refine_distance_computations == 0 for r in third)
+        index.save(tmp_path / "artifact")
+        assert read_manifest(tmp_path / "artifact")["n_extra_objects"] == len(queries)
+        with EmbeddingIndex.open(tmp_path / "artifact", l2_split.database) as reopened:
+            served = reopened.query_many([q.copy() for q in queries], k=3, p=10)
+            assert reopened.distance_evaluations == 0
+            assert_results_identical(third, served)
+            # A query seen once before the save is a first sighting again.
+            n_objects = reopened.context.n_objects
+            reopened.query_many(once, k=3, p=10)
+            assert reopened.distance_evaluations > 0
+            assert reopened.context.n_objects == n_objects
+
+    def test_duplicates_within_one_request_are_admitted_at_once(self, index):
+        query, copied, single = _novel(3, seed=25)
+        n_objects, _ = self._sizes(index)
+        served = index.query_many(
+            [query, query, copied, copied.copy(), single], k=3, p=10
+        )
+        # One index each for the repeated object and the equal copies; the
+        # query present once stays transient.
+        assert self._sizes(index)[0] == n_objects + 2
+        assert index.context.index_of(single) is None
+        assert served[1].refine_distance_computations == 0
+        assert served[3].refine_distance_computations == 0
+        assert served[0].refine_distance_computations > 0
+        assert served[2].refine_distance_computations > 0
+
+    def test_sighting_is_forgotten_after_len_database_novel_queries(
+        self, index, l2_split
+    ):
+        bound = len(l2_split.database)
+        remembered, forgotten = _novel(2, seed=26)
+        n_objects, _ = self._sizes(index)
+        index.query(remembered, k=3, p=10)
+        index.query_many(_novel(bound - 1, seed=27), k=3, p=10)
+        index.query(remembered, k=3, p=10)
+        assert index.context.index_of(remembered) == n_objects
+        index.query(forgotten, k=3, p=10)
+        index.query_many(_novel(bound, seed=28), k=3, p=10)
+        index.query(forgotten, k=3, p=10)
+        assert index.context.index_of(forgotten) is None
+        assert self._sizes(index)[0] == n_objects + 1
+
+    def test_novel_traffic_leaves_universe_and_store_flat(self, index):
+        before = self._sizes(index)
+        for batch in range(20):
+            index.query_many(_novel(100, seed=1000 + batch), k=3, p=10)
+        assert self._sizes(index) == before
 
 
 class TestPersistentPoolServing:
@@ -482,6 +580,24 @@ class TestPersistentPoolServing:
         index.close()
         with pytest.raises(DistanceError, match="closed"):
             index.pool.run(lambda s, c: c, {}, [[1]])
+
+    def test_novel_batches_publish_the_pool_state_once(self):
+        """First sightings leave the universe alone, so the refine state
+        shipped to the workers keeps its signature across novel batches."""
+        database, queries = make_timeseries_dataset(
+            n_database=60, n_queries=40, n_seeds=6, length=24, n_dims=1, seed=8
+        )
+        with EmbeddingIndex.build(
+            ConstrainedDTW(),
+            database,
+            IndexConfig(training=_tiny_training(seed=9), n_jobs=2),
+        ) as index:
+            queries = list(queries)
+            for start in range(0, 40, 4):
+                index.query_many(queries[start:start + 4], k=2, p=10, n_jobs=2)
+            health = index.pool.health()
+            assert health["runs"] >= 10
+            assert health["states_published"] == 1
 
     def test_shared_pool_is_borrowed_not_owned(self, l2_split):
         with PersistentPool(2) as pool:
@@ -555,6 +671,7 @@ class TestPersistentPoolServing:
             ConstrainedDTW(), database, IndexConfig(training=_tiny_training(seed=6))
         )
         index.query_many(list(queries), k=2, p=8)
+        index.query_many(list(queries), k=2, p=8)  # second sighting: stored
         index.save(tmp_path / "artifact")
         index.close()
 

@@ -275,7 +275,9 @@ class TestDeadlines:
         with _build(chaos_split, chaos_config) as expected_index:
             expected = expected_index.query(query, k=3, p=6)
         with _build(chaos_split, chaos_config) as index:
-            # Warm exactly the p=6 prefix of the candidate list, serially.
+            # Warm exactly the p=6 prefix of the candidate list, serially:
+            # the first sighting is transient, the second stores its pairs.
+            index.query(query, k=3, p=6)
             index.query(query, k=3, p=6)
             _attach(index, PersistentPool(2, faults=FaultPlan(delay_seconds=1.2)))
             ticket = index.submit(

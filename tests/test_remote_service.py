@@ -241,19 +241,20 @@ def test_remote_refine_evaluations_reach_the_index_counter(world):
 def test_streamed_and_fallback_charges_match_the_local_backend(world):
     """Both kinds of remote refine charge move the counters as locally.
 
-    Over a cold batch, its warm repeat and a batch with a shard down (its
-    refine work then runs in the parent), the index's evaluation counter
-    and the refine-stage counter must move batch by batch exactly as the
-    in-process sharded backend's do, the latter by the refine charges the
-    results report.
+    Over a cold batch, its second sighting (stored), its warm third and a
+    batch with a shard down (its refine work then runs in the parent), the
+    index's evaluation counter and the refine-stage counter must move
+    batch by batch exactly as the in-process sharded backend's do, the
+    latter by the refine charges the results report.
     """
     _, split = world
     queries = list(split.queries)
     local = open_local(world)
     with LocalCluster(world[0], split.database, n_shards=N_SHARDS) as cluster:
         remote, backend = open_remote(world, cluster)
-        for step, batch in enumerate((queries[:5], queries[:5], queries[5:])):
-            if step == 2:
+        batches = (queries[:5], queries[:5], queries[:5], queries[5:])
+        for step, batch in enumerate(batches):
+            if step == 3:
                 cluster.kill(1)
             moved = []
             for index in (local, remote):
@@ -267,8 +268,8 @@ def test_streamed_and_fallback_charges_match_the_local_backend(world):
                     r.refine_distance_computations for r in results
                 )
             assert moved[1] == moved[0], step
-            if step == 1:
-                assert moved[0] == (0, 0)  # the warm repeat is free
+            if step == 2:
+                assert moved[0] == (0, 0)  # the warm third sighting is free
             else:
                 assert moved[0][1] > 0
         assert backend.health()["fallbacks"] > 0

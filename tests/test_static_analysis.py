@@ -139,6 +139,58 @@ def test_rp001_allows_split_counting_inner(tmp_path):
     assert findings == []
 
 
+def test_rp001_allows_a_counter_as_the_measure_parallel_refine_peels(tmp_path):
+    # parallel_refine peels top-level counters off its measure and charges
+    # them in the parent, so only the wrapped measure reaches a worker.
+    findings = lint_snippet(
+        tmp_path,
+        """
+        from repro.distances.base import CountingDistance
+        from repro.distances.parallel import parallel_refine
+
+        def direct(measure, objects, items):
+            return parallel_refine(CountingDistance(measure), objects, items, 2)
+
+        def aliased(measure, objects, items):
+            counted = CountingDistance(CountingDistance(measure))
+            return parallel_refine(distance=counted, objects=objects, items=items, n_workers=2)
+        """,
+        rule_ids=["RP001"],
+    )
+    assert findings == []
+
+
+def test_rp001_still_flags_counters_parallel_refine_does_not_peel(tmp_path):
+    # A counter anywhere but as parallel_refine's top-level measure is
+    # shipped as is, and the other fan-outs peel nothing; the context,
+    # pool and manager bans hold under a counter too.
+    findings = lint_snippet(
+        tmp_path,
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
+        def in_an_item(measure, objects):
+            return parallel_refine(measure, objects, [(0, CountingDistance(measure), [1])], 2)
+
+        def nested(measure, objects, items):
+            return parallel_refine(Wrapped(CountingDistance(measure)), objects, items, 2)
+
+        def wraps_a_context(measure, objects, items):
+            return parallel_refine(CountingDistance(DistanceContext(measure, objects)), objects, items, 2)
+
+        def pool_map(pool, measure, chunks):
+            return pool.map(CountingDistance(measure), chunks)
+
+        def executor(measure):
+            return ProcessPoolExecutor(2, initargs=(CountingDistance(measure),))
+        """,
+        rule_ids=["RP001"],
+    )
+    assert rule_ids(findings) == ["RP001"] * 5
+    assert "DistanceContext" in findings[2].message
+    assert all("CountingDistance" in f.message for i, f in enumerate(findings) if i != 2)
+
+
 def test_rp001_scope_isolation_no_cross_function_bleed(tmp_path):
     # A context local to one function must not taint a sibling function's
     # fan-out call (regression test for the scope-confined walk).
