@@ -1,20 +1,14 @@
 """Micro-benchmarks of the retrieval pipelines.
 
 Compares, on the same database, the per-query cost of brute-force retrieval
-and filter-and-refine retrieval (flat and sharded) through a trained
-query-sensitive embedding.
+and filter-and-refine retrieval through a trained query-sensitive embedding.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import (
-    BruteForceRetriever,
-    FilterRefineRetriever,
-    L2Distance,
-    ShardedRetriever,
-)
+from repro import BruteForceRetriever, FilterRefineRetriever, L2Distance
 
 
 def test_brute_force_query(benchmark, gaussian_split_bench):
@@ -33,19 +27,6 @@ def test_filter_refine_query(benchmark, trained_model_bench, gaussian_split_benc
     query = gaussian_split_bench.queries[0]
     result = benchmark(retriever.query, query, 5, 20)
     assert result.total_distance_computations < len(gaussian_split_bench.database)
-
-
-def test_sharded_query_many(benchmark, trained_model_bench, gaussian_split_bench):
-    """Batched approximate 5-NN through a 4-shard partition (serial merge path)."""
-    retriever = ShardedRetriever(
-        L2Distance(),
-        gaussian_split_bench.database,
-        trained_model_bench.model,
-        n_shards=4,
-    )
-    queries = list(gaussian_split_bench.queries)[:10]
-    results = benchmark(retriever.query_many, queries, 5, 20)
-    assert len(results) == len(queries)
 
 
 def test_dynamic_insertion(benchmark, trained_model_bench, gaussian_split_bench):

@@ -12,8 +12,8 @@ This walkthrough, on DTW time-series data (the paper's Figure 5 modality,
 scaled down to run in ~10 s):
 
 1. builds an index (trains Se-QS through one shared ``DistanceContext``),
-2. serves a query batch twice through the sharded backend and a worker
-   pool: the first sighting is served transiently (nothing stored), the
+2. serves a query batch twice through the default filter-and-refine
+   backend and a worker pool: the first sighting is served transiently (nothing stored), the
    second admits the queries and stores their pairs,
 3. saves the artifact and inspects what is on disk,
 4. reopens it, verifies the fingerprint handshake, and serves the batch a
@@ -56,8 +56,6 @@ def main() -> None:
             kmax=5,
             seed=7,
         ),
-        backend="sharded",
-        n_shards=3,
         n_jobs=2,                  # refine fan-out uses the persistent pool
         max_sparse_entries=50_000,  # bound the store's scattered pairs
     )

@@ -4,8 +4,7 @@
 Times the three hot paths the batch engine rewrote — Sec. 7 distance-table
 builds (DTW and edit distance) and filter-and-refine ``query_many`` — against
 faithful re-implementations of the *seed* per-pair/per-cell Python loops,
-plus the sharded process-parallel ``query_many`` path against the
-single-process engine, a ``context_reuse`` benchmark (cold vs. warm-store
+plus a ``context_reuse`` benchmark (cold vs. warm-store
 ``run_table1``-shaped pipeline through a ``DistanceContext``; the warm run
 must perform zero exact evaluations for cached pairs, asserted), and an
 ``index_serve`` benchmark (cold ``EmbeddingIndex.build`` + serve vs. warm
@@ -16,11 +15,7 @@ launch exactly once across repeated batches, both asserted), an
 ``stream`` serving path on a warm index, results asserted bit-identical),
 a ``degraded_serve`` benchmark (warm-artifact serve with a worker killed
 mid-batch vs. a healthy pool — bit-identical results and exactly one
-respawn asserted; recorded but never gated), a ``remote_serve`` benchmark
-(the same query batch through a localhost cluster of shard-server
-subprocesses behind the ``"remote_sharded"`` backend vs. the in-process
-sharded backend — bit-identical results and accounting asserted; bytes on
-the wire and per-shard round trips recorded, never gated), a ``kernel_pairwise``
+respawn asserted; recorded but never gated), a ``kernel_pairwise``
 benchmark (compiled DP kernels vs. the pure-numpy backend on the pairwise
 workloads, best-of-``k`` timed, results asserted identical before timing;
 **gated** at a combined 5x speedup whenever a compiled backend is
@@ -84,12 +79,10 @@ from repro.distances.kernels import (  # noqa: E402
     get_kernel_backend,
 )
 from repro.embeddings.lipschitz import build_lipschitz_embedding  # noqa: E402
-from repro.distances.parallel import resolve_jobs  # noqa: E402
 from repro.retrieval.evaluation import retrieval_recall  # noqa: E402
 from repro.retrieval.filter_refine import FilterRefineRetriever  # noqa: E402
 from repro.retrieval.knn import ground_truth_neighbors  # noqa: E402
 from repro.retrieval.planner import PlannedRetriever  # noqa: E402
-from repro.retrieval.sharded import ShardedRetriever  # noqa: E402
 
 #: The hot paths whose engine time is gated against the previous record.
 TRACKED_HOT_PATHS = ("dtw_pairwise", "edit_pairwise", "query_many")
@@ -300,76 +293,6 @@ def bench_query_many(n_database: int, n_queries: int, length: int, dim: int, k: 
         "seed_seconds": seed_seconds,
         "engine_seconds": engine_seconds,
         "speedup": seed_seconds / engine_seconds,
-    }
-
-
-def bench_sharded_query_many(
-    n_database: int,
-    n_queries: int,
-    length: int,
-    dim: int,
-    k: int,
-    p: int,
-    n_shards: int,
-    n_jobs: int,
-) -> dict:
-    """Sharded + process-parallel ``query_many`` vs. the single-process engine."""
-    database, queries = make_timeseries_dataset(
-        n_database=n_database,
-        n_queries=n_queries,
-        n_seeds=8,
-        length=length,
-        n_dims=1,
-        seed=13,
-    )
-    distance = ConstrainedDTW()
-    embedding = build_lipschitz_embedding(distance, database, dim=dim, set_size=1, seed=3)
-    database_vectors = embedding.embed_many(list(database))
-
-    single = FilterRefineRetriever(
-        distance, database, embedding, database_vectors=database_vectors
-    )
-    sharded = ShardedRetriever(
-        distance,
-        database,
-        embedding,
-        n_shards=n_shards,
-        database_vectors=database_vectors,
-    )
-    query_objects = list(queries)
-
-    single_results, single_seconds = _timed(
-        lambda: single.query_many(query_objects, k=k, p=p)
-    )
-    serial_results, serial_seconds = _timed(
-        lambda: sharded.query_many(query_objects, k=k, p=p, n_jobs=1)
-    )
-    pool_jobs = max(2, n_jobs)  # always exercise the process-pool path
-    pool_results, pool_seconds = _timed(
-        lambda: sharded.query_many(query_objects, k=k, p=p, n_jobs=pool_jobs)
-    )
-    for results in (serial_results, pool_results):
-        for lhs, rhs in zip(single_results, results):
-            assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices), (
-                "sharded retrieval disagrees"
-            )
-            assert np.allclose(lhs.neighbor_distances, rhs.neighbor_distances, atol=1e-8)
-            assert lhs.total_distance_computations == rhs.total_distance_computations
-    sharded_seconds = min(serial_seconds, pool_seconds)
-    return {
-        "n_database": n_database,
-        "n_queries": n_queries,
-        "series_length": length,
-        "embedding_dim": dim,
-        "k": k,
-        "p": p,
-        "n_shards": n_shards,
-        "n_jobs": pool_jobs,
-        "single_process_seconds": single_seconds,
-        "sharded_serial_seconds": serial_seconds,
-        "sharded_pool_seconds": pool_seconds,
-        "sharded_seconds": sharded_seconds,
-        "speedup": single_seconds / sharded_seconds,
     }
 
 
@@ -753,108 +676,6 @@ def bench_degraded_serve(
         "restarts": restarts,
         "recovery_overhead": faulted_seconds / healthy_seconds,
         "speedup": healthy_seconds / faulted_seconds,
-    }
-
-
-def bench_remote_serve(
-    n_database: int,
-    n_queries: int,
-    length: int,
-    n_candidates: int,
-    dim_rounds: int,
-    k: int,
-    p: int,
-    n_shards: int,
-) -> dict:
-    """Scatter/gather over localhost sockets vs the in-process sharded path.
-
-    Builds and saves a sharded index once, then serves the same query
-    batch from two freshly opened copies: one through the in-process
-    ``"sharded"`` backend, one through a :class:`LocalCluster` of
-    ``n_shards`` shard-server subprocesses behind the ``"remote_sharded"``
-    backend.  Results must be bit-identical (neighbors, distances and
-    per-query refine accounting, asserted); the record captures the
-    socket tax — bytes on the wire, per-shard round trips, and the
-    wall-clock ratio.  Never gated: on one machine the sockets are pure
-    overhead, and the figure exists so the protocol's cost stays visible
-    across PRs.
-    """
-    import tempfile
-
-    from repro.index import EmbeddingIndex, IndexConfig
-    from repro.remote import LocalCluster, use_remote_backend
-
-    database, queries = make_timeseries_dataset(
-        n_database=n_database,
-        n_queries=n_queries,
-        n_seeds=8,
-        length=length,
-        n_dims=1,
-        seed=33,
-    )
-    query_objects = list(queries)
-    config = IndexConfig(
-        training=TrainingConfig(
-            n_candidates=n_candidates,
-            n_training_objects=n_candidates,
-            n_triples=max(200, 10 * n_candidates),
-            n_rounds=dim_rounds,
-            classifiers_per_round=20,
-            intervals_per_candidate=3,
-            kmax=k,
-            seed=7,
-        ),
-        backend="sharded",
-        n_shards=n_shards,
-        n_jobs=None,
-    )
-    index = EmbeddingIndex.build(ConstrainedDTW(), database, config)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        artifact = Path(tmp) / "index"
-        index.save(artifact, compress_store=False)
-        index.close()
-
-        local = EmbeddingIndex.open(artifact, database)
-        local_results, local_seconds = _timed(
-            lambda: local.query_many(query_objects, k=k, p=p)
-        )
-        local.close()
-
-        remote = EmbeddingIndex.open(artifact, database)
-        with LocalCluster(artifact, database, n_shards=n_shards) as cluster:
-            backend = use_remote_backend(remote, cluster.addresses)
-            remote_results, remote_seconds = _timed(
-                lambda: remote.query_many(query_objects, k=k, p=p)
-            )
-            health = backend.health()
-        remote.close()
-
-    assert not health["degraded"], "remote bench must run on a healthy cluster"
-    for local_r, remote_r in zip(local_results, remote_results):
-        assert np.array_equal(
-            local_r.neighbor_indices, remote_r.neighbor_indices
-        ), "remote serve disagrees with the in-process sharded backend"
-        assert np.array_equal(local_r.neighbor_distances, remote_r.neighbor_distances)
-        assert (
-            local_r.refine_distance_computations
-            == remote_r.refine_distance_computations
-        ), "remote serve accounting disagrees with the in-process backend"
-    return {
-        "n_database": n_database,
-        "n_queries": n_queries,
-        "series_length": length,
-        "n_candidates": n_candidates,
-        "k": k,
-        "p": p,
-        "n_shards": n_shards,
-        "single_process_seconds": local_seconds,
-        "remote_seconds": remote_seconds,
-        "bytes_sent": health["bytes_sent"],
-        "bytes_received": health["bytes_received"],
-        "bytes_on_wire": health["bytes_sent"] + health["bytes_received"],
-        "round_trips_per_shard": [s["round_trips"] for s in health["shards"]],
-        "speedup": local_seconds / remote_seconds,
     }
 
 
@@ -1247,13 +1068,6 @@ def main() -> int:
         help="record the measurements without failing on regressions",
     )
     parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=-1,
-        help="worker processes for the sharded benchmark "
-        "(-1 = all CPUs, matching the library's n_jobs convention)",
-    )
-    parser.add_argument(
         "--scale",
         type=float,
         default=1.0,
@@ -1265,7 +1079,6 @@ def main() -> int:
         parser.error(f"--output directory does not exist: {args.output.parent}")
     if args.scale <= 0:
         parser.error("--scale must be positive")
-    n_jobs = resolve_jobs(args.n_jobs)
 
     if args.quick:
         sizes = {
@@ -1273,10 +1086,6 @@ def main() -> int:
             "edit_pairwise": dict(n_objects=60, length=25),
             "query_many": dict(
                 n_database=80, n_queries=8, length=40, dim=6, k=3, p=15
-            ),
-            "sharded_query_many": dict(
-                n_database=80, n_queries=8, length=40, dim=6, k=3, p=15,
-                n_shards=2, n_jobs=n_jobs,
             ),
             "context_reuse": dict(
                 n_database=60, n_queries=8, length=30, n_candidates=20,
@@ -1293,10 +1102,6 @@ def main() -> int:
             "degraded_serve": dict(
                 n_database=60, n_queries=8, length=30, n_candidates=20,
                 dim_rounds=5, k=3, p=10, n_jobs=2,
-            ),
-            "remote_serve": dict(
-                n_database=60, n_queries=8, length=30, n_candidates=20,
-                dim_rounds=5, k=3, p=10, n_shards=4,
             ),
             "kernel_pairwise": dict(
                 n_dtw=50, dtw_length=40, n_edit=60, edit_length=25, repeats=3,
@@ -1315,10 +1120,6 @@ def main() -> int:
             "query_many": dict(
                 n_database=300, n_queries=25, length=50, dim=8, k=5, p=30
             ),
-            "sharded_query_many": dict(
-                n_database=300, n_queries=25, length=50, dim=8, k=5, p=30,
-                n_shards=4, n_jobs=n_jobs,
-            ),
             "context_reuse": dict(
                 n_database=200, n_queries=20, length=50, n_candidates=60,
                 dim_rounds=10, k=5, p=25,
@@ -1334,10 +1135,6 @@ def main() -> int:
             "degraded_serve": dict(
                 n_database=200, n_queries=20, length=50, n_candidates=60,
                 dim_rounds=10, k=5, p=25, n_jobs=2,
-            ),
-            "remote_serve": dict(
-                n_database=200, n_queries=20, length=50, n_candidates=60,
-                dim_rounds=10, k=5, p=25, n_shards=4,
             ),
             "kernel_pairwise": dict(
                 n_dtw=200, dtw_length=64, n_edit=200, edit_length=40, repeats=3,
@@ -1372,12 +1169,10 @@ def main() -> int:
         ("dtw_pairwise", bench_dtw_pairwise),
         ("edit_pairwise", bench_edit_pairwise),
         ("query_many", bench_query_many),
-        ("sharded_query_many", bench_sharded_query_many),
         ("context_reuse", bench_context_reuse),
         ("index_serve", bench_index_serve),
         ("async_serve", bench_async_serve),
         ("degraded_serve", bench_degraded_serve),
-        ("remote_serve", bench_remote_serve),
         ("kernel_pairwise", bench_kernel_pairwise),
         ("planned_query_many", bench_planned_query_many),
     ]:
@@ -1389,9 +1184,8 @@ def main() -> int:
             "blocking_seconds", "healthy_seconds", "numpy_seconds",
         )
         engine_keys = (
-            "engine_seconds", "sharded_seconds", "warm_seconds",
-            "stream_seconds", "degraded_seconds", "remote_seconds",
-            "compiled_seconds",
+            "engine_seconds", "warm_seconds", "stream_seconds",
+            "degraded_seconds", "compiled_seconds",
         )
         baseline = next((r[key] for key in baseline_keys if key in r), None)
         engine = next((r[key] for key in engine_keys if key in r), None)

@@ -92,15 +92,16 @@ def main() -> int:
     check(index.pool.launches <= 1, "one persistent pool launch per index")
 
     # backend switch reuses everything
-    index.set_backend("sharded")
-    sharded = index.query_many(queries, k=3, p=12)
+    index.set_backend("planned")
+    switched = index.query_many(queries, k=3, p=12)
     check(
         all(
             np.array_equal(a.neighbor_indices, b.neighbor_indices)
-            for a, b in zip(warm, sharded)
+            for a, b in zip(warm, switched)
         ),
         "backend switch is result-identical",
     )
+    index.set_backend("filter_refine")
 
     # async serving: submit/stream must agree with the blocking path
     ticket = index.submit(queries[0], k=3, p=12)
@@ -177,7 +178,7 @@ def main() -> int:
         and retargeted["p"] == calibrated["p"],
         "enable_planner on a planned index keeps its calibration",
     )
-    index.set_backend("sharded")
+    index.set_backend("filter_refine")
 
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "index"
@@ -245,66 +246,6 @@ def main() -> int:
         )
         survivor.close()
         survivor.close()  # idempotent close is part of the contract
-
-    # distributed shard service: two localhost workers cold-started from
-    # one artifact must serve bit-identically to the in-process sharded
-    # backend — and keep answering correctly after one of them is killed.
-    from repro.remote import LocalCluster, use_remote_backend
-
-    remote_config = IndexConfig(
-        training=config.training, backend="sharded", n_shards=2, n_jobs=None
-    )
-    builder = EmbeddingIndex.build(L2Distance(), split.database, remote_config)
-    with tempfile.TemporaryDirectory() as tmp:
-        artifact = Path(tmp) / "cluster"
-        builder.save(artifact, compress_store=False)
-        builder.close()
-        local_index = EmbeddingIndex.open(artifact, split.database)
-        remote_index = EmbeddingIndex.open(artifact, split.database)
-        with LocalCluster(artifact, split.database, n_shards=2) as cluster:
-            use_remote_backend(remote_index, cluster.addresses)
-            local_before = local_index.distance_evaluations
-            remote_before = remote_index.distance_evaluations
-            local_served = local_index.query_many(queries, k=3, p=12)
-            remote_served = remote_index.query_many(queries, k=3, p=12)
-            check(
-                remote_index.distance_evaluations - remote_before
-                == local_index.distance_evaluations - local_before,
-                "remote refine evaluations reach the index counter",
-            )
-            check(
-                all(
-                    np.array_equal(a.neighbor_indices, b.neighbor_indices)
-                    and np.array_equal(a.neighbor_distances, b.neighbor_distances)
-                    and a.refine_distance_computations
-                    == b.refine_distance_computations
-                    for a, b in zip(local_served, remote_served)
-                ),
-                "remote scatter/gather is bit-identical to local sharded",
-            )
-            check(
-                remote_index.health()["remote"]["degraded"] is False,
-                "healthy cluster reports no degradation",
-            )
-            cluster.kill(1)
-            local_again = local_index.query_many(queries, k=3, p=12)
-            remote_again = remote_index.query_many(queries, k=3, p=12)
-            check(
-                all(
-                    np.array_equal(a.neighbor_indices, b.neighbor_indices)
-                    and np.array_equal(a.neighbor_distances, b.neighbor_distances)
-                    and a.refine_distance_computations
-                    == b.refine_distance_computations
-                    for a, b in zip(local_again, remote_again)
-                ),
-                "killed shard: degraded path still answers bit-identically",
-            )
-            check(
-                remote_index.health()["remote"]["degraded"] is True,
-                "index.health surfaces the dead shard",
-            )
-        remote_index.close()
-        local_index.close()
 
     # distance store: fill past the write-tier merge threshold, then one
     # get_many per request must equal per-pair get, and a save/load round

@@ -33,10 +33,10 @@ fingerprint verified) and serves the stored pairs for free: the
 training tables and the pairs of every query served at least twice (a
 query's first sighting is served without touching the store).
 ``index.query_many(queries, k, p, n_jobs=...)`` batches queries through
-one persistent pool of worker processes, and the retriever backend —
-``"filter_refine"`` (default), ``"sharded"``, ``"brute_force"``, or a
-:func:`~repro.index.embedding_index.register_backend`-ed third-party
-engine — is switchable without re-evaluating anything.
+the index's persistent pool of worker processes (or in this process when
+the index has none), and the retriever backend — ``"filter_refine"``
+(default), ``"planned"`` or ``"brute_force"``, a closed set — is
+switchable without re-evaluating anything.
 
 The layers underneath (``BoostMapTrainer``, the retrievers,
 ``DistanceContext``) remain public for experiments that need them;
@@ -53,10 +53,6 @@ from repro.exceptions import (
     RetrievalError,
     ServingError,
     ServingTimeout,
-    RemoteError,
-    RemoteProtocolError,
-    RemoteConnectionError,
-    RemoteTimeout,
     ExperimentError,
     SerializationError,
     ArtifactError,
@@ -126,7 +122,6 @@ from repro.retrieval import (
     BruteForceRetriever,
     FilterRefineRetriever,
     RetrievalResult,
-    ShardedRetriever,
     DimensionSweep,
     optimal_cost_curve,
     DynamicDatabase,
@@ -139,7 +134,6 @@ from repro.index import (
     QueryStream,
     QueryTicket,
     available_backends,
-    register_backend,
 )
 
 __version__ = "1.0.0"
@@ -156,10 +150,6 @@ __all__ = [
     "RetrievalError",
     "ServingError",
     "ServingTimeout",
-    "RemoteError",
-    "RemoteProtocolError",
-    "RemoteConnectionError",
-    "RemoteTimeout",
     "ExperimentError",
     "SerializationError",
     "ArtifactError",
@@ -224,7 +214,6 @@ __all__ = [
     "BruteForceRetriever",
     "FilterRefineRetriever",
     "RetrievalResult",
-    "ShardedRetriever",
     "DimensionSweep",
     "optimal_cost_curve",
     "DynamicDatabase",
@@ -236,5 +225,4 @@ __all__ = [
     "QueryStream",
     "QueryTicket",
     "available_backends",
-    "register_backend",
 ]

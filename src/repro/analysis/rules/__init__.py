@@ -21,9 +21,6 @@ RP008     style               public API carries docstrings
 RP009     style               library packages never print
 RP010     kernels             compiled kernel entry points have a numpy
                               fallback and a parity test referencing them
-RP011     remote              every repro.remote socket has an explicit
-                              deadline; low-level socket errors re-raised
-                              as typed Remote* errors at the network rim
 RP012     planner             no clock/RNG calls inside planner decision
                               functions — plans are deterministic given
                               the fitted cost-model state
@@ -37,7 +34,6 @@ from repro.analysis.rules import (  # noqa: F401  (import for side effects)
     kernels,
     parallel_safety,
     planner,
-    remote,
     resources,
     style,
 )

@@ -217,8 +217,8 @@ class QuerySensitiveModel:
         """``D_out`` from one query vector to every row of ``database_vectors``.
 
         Each row is reduced on its own, in a fixed order, so a row's score
-        does not depend on how many rows one call scores: a shard, a subset
-        or a duplicated row scores bit-identically to the full table.  (A
+        does not depend on how many rows one call scores: a subset or a
+        duplicated row scores bit-identically to the full table.  (A
         BLAS ``.dot`` sums rows in an order that depends on the row count.)
         """
         q = np.asarray(query_vector, dtype=float)

@@ -53,9 +53,9 @@ resolve the request against the store, evaluate only the missing pairs
 with one :func:`repro.distances.parallel.parallel_refine` call — in the
 parent or in worker processes, which never see the context or its store —
 and complete it, storing the fresh values and charging the counters one
-evaluation per computed pair.  The async serving layer and the remote
-shard client run the same resolve and complete steps
-(:class:`PendingDistances`) around evaluations they schedule themselves.
+evaluation per computed pair.  The async serving layer runs the same
+resolve and complete steps (:class:`PendingDistances`) around evaluations
+it schedules itself.
 The matrix primitives (:meth:`pairwise`, :meth:`cross`) send their misses
 through the same fan-out, which charges the counters for them.
 
@@ -979,8 +979,7 @@ class PendingDistances:
     :meth:`DistanceContext.distances_to_many` is these two steps around one
     evaluation of all its requests' misses; the async serving layer runs
     them around refine chunks on a :class:`~repro.index.pool.PersistentPool`
-    while the parent moves on, and the remote shard client around the
-    values a shard server streams back.  Completion fills
+    while the parent moves on.  Completion fills
     ``values[fill_pos] = fresh[fill_slot]``.
 
     The optional ``in_flight`` mapping deduplicates pairs across pending
@@ -1261,7 +1260,9 @@ class DistanceContext(DistanceMeasure):
 
         A 1-worker pool cannot honour a multi-worker request — routing it
         there would serialize the whole batch through one process — so such
-        requests fall back to a per-call executor of the requested size.
+        requests fall back to a per-call executor of the requested size
+        (the matrix builders), or to the parent (serving, which never
+        starts a one-shot pool).
         A multi-worker pool serves every request (a call asking for more
         workers than the pool holds is clamped by pool capacity; reusing
         warm workers beats respawning wider ones).
@@ -1271,7 +1272,7 @@ class DistanceContext(DistanceMeasure):
             return None
         if getattr(pool, "closed", False):
             # A borrowed pool whose owner shut it down: detach and fall
-            # back to per-call executors instead of erroring forever.
+            # back as without a pool instead of erroring forever.
             self.pool = None
             return None
         if pool.n_workers <= 1 and n_workers > pool.n_workers:

@@ -55,38 +55,6 @@ class ServingTimeout(ServingError, TimeoutError):
     """
 
 
-class RemoteError(ReproError):
-    """A remote shard interaction failed: the peer is unreachable, spoke a
-    damaged or incompatible protocol, or missed its deadline.
-
-    The scatter/gather client only surfaces this after its recovery options
-    (reconnect, bounded retries, serial local fallback) are exhausted or
-    forbidden — consistent with the library-wide "never a wrong answer"
-    failure semantics.
-    """
-
-
-class RemoteProtocolError(RemoteError):
-    """A frame on the wire was short, corrupt, mistyped, or version-skewed.
-
-    Raised instead of letting a truncated read or a bit-flipped payload
-    surface as a raw ``OSError``/decode traceback — the socket analogue of
-    :class:`ArtifactError` for damaged files.
-    """
-
-
-class RemoteConnectionError(RemoteError):
-    """A shard connection could not be established, or died mid-exchange."""
-
-
-class RemoteTimeout(RemoteError, TimeoutError):
-    """A connect or read deadline on a shard socket expired.
-
-    Subclasses :class:`TimeoutError` so callers that already guard waits
-    with ``except TimeoutError`` keep working.
-    """
-
-
 class ExperimentError(ReproError):
     """An experiment harness was asked to do something impossible."""
 

@@ -29,10 +29,8 @@ from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import Figure6Result, run_figure6
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.timing import (
-    RetrievalTimingResult,
     ServingTimingResult,
     TimingResult,
-    run_retrieval_timing,
     run_serving_timing,
     run_timing,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "run_table1",
     "TimingResult",
     "run_timing",
-    "RetrievalTimingResult",
-    "run_retrieval_timing",
     "ServingTimingResult",
     "run_serving_timing",
     "K1AblationResult",

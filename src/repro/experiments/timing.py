@@ -12,14 +12,7 @@ L1 distances between embedded vectors, to substantiate the claim that the
 filter step is negligible) on the current machine, and derives per-query
 times and speed-up factors for a supplied comparison result.
 
-:func:`run_retrieval_timing` measures end-to-end ``query_many`` throughput of
-the single-process filter-and-refine pipeline against the sharded,
-process-parallel one (:class:`~repro.retrieval.sharded.ShardedRetriever`)
-with configurable ``n_shards``/``n_jobs`` knobs, asserting along the way that
-both return identical results — the retrieval-service analogue of the
-paper's per-distance throughput numbers.
-
-:func:`run_serving_timing` measures the serving shape on top of that: one
+:func:`run_serving_timing` measures the serving shape: one
 :class:`~repro.index.embedding_index.EmbeddingIndex` answering the same
 query batch through the blocking ``query_many`` path and through the
 pipelined ``stream`` path (parent-side embed/filter of query ``i+1``
@@ -30,8 +23,8 @@ results before reporting wall-clock throughput.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +35,6 @@ from repro.distances.shape_context import ShapeContextDistance
 from repro.embeddings.lipschitz import build_lipschitz_embedding
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ComparisonResult
-from repro.retrieval.filter_refine import FilterRefineRetriever
-from repro.retrieval.sharded import ShardedRetriever
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.timing import ThroughputMeter
 
@@ -142,130 +133,6 @@ def run_timing(
         shape_context_per_second=sc_meter.per_second,
         dtw_per_second=dtw_meter.per_second,
         vector_l1_per_second=l1_meter.per_second,
-    )
-
-
-@dataclass
-class RetrievalTimingResult:
-    """Measured ``query_many`` throughput, single-process vs. sharded.
-
-    Attributes
-    ----------
-    n_database, n_queries, k, p, dim:
-        Workload shape.
-    n_shards, n_jobs:
-        Sharded-path configuration.
-    single_seconds, sharded_seconds:
-        Wall-clock time of the whole query batch on each path.
-    """
-
-    n_database: int
-    n_queries: int
-    k: int
-    p: int
-    dim: int
-    n_shards: int
-    n_jobs: Optional[int]
-    single_seconds: float
-    sharded_seconds: float
-
-    @property
-    def single_queries_per_second(self) -> float:
-        return self.n_queries / self.single_seconds
-
-    @property
-    def sharded_queries_per_second(self) -> float:
-        return self.n_queries / self.sharded_seconds
-
-    @property
-    def speedup(self) -> float:
-        """Sharded-path speedup over the single-process pipeline (>1 = faster)."""
-        return self.single_seconds / self.sharded_seconds
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"query_many throughput ({self.n_queries} queries, "
-                f"database={self.n_database}, k={self.k}, p={self.p}):",
-                f"  single-process: {self.single_queries_per_second:8.1f} queries/s",
-                f"  sharded (S={self.n_shards}, n_jobs={self.n_jobs}): "
-                f"{self.sharded_queries_per_second:8.1f} queries/s",
-                f"  speedup: {self.speedup:.2f}x",
-            ]
-        )
-
-
-def run_retrieval_timing(
-    n_database: int = 300,
-    n_queries: int = 30,
-    k: int = 5,
-    p: int = 30,
-    dim: int = 8,
-    n_shards: int = 4,
-    n_jobs: Optional[int] = -1,
-    series_length: int = 50,
-    seed: RngLike = 0,
-) -> RetrievalTimingResult:
-    """Time single-process vs. sharded ``query_many`` on a DTW workload.
-
-    Builds one Lipschitz embedding over a synthetic time-series database and
-    runs the same query batch through a single-process
-    :class:`~repro.retrieval.filter_refine.FilterRefineRetriever` and a
-    :class:`~repro.retrieval.sharded.ShardedRetriever` with the given
-    ``n_shards``/``n_jobs``, verifying that both return identical neighbors
-    before reporting wall-clock throughput.
-    """
-    if n_queries < 1:
-        raise ExperimentError("n_queries must be at least 1")
-    database, queries = make_timeseries_dataset(
-        n_database=n_database,
-        n_queries=n_queries,
-        n_seeds=8,
-        length=series_length,
-        n_dims=1,
-        seed=seed,
-    )
-    distance = ConstrainedDTW()
-    embedding = build_lipschitz_embedding(
-        distance, database, dim=dim, set_size=1, seed=seed
-    )
-    database_vectors = embedding.embed_many(list(database))
-    single = FilterRefineRetriever(
-        distance, database, embedding, database_vectors=database_vectors
-    )
-    sharded = ShardedRetriever(
-        distance,
-        database,
-        embedding,
-        n_shards=n_shards,
-        database_vectors=database_vectors,
-    )
-    query_objects = list(queries)
-
-    start = time.perf_counter()
-    single_results = single.query_many(query_objects, k=k, p=p)
-    single_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded_results = sharded.query_many(query_objects, k=k, p=p, n_jobs=n_jobs)
-    sharded_seconds = time.perf_counter() - start
-
-    for lhs, rhs in zip(single_results, sharded_results):
-        if not np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices):
-            raise ExperimentError(
-                "sharded retrieval disagreed with the single-process pipeline"
-            )
-
-    return RetrievalTimingResult(
-        n_database=n_database,
-        n_queries=n_queries,
-        k=k,
-        p=p,
-        dim=dim,
-        n_shards=sharded.n_shards,
-        n_jobs=n_jobs,
-        single_seconds=single_seconds,
-        sharded_seconds=sharded_seconds,
     )
 
 

@@ -12,7 +12,6 @@ from repro.index.embedding_index import (
     EmbeddingIndex,
     IndexConfig,
     available_backends,
-    register_backend,
 )
 from repro.index.pool import PersistentPool, PoolJob
 from repro.index.serving import QueryStream, QueryTicket
@@ -25,5 +24,4 @@ __all__ = [
     "QueryStream",
     "QueryTicket",
     "available_backends",
-    "register_backend",
 ]

@@ -36,7 +36,7 @@ import pickle
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
@@ -85,8 +85,6 @@ __all__ = [
     "read_arrays",
     "write_pickle",
     "read_pickle",
-    "shard_layout",
-    "validate_shard_spec",
 ]
 
 #: Layout version written into (and required from) every artifact manifest.
@@ -217,103 +215,6 @@ def read_arrays(directory: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
         raise ArtifactError(
             f"unreadable arrays file {path} (truncated or corrupt): {exc}"
         ) from exc
-
-
-def shard_layout(n_database: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Canonical contiguous ``(start, stop)`` ranges of the shard partition.
-
-    Exactly the layout :class:`~repro.retrieval.sharded.ShardedRetriever`
-    builds (``np.array_split`` over ``[0, n)`` with the shard count clamped
-    to the database size), restated here so a remote shard worker opening
-    one shard of an artifact and the parent merging results agree on the
-    ranges by construction — bit-identity of the sharded merge depends on
-    both sides slicing the database identically.
-    """
-    if n_database < 1:
-        raise ArtifactError(f"shard layout needs a non-empty database, got {n_database}")
-    if n_shards < 1:
-        raise ArtifactError(f"n_shards must be at least 1, got {n_shards}")
-    chunks = np.array_split(np.arange(n_database), min(n_shards, n_database))
-    return [(int(chunk[0]), int(chunk[-1]) + 1) for chunk in chunks if chunk.size]
-
-
-def validate_shard_spec(
-    spec: Any, n_database: int, saved_n_shards: int
-) -> Tuple[int, int, int, int]:
-    """Parse and validate a single-shard open spec against the saved layout.
-
-    ``spec`` is ``"i/N"`` (or an ``(i, N)`` tuple), optionally extended with
-    an explicit claimed range — ``"i/N:start-stop"`` or ``(i, N, start,
-    stop)`` — as a cross-check when the spec was carried through deployment
-    tooling.  Returns the validated ``(shard_index, n_shards, start, stop)``.
-
-    Every inconsistency with the artifact's saved layout is refused with a
-    typed :class:`ArtifactError` naming the mismatch: a shard count that
-    differs from the one the index was saved with (an off-by-one there
-    silently reshuffles which rows each worker owns), a shard index outside
-    ``[0, N)``, or a claimed range that overlaps a neighboring shard or
-    leaves database rows uncovered.  Serving through a mismatched layout
-    would return *wrong neighbors*, not an error — hence the hard refusal.
-    """
-    claimed: Optional[Tuple[int, int]] = None
-    try:
-        if isinstance(spec, str):
-            body, _, range_part = spec.partition(":")
-            index_part, _, count_part = body.partition("/")
-            shard_index, n_shards = int(index_part), int(count_part)
-            if range_part:
-                start_part, _, stop_part = range_part.partition("-")
-                claimed = (int(start_part), int(stop_part))
-        else:
-            parts = tuple(int(part) for part in spec)
-            if len(parts) == 2:
-                shard_index, n_shards = parts
-            elif len(parts) == 4:
-                shard_index, n_shards = parts[0], parts[1]
-                claimed = (parts[2], parts[3])
-            else:
-                raise ValueError(f"expected 2 or 4 fields, got {len(parts)}")
-    except (TypeError, ValueError) as exc:
-        raise ArtifactError(
-            f"unparseable shard spec {spec!r} (expected 'i/N', 'i/N:start-stop', "
-            f"or an (i, N[, start, stop]) tuple): {exc}"
-        ) from exc
-    if n_shards != saved_n_shards:
-        raise ArtifactError(
-            f"shard spec {shard_index}/{n_shards} is inconsistent with the "
-            f"artifact's saved layout: the index was saved with "
-            f"n_shards={saved_n_shards}, and a {n_shards}-way split draws "
-            "different shard boundaries — serving through it would return "
-            "wrong neighbors. Use the saved shard count or re-save the index."
-        )
-    if not 0 <= shard_index < n_shards:
-        raise ArtifactError(
-            f"shard spec {shard_index}/{n_shards} names a shard outside the "
-            f"layout (valid shard indices are 0..{n_shards - 1})"
-        )
-    layout = shard_layout(n_database, n_shards)
-    if shard_index >= len(layout):
-        raise ArtifactError(
-            f"shard spec {shard_index}/{n_shards} is empty under the saved "
-            f"layout ({n_database} database rows split {len(layout)} ways)"
-        )
-    start, stop = layout[shard_index]
-    if claimed is not None and claimed != (start, stop):
-        c_start, c_stop = claimed
-        if c_start < start or c_stop > stop:
-            detail = (
-                f"overlaps a neighboring shard (claimed [{c_start}, {c_stop}), "
-                f"shard {shard_index} owns [{start}, {stop}))"
-            )
-        else:
-            detail = (
-                f"leaves database rows uncovered (claimed [{c_start}, "
-                f"{c_stop}), shard {shard_index} owns [{start}, {stop}))"
-            )
-        raise ArtifactError(
-            f"shard spec {shard_index}/{n_shards} claims a range that {detail}"
-        )
-    return shard_index, n_shards, start, stop
 
 
 def write_pickle(path: Union[str, Path], obj: Any) -> None:

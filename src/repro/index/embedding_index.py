@@ -33,12 +33,12 @@ What the facade owns
   processes reused by every ``n_jobs`` code path the index touches (matrix
   builds, refine fan-out) instead of a throwaway pool per call.  The index
   is a context manager; closing it releases the pool.
-* A **retriever backend** chosen by name from a registry —
-  ``"brute_force"``, ``"filter_refine"`` (default) or ``"sharded"``, with
-  third-party backends registerable through :func:`register_backend`.
-  All backends answer through the shared context, so switching backends
-  never re-evaluates stored pairs and results stay bit-identical across
-  backends (they are all exact over the same candidates).
+* A **retriever backend** chosen by name from a closed set —
+  ``"filter_refine"`` (default), ``"planned"`` or ``"brute_force"`` (see
+  :func:`available_backends`).  Every backend serves in this process and
+  answers through the shared context, so switching backends never
+  re-evaluates stored pairs, and at the same explicit ``p`` the
+  ``"filter_refine"`` and ``"planned"`` results are bit-identical.
 
 Artifacts
 ---------
@@ -80,12 +80,10 @@ from repro.retrieval.brute_force import BruteForceRetriever
 from repro.retrieval.engine import build_scan_result
 from repro.retrieval.filter_refine import FilterRefineRetriever, RetrievalResult
 from repro.retrieval.planner import PlannedRetriever
-from repro.retrieval.sharded import Shard, ShardedRetriever
 
 __all__ = [
     "EmbeddingIndex",
     "IndexConfig",
-    "register_backend",
     "available_backends",
 ]
 
@@ -109,13 +107,14 @@ class IndexConfig:
         The :class:`~repro.core.trainer.TrainingConfig` used when the index
         trains its own model (ignored when a prebuilt embedder is supplied).
     backend:
-        Retriever backend name (see :func:`available_backends`).
-    n_shards:
-        Shard count for the ``"sharded"`` backend.
+        Retriever backend name, one of :func:`available_backends`.  The
+        set is closed: any other name, including one read from a saved
+        artifact, raises :class:`~repro.exceptions.ConfigurationError`.
     n_jobs:
         Default worker count for every parallel path the index drives
         (matrix builds, refine fan-out) and the size of the index's
-        persistent pool; per-call ``n_jobs`` overrides remain possible.
+        persistent pool.  Per-call ``n_jobs`` overrides apply on that
+        pool; an index without one serves in this process.
     symmetric:
         Symmetry convention of the distance store; must be ``False`` for
         asymmetric measures (KL divergence, directed chamfer).
@@ -135,7 +134,6 @@ class IndexConfig:
 
     training: TrainingConfig = field(default_factory=TrainingConfig)
     backend: str = "filter_refine"
-    n_shards: int = 4
     n_jobs: Optional[int] = None
     symmetric: bool = True
     max_sparse_entries: Optional[int] = None
@@ -145,13 +143,11 @@ class IndexConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.training, TrainingConfig):
             raise ConfigurationError("training must be a TrainingConfig")
-        if self.backend not in _BACKEND_REGISTRY:
+        if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; available: "
                 f"{', '.join(available_backends())}"
             )
-        if self.n_shards < 1:
-            raise ConfigurationError("n_shards must be at least 1")
         if self.max_sparse_entries is not None and self.max_sparse_entries < 1:
             raise ConfigurationError("max_sparse_entries must be positive")
         if not 0.0 < float(self.planner_target_accuracy) <= 1.0:
@@ -172,7 +168,6 @@ class IndexConfig:
         return {
             "training": training,
             "backend": self.backend,
-            "n_shards": self.n_shards,
             "n_jobs": self.n_jobs,
             "symmetric": self.symmetric,
             "max_sparse_entries": self.max_sparse_entries,
@@ -184,8 +179,8 @@ class IndexConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "IndexConfig":
         """Rebuild a config from its ``to_dict()`` payload (manifest round-trip).
 
-        Keys this version no longer uses are ignored, so older artifacts
-        keep opening.
+        Keys this version no longer uses (such as ``n_shards``) are
+        ignored, so older artifacts keep opening.
         """
         try:
             training_payload = dict(payload["training"])
@@ -194,7 +189,6 @@ class IndexConfig:
             return cls(
                 training=TrainingConfig(**training_payload),
                 backend=payload["backend"],
-                n_shards=int(payload["n_shards"]),
                 n_jobs=payload.get("n_jobs"),
                 symmetric=bool(payload["symmetric"]),
                 max_sparse_entries=payload.get("max_sparse_entries"),
@@ -214,45 +208,8 @@ class IndexConfig:
 
 
 # --------------------------------------------------------------------------- #
-# Backend registry                                                            #
+# Backends                                                                    #
 # --------------------------------------------------------------------------- #
-
-#: A backend factory builds a query engine from the index's parts.  It must
-#: return an object exposing ``query(obj, k, p)`` and
-#: ``query_many(objects, k, p, n_jobs=None)`` returning
-#: :class:`~repro.retrieval.filter_refine.RetrievalResult` (lists thereof).
-BackendFactory = Callable[
-    [DistanceMeasure, Dataset, Any, np.ndarray, "IndexConfig"], Any
-]
-
-_BACKEND_REGISTRY: Dict[str, BackendFactory] = {}
-
-
-def register_backend(
-    name: str, factory: BackendFactory, overwrite: bool = False
-) -> None:
-    """Register a retriever backend under ``name``.
-
-    Third-party backends plug in here; afterwards any
-    :class:`IndexConfig(backend=name)` — including one persisted in an
-    artifact — resolves to ``factory``.  Built-in names cannot be replaced
-    unless ``overwrite=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigurationError("backend name must be a non-empty string")
-    if not callable(factory):
-        raise ConfigurationError("backend factory must be callable")
-    if name in _BACKEND_REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered; pass overwrite=True "
-            "to replace it"
-        )
-    _BACKEND_REGISTRY[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of every registered retriever backend, sorted."""
-    return tuple(sorted(_BACKEND_REGISTRY))
 
 
 def _make_backend(
@@ -263,7 +220,7 @@ def _make_backend(
     database_vectors: np.ndarray,
     config: IndexConfig,
 ) -> Any:
-    factory = _BACKEND_REGISTRY.get(name)
+    factory = _BACKENDS.get(name)
     if factory is None:
         raise ConfigurationError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
@@ -328,16 +285,6 @@ def _filter_refine_factory(distance, database, embedder, database_vectors, confi
     )
 
 
-def _sharded_factory(distance, database, embedder, database_vectors, config):
-    return ShardedRetriever(
-        distance,
-        database,
-        embedder,
-        n_shards=config.n_shards,
-        database_vectors=database_vectors,
-    )
-
-
 def _planned_factory(distance, database, embedder, database_vectors, config):
     return PlannedRetriever(
         distance,
@@ -349,10 +296,21 @@ def _planned_factory(distance, database, embedder, database_vectors, config):
     )
 
 
-register_backend("brute_force", _BruteForceBackend)
-register_backend("filter_refine", _filter_refine_factory)
-register_backend("sharded", _sharded_factory)
-register_backend("planned", _planned_factory)
+#: The backends an index can serve through, by name.  Each factory builds
+#: a query engine from the index's parts: an object exposing
+#: ``query(obj, k, p)`` and ``query_many(objects, k, p, n_jobs=None)`` that
+#: return :class:`~repro.retrieval.filter_refine.RetrievalResult` (lists
+#: thereof).
+_BACKENDS: Dict[str, Callable[..., Any]] = {
+    "brute_force": _BruteForceBackend,
+    "filter_refine": _filter_refine_factory,
+    "planned": _planned_factory,
+}
+
+
+def available_backends() -> Tuple[str, ...]:
+    """Names of the retriever backends, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 # --------------------------------------------------------------------------- #
@@ -407,9 +365,6 @@ class EmbeddingIndex:
         self._owns_pool = bool(owns_pool)
         self._closed = False
         self._server: Optional[serving_module.AsyncServer] = None
-        #: Set by ``open(..., shard=...)``: the validated (shard_index,
-        #: n_shards, start, stop) this process is responsible for.
-        self._shard_spec: Optional[Tuple[int, int, int, int]] = None
         self._backend_name = config.backend
         self._backend = _make_backend(
             config.backend, context, database, embedder, self.database_vectors, config
@@ -490,8 +445,9 @@ class EmbeddingIndex:
             pool = context.pool
         if pool is None and resolve_jobs(config.n_jobs) > 1:
             # Only a parallel config warrants worker processes; a serial
-            # index stays pool-less (per-call n_jobs overrides then use
-            # per-call executors), so nothing is left running to leak.
+            # index stays pool-less (it then serves in this process
+            # whatever n_jobs a call asks for), so nothing is left running
+            # to leak.
             pool = PersistentPool(config.n_jobs)
             owns_pool = True
         if pool is not None and context.pool is None:
@@ -530,7 +486,6 @@ class EmbeddingIndex:
         backend: Optional[str] = None,
         pool: Optional[PersistentPool] = None,
         store_mmap_mode: Optional[str] = None,
-        shard: Optional[Any] = None,
     ) -> "EmbeddingIndex":
         """Restore a saved index against its database — no retraining.
 
@@ -565,29 +520,12 @@ class EmbeddingIndex:
             instead of materializing at open time.  Requires an artifact
             saved with ``compress_store=False``; compressed blocks fall
             back to an eager read with a warning.
-        shard:
-            Optional single-shard claim for a remote shard worker:
-            ``"i/N"`` (optionally ``"i/N:start-stop"``) or the tuple forms
-            accepted by :func:`repro.index.artifacts.validate_shard_spec`.
-            The spec is validated against the artifact's *saved* shard
-            layout — an off-by-one shard count or an
-            overlapping/uncovering range is refused with a typed
-            :class:`~repro.exceptions.ArtifactError` naming the mismatch,
-            because serving through a mismatched layout returns wrong
-            neighbors, not an error.  The validated slice is exposed via
-            :meth:`shard_view`; the index itself still opens the full
-            artifact (model, vectors, warm store).
         """
         directory = Path(directory)
         manifest = artifacts.read_manifest(directory)
         config = IndexConfig.from_dict(manifest["config"])
         if backend is not None:
             config = config.with_overrides(backend=backend)
-        shard_spec = None
-        if shard is not None:
-            shard_spec = artifacts.validate_shard_spec(
-                shard, int(manifest["n_database"]), config.n_shards
-            )
         paths = artifacts.artifact_paths(directory)
 
         if not isinstance(database, Dataset):
@@ -652,7 +590,6 @@ class EmbeddingIndex:
             pool=pool,
             owns_pool=owns_pool,
         )
-        index._shard_spec = shard_spec
         return index
 
     # -- persistence ----------------------------------------------------
@@ -824,9 +761,12 @@ class EmbeddingIndex:
         ``n_jobs`` defaults to the index config; with more than one worker
         the refine work runs on the index's persistent pool — the same
         worker processes across every ``query_many`` call of the index's
-        lifetime.  Results and per-query cost accounting are bit-identical
-        to the serial path; a worker killed mid-batch is respawned and its
-        chunks recomputed (or served serially), never answered wrongly.
+        lifetime.  Serving never starts a one-shot pool: an index without
+        a usable persistent pool (none configured, or a borrowed one since
+        closed) refines the batch in this process whatever ``n_jobs`` is.
+        Results and per-query cost accounting are bit-identical to the
+        serial path; a worker killed mid-batch is respawned and its chunks
+        recomputed (or served serially), never answered wrongly.
         ``p=None`` on the ``"planned"`` backend refines each query's
         prefix slices serially whatever ``n_jobs`` is (one-query plans
         stay serial).
@@ -863,6 +803,9 @@ class EmbeddingIndex:
         with self._serving_guard():
             self._check_p(p)
             effective_jobs = self.config.n_jobs if n_jobs is None else n_jobs
+            n_workers = resolve_jobs(effective_jobs)
+            if n_workers > 1 and self.context._pool_for(n_workers) is None:
+                effective_jobs = 1
             with self._register(objects):
                 return self._backend.query_many(objects, k, p, n_jobs=effective_jobs)
 
@@ -1127,35 +1070,6 @@ class EmbeddingIndex:
         """Content fingerprint of the context universe."""
         return self.context.fingerprint
 
-    @property
-    def shard_spec(self) -> Optional[Tuple[int, int, int, int]]:
-        """The validated ``(shard_index, n_shards, start, stop)`` claim.
-
-        ``None`` unless the index was restored with
-        ``EmbeddingIndex.open(..., shard=...)``.
-        """
-        return self._shard_spec
-
-    def shard_view(self) -> Shard:
-        """The contiguous database slice claimed by this index's shard spec.
-
-        Returns a :class:`~repro.retrieval.sharded.Shard` (offset, objects,
-        embedded vectors — shared references/views into the full index, so
-        the view costs nothing) for the shard validated at open time.  This
-        is the unit a remote shard worker serves filter+refine over.
-        """
-        if self._shard_spec is None:
-            raise RetrievalError(
-                "this index was not opened with a shard spec; pass "
-                "shard='i/N' to EmbeddingIndex.open"
-            )
-        _, _, start, stop = self._shard_spec
-        return Shard(
-            offset=start,
-            objects=[self.database[i] for i in range(start, stop)],
-            vectors=self.database_vectors[start:stop],
-        )
-
     def health(self) -> Dict[str, Any]:
         """Fault-tolerance status of the serving stack.
 
@@ -1164,19 +1078,10 @@ class EmbeddingIndex:
         async server; both are ``None`` until the corresponding component
         exists.  ``degraded=True`` means refine work currently bypasses
         the pool and runs serially in the parent — slower, never wrong.
-        ``remote`` (``None`` unless a ``repro.remote`` scatter/gather
-        backend is active) reports the per-shard connection supervision
-        state — live/dead peers, retries, local fallbacks, bytes on the
-        wire — and folds a dead shard into the top-level ``degraded``
-        flag: its work runs serially in the parent, slower but never
-        wrong.  ``planner`` (``None`` unless the
-        ``"planned"`` backend is active) reports the query planner's
-        calibration state, fitted cost-model snapshot and last decision.
+        ``planner`` (``None`` unless the ``"planned"`` backend is active)
+        reports the query planner's calibration state, fitted cost-model
+        snapshot and last decision.
         """
-        remote = None
-        backend_health = getattr(self._backend, "health", None)
-        if callable(backend_health):
-            remote = backend_health()
         planner = None
         planner_health = getattr(self._backend, "planner_health", None)
         if callable(planner_health):
@@ -1184,11 +1089,9 @@ class EmbeddingIndex:
         return {
             "closed": self._closed,
             "backend": self._backend_name,
-            "degraded": bool(self._server is not None and self._server.degraded)
-            or bool(remote is not None and remote.get("degraded")),
+            "degraded": bool(self._server is not None and self._server.degraded),
             "pool": self.pool.health() if self.pool is not None else None,
             "serving": self._server.health() if self._server is not None else None,
-            "remote": remote,
             "planner": planner,
         }
 

@@ -11,8 +11,8 @@ paid worker start-up plus a full re-pickle of the database.
 calls.  The per-call *worker state* (the distance measure and the object
 collections a task needs) is published once to a shared manager process,
 and each worker fetches and caches it on first use — so a state reused
-across calls (the index's universe, the retriever's shards) is shipped to
-each worker exactly once for the pool's lifetime, not once per call.
+across calls (the index's universe) is shipped to each worker exactly
+once for the pool's lifetime, not once per call.
 
 Design
 ------

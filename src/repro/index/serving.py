@@ -401,17 +401,10 @@ class AsyncServer:
     # -- planning --------------------------------------------------------
 
     def _engine(self) -> QueryEngine:
+        """The active backend's pipeline (the brute-force backend keeps it
+        on its retriever); every backend in the closed set has one."""
         backend = self._index._backend
-        engine = getattr(backend, "engine", None)
-        if engine is None:
-            engine = getattr(getattr(backend, "retriever", None), "engine", None)
-        if not isinstance(engine, QueryEngine):
-            raise RetrievalError(
-                f"backend {self._index.backend!r} does not expose a "
-                "QueryEngine; async serving needs one (register the backend "
-                "with an `engine` attribute to serve it asynchronously)"
-            )
-        return engine
+        return getattr(backend, "engine", None) or backend.retriever.engine
 
     def submit(
         self,

@@ -6,9 +6,7 @@ This subpackage implements Sec. 8 and the evaluation protocol of Sec. 9:
   against) and ground-truth computation (:mod:`repro.retrieval.brute_force`,
   :mod:`repro.retrieval.knn`);
 * the filter-and-refine pipeline driven by an embedding and its (possibly
-  query-sensitive) vector distance (:mod:`repro.retrieval.filter_refine`),
-  plus its sharded, process-parallel serving shape with bit-identical
-  results and cost accounting (:mod:`repro.retrieval.sharded`);
+  query-sensitive) vector distance (:mod:`repro.retrieval.filter_refine`);
 * the accuracy-versus-cost evaluation with the paper's optimal-parameter
   search over the embedding dimensionality ``d`` and the filter size ``p``
   (:mod:`repro.retrieval.evaluation`, :mod:`repro.retrieval.sweep`);
@@ -28,11 +26,9 @@ from repro.retrieval.engine import (
     QueryPlan,
     RefineStage,
     ScanStage,
-    ShardedFilterStage,
 )
 from repro.retrieval.brute_force import BruteForceRetriever
 from repro.retrieval.filter_refine import FilterRefineRetriever, RetrievalResult
-from repro.retrieval.sharded import Shard, ShardedRetriever
 from repro.retrieval.evaluation import (
     FilterRankResult,
     filter_ranks,
@@ -64,15 +60,12 @@ __all__ = [
     "QueryPlan",
     "EmbedStage",
     "FilterStage",
-    "ShardedFilterStage",
     "ScanStage",
     "RefineStage",
     "MergeStage",
     "BruteForceRetriever",
     "FilterRefineRetriever",
     "RetrievalResult",
-    "Shard",
-    "ShardedRetriever",
     "FilterRankResult",
     "filter_ranks",
     "required_filter_sizes",

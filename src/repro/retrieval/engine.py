@@ -3,8 +3,8 @@
 The paper's retrieval model is one fixed pipeline — embed the query (exact
 distances to the embedding's reference objects), filter the database by a
 cheap vector distance, refine the best ``p`` candidates with exact
-distances — yet the repo used to implement that pipeline three times over
-(brute force, filter-and-refine, sharded).  This module decomposes it into
+distances — yet the repo used to implement that pipeline once per
+retriever.  This module decomposes it into
 explicit, composable *stages*, each a small object with a ``run(plan) ->
 plan`` step over a shared :class:`QueryPlan`:
 
@@ -12,9 +12,6 @@ plan`` step over a shared :class:`QueryPlan`:
   call (a single query included);
 * :class:`FilterStage` — rank database vectors by the cheap filter distance
   and keep the stable top-``p`` cut (no exact distances);
-* :class:`ShardedFilterStage` — the same cut evaluated per contiguous shard
-  and merged into the identical global candidate list, plus the per-shard
-  candidate split the remote client routes its refine requests with;
 * :class:`ScanStage` — the degenerate "filter" of brute force: every
   database position is a candidate;
 * :class:`RefineStage` — evaluate the exact distances from each query to
@@ -29,8 +26,8 @@ plan`` step over a shared :class:`QueryPlan`:
 
 :class:`QueryEngine` chains the stages; the public retrievers
 (:class:`~repro.retrieval.brute_force.BruteForceRetriever`,
-:class:`~repro.retrieval.filter_refine.FilterRefineRetriever`,
-:class:`~repro.retrieval.sharded.ShardedRetriever`) are thin
+:class:`~repro.retrieval.filter_refine.FilterRefineRetriever` and the
+planner's :class:`~repro.retrieval.planner.PlannedRetriever`) are thin
 configurations of it, so the tie-breaking, clamping, accounting and
 parallel fan-out rules exist exactly once.  The async serving layer
 (:mod:`repro.index.serving`) reuses the embed/filter stages to prepare
@@ -60,14 +57,12 @@ __all__ = [
     "QueryEngine",
     "EmbedStage",
     "FilterStage",
-    "ShardedFilterStage",
     "ScanStage",
     "RefineStage",
     "MergeStage",
     "stable_smallest",
     "clamp_query_params",
     "filter_vector_distances",
-    "merge_shard_cuts",
     "refine_order",
     "build_retrieval_result",
     "build_scan_result",
@@ -134,36 +129,13 @@ def filter_vector_distances(
     """Filter-step distances from one embedded query to database vectors.
 
     Each row's score depends only on that row and the query, so evaluating
-    it per shard or on a row subset yields bit-identical values to one
-    full-database call.
+    it on a row subset yields bit-identical values to one full-database
+    call.
     """
     query_vector = np.asarray(query_vector, dtype=float)
     if isinstance(embedder, QuerySensitiveModel):
         return embedder.distances_to(query_vector, database_vectors)
     return np.abs(database_vectors - query_vector[None, :]).sum(axis=1)
-
-
-def merge_shard_cuts(
-    shard_indices: Sequence[np.ndarray],
-    shard_distances: Sequence[np.ndarray],
-    p: int,
-) -> np.ndarray:
-    """Merge per-shard filter cuts into the global top-``p`` candidate list.
-
-    ``shard_indices[s]`` are shard ``s``'s surviving candidates as *global*
-    database indices in stable (distance, index) order, ``shard_distances[s]``
-    their filter distances.  Because each shard list is stable-ordered and
-    shard order equals global index order, concatenation order breaks
-    distance ties by ascending global index — so the merged cut is identical
-    to the unsharded stable filter cut.  This is the gather half of the
-    sharded merge, shared by :class:`ShardedFilterStage` (in-process) and the
-    ``repro.remote`` scatter/gather client (per-shard cuts arriving over
-    sockets), so the two can never order ties differently.
-    """
-    merged_distances = np.concatenate(list(shard_distances))
-    merged_indices = np.concatenate(list(shard_indices))
-    order = np.argsort(merged_distances, kind="stable")[:p]
-    return merged_indices[order]
 
 
 def refine_order(exact: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
@@ -386,82 +358,6 @@ class FilterStage:
         return plan
 
 
-class ShardedFilterStage:
-    """Per-shard filter cut merged into the identical global candidate list.
-
-    :meth:`split` partitions a candidate list by shard, for the remote
-    client, whose shard servers hold different rows.
-    """
-
-    stat_name = "filter"
-
-    def __init__(
-        self,
-        embedder: Union[QuerySensitiveModel, Embedding],
-        shards: Sequence[Any],
-    ) -> None:
-        self.embedder = embedder
-        self.shards = list(shards)
-
-    def shard_cut(
-        self, shard_id: int, query_vector: np.ndarray, p: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard's stable top-``min(p, shard_size)`` filter cut.
-
-        Returns ``(local_indices, filter_distances)`` in stable (distance,
-        local index) order.  Pure, so a remote shard server (or a local
-        fallback for a dead one) can call it for a single shard and stay
-        bit-identical to the in-process merge.
-        """
-        shard = self.shards[shard_id]
-        distances = filter_vector_distances(
-            self.embedder, query_vector, shard.vectors
-        )
-        local = stable_smallest(distances, min(p, len(shard)))
-        return local, distances[local]
-
-    def merged(self, query_vector: np.ndarray, p: int) -> np.ndarray:
-        """Global top-``p`` filter candidates, merged across shards.
-
-        Identical — including tie-breaking by database index — to the
-        unsharded ``FilterStage.cut(query_vector, p)``: per-shard scores
-        equal the full-table scores, each shard list is stable-ordered and
-        shard order equals global index order, so concatenation order
-        breaks distance ties by ascending global index (see
-        :func:`merge_shard_cuts`).
-        """
-        shard_distances: List[np.ndarray] = []
-        shard_indices: List[np.ndarray] = []
-        for sid, shard in enumerate(self.shards):
-            local, distances = self.shard_cut(sid, query_vector, p)
-            shard_distances.append(distances)
-            shard_indices.append(shard.offset + local)
-        return merge_shard_cuts(shard_indices, shard_distances, p)
-
-    def split(self, candidates: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-        """Partition a global candidate list into per-shard refine work.
-
-        Returns ``(shard_id, positions)`` for every shard with candidates;
-        ``positions`` locates them in the filter-ordered candidate array.
-        """
-        work: List[Tuple[int, np.ndarray]] = []
-        for sid, shard in enumerate(self.shards):
-            mask = (candidates >= shard.offset) & (
-                candidates < shard.offset + len(shard)
-            )
-            positions = np.flatnonzero(mask)
-            if positions.size:
-                work.append((sid, positions))
-        return work
-
-    def run(self, plan: QueryPlan) -> QueryPlan:
-        """Rank per query via sharded filtering into ``plan.candidate_lists``."""
-        plan.candidate_lists = [
-            self.merged(vector, plan.p_eff) for vector in plan.query_vectors
-        ]
-        return plan
-
-
 class ScanStage:
     """The degenerate filter of brute force: every position is a candidate."""
 
@@ -485,9 +381,8 @@ class RefineStage:
     One object owns the pipeline's exact-distance access: a binding from
     :func:`~repro.retrieval.context_binding.bind_context` (store-backed
     through a context, every pair charged for a plain measure).  Every
-    retriever, the planner's prefix slices, the sweep and the remote
-    client's fallback refine through :meth:`run`, so accounting can never
-    drift between them.
+    retriever, the planner's prefix slices and the sweep refine through
+    :meth:`run`, so accounting can never drift between them.
     """
 
     stat_name = "refine"
@@ -524,9 +419,9 @@ def refine_candidates(
 ) -> Tuple[np.ndarray, int]:
     """Exact distances from one object to ``candidates`` through ``refine.run``.
 
-    Returns ``(values, spent)``.  The planner's prefix slices, the sweep's
-    blocks, the shard server and the remote client's dead-shard fallback
-    use this, so they refine exactly as a one-query pipeline batch does.
+    Returns ``(values, spent)``.  The planner's prefix slices and the
+    sweep's blocks use this, so they refine exactly as a one-query pipeline
+    batch does.
     """
     plan = QueryPlan(objects=[obj], k=1, p=None)
     plan.candidate_lists = [candidates]
@@ -590,9 +485,9 @@ def collect_plan_stats(
 class QueryEngine:
     """A staged retrieval pipeline: embed → filter → refine → merge.
 
-    Build one with :meth:`filter_refine`, :meth:`sharded` or
-    :meth:`brute_force` (or pass custom stages).  ``embed`` may be ``None``
-    (brute force has nothing to embed); the remaining stages are required.
+    Build one with :meth:`filter_refine` or :meth:`brute_force` (or pass
+    custom stages).  ``embed`` may be ``None`` (brute force has nothing to
+    embed); the remaining stages are required.
     """
 
     def __init__(
@@ -628,27 +523,10 @@ class QueryEngine:
         embedder: Union[QuerySensitiveModel, Embedding],
         database_vectors: np.ndarray,
     ) -> "QueryEngine":
-        """The unsharded filter-and-refine pipeline."""
+        """The filter-and-refine pipeline."""
         return cls(
             embed=EmbedStage(embedder),
             filter=FilterStage(embedder, database_vectors),
-            refine=RefineStage(bind_context(distance, database)),
-            merge=MergeStage(),
-            n_database=len(database),
-        )
-
-    @classmethod
-    def sharded(
-        cls,
-        distance: DistanceMeasure,
-        database: Dataset,
-        embedder: Union[QuerySensitiveModel, Embedding],
-        shards: Sequence[Any],
-    ) -> "QueryEngine":
-        """The sharded filter-and-refine pipeline (store-aware refine)."""
-        return cls(
-            embed=EmbedStage(embedder),
-            filter=ShardedFilterStage(embedder, shards),
             refine=RefineStage(bind_context(distance, database)),
             merge=MergeStage(),
             n_database=len(database),

@@ -222,7 +222,7 @@ def retrieval_recall(results: Sequence, ground_truth: NeighborTable, k: int) -> 
 
     Applies the paper's strict criterion to actual retrieval output (a
     sequence of :class:`~repro.retrieval.filter_refine.RetrievalResult`, from
-    the unsharded or sharded pipeline): a query counts as correct only if
+    any retriever): a query counts as correct only if
     *all* ``k`` true nearest neighbors appear among its reported top ``k``.
     Complementary to :func:`success_rate`, which predicts the same quantity
     from filter ranks without running the refine step.

@@ -22,19 +22,17 @@ in :class:`~repro.retrieval.engine.QueryEngine` as explicit stages
 :class:`~repro.retrieval.engine.FilterStage` →
 :class:`~repro.retrieval.engine.RefineStage` →
 :class:`~repro.retrieval.engine.MergeStage`);
-:class:`FilterRefineRetriever` is the unsharded configuration of that
-engine.  See the engine module for the batching, tie-breaking, parameter
-clamping, parallelism and shared-store rules — they are identical for
-every retriever because they are the *same code*:
+:class:`FilterRefineRetriever` is the filter-and-refine configuration of
+that engine.  See the engine module for the batching, tie-breaking,
+parameter clamping, parallelism and shared-store rules — they are
+identical for every retriever because they are the *same code*:
 
 * ``k``/``p`` clamping: ``p`` is raised to at least ``k`` and both are
   capped at the database size, so every query returns exactly
   ``min(k, n)`` neighbors; with ``p`` clamped to ``n`` the results equal
   brute force, tie order included.
 * Tie-breaking: filter cut and refine both resolve distance ties by the
-  smallest database index — the stable brute-force scan order, which is
-  what lets :class:`~repro.retrieval.sharded.ShardedRetriever` merge
-  per-shard candidates into bit-identical global results.
+  smallest database index — the stable brute-force scan order.
 * ``n_jobs``: queries are embedded and filtered in the parent process and
   the refine work fans out over worker processes
   (:func:`repro.distances.parallel.parallel_refine`), with parent-side

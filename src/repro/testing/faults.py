@@ -18,15 +18,6 @@ N, once" deterministic across the recovery.
 File-level faults (:func:`truncate_file`, :func:`flip_byte`) corrupt saved
 artifacts in place for the artifact-hardening tests; they operate on real
 files produced by real ``save`` calls, not synthetic fixtures.
-
-Socket-frame faults (``corrupt_frame`` / ``kill_connection_after`` /
-``slow_frame``) drive the ``repro.remote`` shard service: the shard server
-consults :meth:`FaultPlan.frame_faults` before sending each outbound frame
-and damages the bytes, hard-closes the connection, or stalls past the
-client's read deadline — the three socket failure modes the scatter/gather
-client must survive without ever serving a wrong answer.  Frame sequence
-numbers are per-server-process (workers are single-connection), so the
-schedule is deterministic without any cross-process coordination.
 """
 
 from __future__ import annotations
@@ -105,19 +96,6 @@ class FaultPlan:
         Corrupt the *reply* of the Nth chunk (1-based, fires once) — the
         chunk computes normally, then its payload is damaged on the way
         out, modelling a torn reply rather than a crashed worker.
-    corrupt_frame:
-        Bit-flip the payload of the Nth outbound protocol frame a
-        ``repro.remote`` shard server sends (1-based, fires once) — the
-        client's checksum must reject it as a typed
-        :class:`~repro.exceptions.RemoteProtocolError`, never decode it.
-    kill_connection_after:
-        Hard-close the shard server's client socket instead of sending the
-        Nth outbound frame (fires once) — the mid-reply connection death
-        that leaves the client holding a short read.
-    slow_frame:
-        Sleep :attr:`slow_frame_seconds` before sending the Nth outbound
-        frame (fires once) — a peer slow enough to blow the client's read
-        deadline without ever failing.
     """
 
     kill_after_chunks: Optional[int] = None
@@ -125,54 +103,10 @@ class FaultPlan:
     kill_exit_code: int = 17
     delay_seconds: float = 0.0
     corrupt_chunk: Optional[int] = None
-    corrupt_frame: Optional[int] = None
-    kill_connection_after: Optional[int] = None
-    slow_frame: Optional[int] = None
-    slow_frame_seconds: float = 0.5
-    #: Fire-once latches for the frame faults (server-process local).
-    _frame_fired: set = field(default_factory=set, repr=False, compare=False)
 
     def wrap(self, task: Callable[[Any, Any], Any]) -> "FaultyTask":
         """The hook :meth:`PersistentPool.submit` calls on every task."""
         return FaultyTask(plan=self, task=task)
-
-    def frame_faults(self, sequence: int) -> set:
-        """Fault actions for the ``sequence``-th outbound frame (1-based).
-
-        Returns a subset of ``{"slow", "kill", "corrupt"}``; each action
-        fires exactly once per plan instance, at the first frame whose
-        sequence number reaches its threshold.  The shard server applies
-        ``slow`` (sleep) first, then ``kill`` (hard close, frame never
-        sent), then ``corrupt`` (damage the encoded bytes) — so a plan
-        combining them behaves deterministically.
-        """
-        actions = set()
-        for action, threshold in (
-            ("slow", self.slow_frame),
-            ("kill", self.kill_connection_after),
-            ("corrupt", self.corrupt_frame),
-        ):
-            if (
-                threshold is not None
-                and sequence >= threshold
-                and action not in self._frame_fired
-            ):
-                self._frame_fired.add(action)
-                actions.add(action)
-        return actions
-
-    def to_frame_payload(self) -> dict:
-        """JSON-serializable frame/chunk fault fields (for a server CLI)."""
-        payload = {
-            "kill_after_chunks": self.kill_after_chunks,
-            "delay_seconds": self.delay_seconds,
-            "corrupt_chunk": self.corrupt_chunk,
-            "corrupt_frame": self.corrupt_frame,
-            "kill_connection_after": self.kill_connection_after,
-            "slow_frame": self.slow_frame,
-            "slow_frame_seconds": self.slow_frame_seconds,
-        }
-        return {key: value for key, value in payload.items() if value}
 
 
 @dataclass

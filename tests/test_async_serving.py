@@ -302,7 +302,7 @@ class TestFailureIsolation:
 
 
 class TestAqueryMany:
-    @pytest.mark.parametrize("backend", ["filter_refine", "sharded", "brute_force"])
+    @pytest.mark.parametrize("backend", ["filter_refine", "brute_force"])
     def test_bit_identical_to_query_many(self, serve_split, serve_config, backend):
         queries = list(serve_split.queries)
         p = None if backend == "brute_force" else 12

@@ -25,7 +25,6 @@ from repro import (
     FilterRefineRetriever,
     KLDivergence,
     L2Distance,
-    ShardedRetriever,
     TrainingConfig,
     make_timeseries_dataset,
 )
@@ -581,34 +580,6 @@ class TestPipelineThroughContext:
             build_lipschitz_embedding(ConstrainedDTW(), database, dim=4, set_size=1, seed=3),
         )
         _assert_results_identical(results, plain.query_many(list(queries), k=3, p=10))
-
-    def test_sharded_context_matches_unsharded(self, ts_split):
-        database, queries = ts_split
-        universe = list(database) + list(queries)
-        from repro.embeddings.lipschitz import build_lipschitz_embedding
-
-        flat_ctx = DistanceContext(ConstrainedDTW(), universe)
-        flat_embedding = build_lipschitz_embedding(
-            flat_ctx, database, dim=4, set_size=1, seed=3
-        )
-        flat = FilterRefineRetriever(flat_ctx, database, flat_embedding)
-        flat_results = flat.query_many(list(queries), k=3, p=12)
-
-        sharded_ctx = DistanceContext(ConstrainedDTW(), universe)
-        sharded_embedding = build_lipschitz_embedding(
-            sharded_ctx, database, dim=4, set_size=1, seed=3
-        )
-        sharded = ShardedRetriever(
-            sharded_ctx, database, sharded_embedding, n_shards=3
-        )
-        sharded_results = sharded.query_many(list(queries), k=3, p=12)
-        _assert_results_identical(flat_results, sharded_results)
-        assert [r.refine_distance_computations for r in flat_results] == [
-            r.refine_distance_computations for r in sharded_results
-        ]
-        assert (
-            flat.refine_distance_evaluations == sharded.refine_distance_evaluations
-        )
 
     def test_brute_force_through_context(self, ts_split):
         database, queries = ts_split

@@ -43,7 +43,7 @@ from repro.exceptions import (
     DistanceError,
     RetrievalError,
 )
-from repro.index import available_backends, register_backend
+from repro.index import available_backends
 from repro.index.artifacts import MANIFEST_NAME, read_manifest, write_manifest
 
 
@@ -134,12 +134,12 @@ class TestBuildAndQuery:
         )
         flat = index.query_many(list(l2_split.queries), k=3, p=10)
         before = index.distance_evaluations
-        index.set_backend("sharded")
+        index.set_backend("planned")
         assert index.distance_evaluations == before  # switching costs nothing
-        sharded = index.query_many(list(l2_split.queries), k=3, p=10)
+        planned = index.query_many(list(l2_split.queries), k=3, p=10)
         # Same neighbors, and the switched backend reuses the shared store:
         # every refine pair was already evaluated, so the repeat is free.
-        for a, b in zip(flat, sharded):
+        for a, b in zip(flat, planned):
             assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
             assert np.array_equal(a.neighbor_distances, b.neighbor_distances)
             assert b.refine_distance_computations == 0
@@ -176,13 +176,11 @@ class TestBuildAndQuery:
 
 
 class TestArtifactLifecycle:
-    @pytest.mark.parametrize("backend", ["brute_force", "filter_refine", "sharded"])
+    @pytest.mark.parametrize("backend", ["brute_force", "filter_refine", "planned"])
     def test_round_trip_all_backends(self, tmp_path, l2_split, backend):
         """build → query → save → open → query round-trips bit-identically
         on every built-in backend, with zero retraining on open."""
-        config = IndexConfig(
-            training=_tiny_training(), backend=backend, n_shards=3
-        )
+        config = IndexConfig(training=_tiny_training(), backend=backend)
         index = EmbeddingIndex.build(
             L2Distance(), l2_split.database, config, queries=list(l2_split.queries)
         )
@@ -266,6 +264,20 @@ class TestArtifactLifecycle:
             served = reopened.query_many(queries, k=3, p=10)
         assert_results_identical(expected, served)
 
+    def test_open_refuses_retired_sharded_backend(
+        self, tmp_path, built_index, l2_split
+    ):
+        """An artifact saved under the deleted ``"sharded"`` backend is
+        refused at open with the unknown-backend error, naming it."""
+        directory = tmp_path / "artifact"
+        built_index.save(directory)
+        manifest = read_manifest(directory)
+        manifest["config"]["backend"] = manifest["backend"] = "sharded"
+        manifest["config"]["n_shards"] = 4
+        write_manifest(directory, manifest)
+        with pytest.raises(ConfigurationError, match="unknown backend 'sharded'"):
+            EmbeddingIndex.open(directory, l2_split.database)
+
     def test_open_checks_supplied_distance_name(
         self, tmp_path, built_index, l2_split
     ):
@@ -332,7 +344,7 @@ class TestArtifactLifecycle:
         index = EmbeddingIndex.build(
             context,
             database,
-            IndexConfig(training=_tiny_training(seed=8), n_shards=2),
+            IndexConfig(training=_tiny_training(seed=8)),
         )
         assert index.config.symmetric is False  # reconciled with the store
         index.query_many(queries, k=2, p=8)
@@ -613,7 +625,7 @@ class TestPersistentPoolServing:
 
     def test_serial_config_creates_no_pool(self, l2_split):
         """A serial index stays pool-less (nothing to leak), and a per-call
-        n_jobs override still works through a per-call executor."""
+        n_jobs override still serves the same neighbours, in the parent."""
         index = EmbeddingIndex.build(
             L2Distance(), l2_split.database, IndexConfig(training=_tiny_training())
         )
@@ -627,6 +639,29 @@ class TestPersistentPoolServing:
             assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
         index.close()
 
+    def test_pool_less_serving_starts_no_one_shot_pool(self, l2_split, monkeypatch):
+        """query_many(n_jobs=2) on an index without a persistent pool
+        refines in the parent: no process pool is started per call."""
+        from repro.distances import parallel
+
+        started = []
+
+        class CountingExecutor(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingExecutor)
+        with EmbeddingIndex.build(
+            L2Distance(), l2_split.database, IndexConfig(training=_tiny_training())
+        ) as index:
+            assert index.pool is None
+            for seed in range(5):
+                fresh = _novel(10, seed=100 + seed)
+                served = index.query_many(fresh, k=2, p=8, n_jobs=2)
+                assert_results_identical(served, index.query_many(fresh, k=2, p=8))
+        assert len(started) == 0
+
     def test_undersized_pool_bypassed_for_wider_requests(self, l2_split):
         """A 1-worker pool must not serialize a multi-worker request."""
         context = DistanceContext(
@@ -639,8 +674,8 @@ class TestPersistentPoolServing:
         context.pool = None
 
     def test_closed_borrowed_pool_degrades_gracefully(self, l2_split):
-        """An index outliving its borrowed pool falls back to per-call
-        executors instead of erroring on the next parallel batch."""
+        """An index outliving its borrowed pool detaches it and serves the
+        next parallel batch in the parent instead of erroring."""
         pool = PersistentPool(2)
         index = EmbeddingIndex.build(
             L2Distance(),
@@ -720,57 +755,27 @@ class TestPersistentPoolUnit:
 
 
 class TestIndexConfig:
-    def test_round_trip(self):
+    # An artifact saved before the sharded backend was deleted carries an
+    # ``n_shards`` key; ``from_dict`` ignores it.
+    @pytest.mark.parametrize(
+        "legacy", [{}, {"n_shards": 5}], ids=["current", "n_shards"]
+    )
+    def test_round_trip(self, legacy):
         config = IndexConfig(
             training=_tiny_training(seed=4),
-            backend="sharded",
-            n_shards=5,
+            backend="planned",
             n_jobs=3,
             symmetric=False,
             max_sparse_entries=1000,
         )
-        clone = IndexConfig.from_dict(config.to_dict())
+        clone = IndexConfig.from_dict({**config.to_dict(), **legacy})
         assert clone == config
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            IndexConfig(backend="warp-drive")
-
-    def test_third_party_backend_registration(self, l2_split):
-        calls = {}
-
-        def factory(distance, database, embedder, database_vectors, config):
-            calls["built"] = True
-            return _BACKEND_PROBE
-
-        register_backend("test-probe", factory)
-        try:
-            assert "test-probe" in available_backends()
-            index = EmbeddingIndex.build(
-                L2Distance(),
-                l2_split.database,
-                IndexConfig(training=_tiny_training(), backend="test-probe"),
-            )
-            assert calls["built"]
-            assert index.query(l2_split.queries[0], k=1, p=3) == "probe-result"
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend("test-probe", factory)
-            index.close()
-        finally:
-            from repro.index.embedding_index import _BACKEND_REGISTRY
-
-            _BACKEND_REGISTRY.pop("test-probe", None)
-
-
-class _BackendProbe:
-    def query(self, obj, k, p=None, n_jobs=None):
-        return "probe-result"
-
-    def query_many(self, objects, k, p=None, n_jobs=None):
-        return ["probe-result"] * len(objects)
-
-
-_BACKEND_PROBE = _BackendProbe()
+        assert available_backends() == ("brute_force", "filter_refine", "planned")
+        for name in ("warp-drive", "sharded", "remote_sharded"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                IndexConfig(backend=name)
 
 
 class TestBoundedStore:

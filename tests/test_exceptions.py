@@ -58,10 +58,6 @@ def test_every_public_exception_collected():
         "ExperimentError",
         "SerializationError",
         "ArtifactError",
-        "RemoteError",
-        "RemoteProtocolError",
-        "RemoteConnectionError",
-        "RemoteTimeout",
     }
 
 

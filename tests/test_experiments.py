@@ -235,23 +235,6 @@ class TestTiming:
         assert "Speed-up over brute force" in text
         assert "x)" in text
 
-    def test_retrieval_timing(self):
-        from repro.experiments import run_retrieval_timing
-
-        result = run_retrieval_timing(
-            n_database=60,
-            n_queries=5,
-            k=3,
-            p=10,
-            dim=4,
-            n_shards=3,
-            n_jobs=1,
-            series_length=24,
-        )
-        assert result.single_seconds > 0 and result.sharded_seconds > 0
-        assert result.n_shards == 3
-        assert "query_many throughput" in result.summary()
-
 
 class TestAblations:
     @pytest.fixture(scope="class")

@@ -422,7 +422,7 @@ def make_context(l2, gaussian_split, register_queries=False):
     return context
 
 
-class TestAdaptiveWarmAndSharded:
+class TestAdaptiveWarmStore:
     def test_warm_store_reserve_is_free_and_identical(
         self, l2, gaussian_split, trained_qs
     ):

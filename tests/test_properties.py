@@ -274,8 +274,7 @@ class TestProposition1Property:
 @st.composite
 def weighted_tables(draw):
     """A model with random per-coordinate weights, an embedded table whose
-    last row duplicates row 0, a query vector, a shard count and a row
-    subset."""
+    last row duplicates row 0, a query vector and a row subset."""
     n = draw(st.integers(1, 200))
     d = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -297,33 +296,22 @@ def weighted_tables(draw):
     rows = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
     table = np.vstack([rows, rows[:1]])
     query = rng.normal(size=d) * 10.0
-    n_shards = draw(st.integers(1, table.shape[0]))
     size = int(rng.integers(1, table.shape[0] + 1))
     subset = np.sort(rng.choice(table.shape[0], size=size, replace=False))
-    return model, table, query, n_shards, subset
+    return model, table, query, subset
 
 
 class TestLayoutIndependentFilterScores:
     @given(case=weighted_tables())
     @settings(max_examples=60, deadline=None)
     def test_scores_bit_equal_across_layouts(self, case):
-        """Flat, per-shard and subset scores are bit-equal score for score,
-        and a duplicate of row 0 placed last scores exactly like row 0."""
-        from repro.retrieval import FilterStage, Shard, ShardedFilterStage
+        """Flat and subset scores are bit-equal score for score, and a
+        duplicate of row 0 placed last scores exactly like row 0."""
+        from repro.retrieval import FilterStage
 
-        model, table, query, n_shards, subset = case
+        model, table, query, subset = case
         flat = FilterStage(model, table).distances(query)
         assert flat[-1] == flat[0]
-
-        chunks = np.array_split(np.arange(table.shape[0]), n_shards)
-        shards = [
-            Shard(offset=int(c[0]), objects=list(c), vectors=table[c[0] : c[-1] + 1])
-            for c in chunks
-        ]
-        stage = ShardedFilterStage(model, shards)
-        for sid, shard in enumerate(shards):
-            local, distances = stage.shard_cut(sid, query, len(shard))
-            assert np.array_equal(distances, flat[shard.offset + local])
 
         rescored = FilterStage(model, table[subset]).distances(query)
         assert np.array_equal(rescored, flat[subset])

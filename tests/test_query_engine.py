@@ -3,7 +3,7 @@
 The heavy bit-identity oracles for the engine live in the existing
 retrieval suites (every retriever now runs through it); this file covers
 the engine-specific surface: stage composition, the retrievers exposing
-one shared stage set, the store-aware per-shard refine accounting, and the
+one shared stage set, the store-aware refine accounting, and the
 DynamicDatabase tie-break fix.
 """
 
@@ -17,7 +17,6 @@ from repro import (
     DynamicDatabase,
     FilterRefineRetriever,
     L2Distance,
-    ShardedRetriever,
 )
 from repro.datasets.base import Dataset
 from repro.distances.context import DistanceContext
@@ -29,7 +28,6 @@ from repro.retrieval.engine import (
     QueryEngine,
     RefineStage,
     ScanStage,
-    ShardedFilterStage,
 )
 
 
@@ -37,7 +35,6 @@ class TestEngineComposition:
     def test_retrievers_expose_the_shared_stages(self, gaussian_split, l2, trained_qs):
         model = trained_qs.model
         flat = FilterRefineRetriever(l2, gaussian_split.database, model)
-        sharded = ShardedRetriever(l2, gaussian_split.database, model, n_shards=3)
         brute = BruteForceRetriever(l2, gaussian_split.database)
 
         assert isinstance(flat.engine, QueryEngine)
@@ -45,7 +42,6 @@ class TestEngineComposition:
         assert isinstance(flat.engine.filter, FilterStage)
         assert isinstance(flat.engine.refine, RefineStage)
         assert isinstance(flat.engine.merge, MergeStage)
-        assert isinstance(sharded.engine.filter, ShardedFilterStage)
         assert isinstance(brute.engine.filter, ScanStage)
         assert brute.engine.embed is None and brute.engine.merge is None
         # Stage list preserves run order (embed first, merge last).
@@ -65,9 +61,7 @@ class TestEngineComposition:
         )
 
     def test_plan_accumulates_stage_outputs(self, gaussian_split, l2, trained_qs):
-        retriever = ShardedRetriever(
-            l2, gaussian_split.database, trained_qs.model, n_shards=4
-        )
+        retriever = FilterRefineRetriever(l2, gaussian_split.database, trained_qs.model)
         engine = retriever.engine
         plan = engine.make_plan(list(gaussian_split.queries)[:3], k=2, p=9)
         plan = engine.run(plan)
@@ -93,18 +87,18 @@ class TestEngineComposition:
         assert retriever.query_many([], k=2, p=5) == []
 
 
-class TestStoreAwareShardedRefine:
-    def _context_retriever(self, gaussian_split, trained_qs, n_shards=3):
+class TestStoreAwareRefine:
+    def _context_retriever(self, gaussian_split, trained_qs):
         context = DistanceContext(
             L2Distance(),
             list(gaussian_split.database) + list(gaussian_split.queries),
         )
-        retriever = ShardedRetriever(
-            context, gaussian_split.database, trained_qs.model, n_shards=n_shards
+        retriever = FilterRefineRetriever(
+            context, gaussian_split.database, trained_qs.model
         )
         return context, retriever
 
-    def test_shard_evaluations_accumulate(self, gaussian_split, trained_qs):
+    def test_refine_evaluations_accumulate(self, gaussian_split, trained_qs):
         context, retriever = self._context_retriever(gaussian_split, trained_qs)
         queries = list(gaussian_split.queries)
         # The second batch repeats queries 3 and 4: their pairs are in the
@@ -121,59 +115,30 @@ class TestStoreAwareShardedRefine:
         assert charged == [[12] * 5, [0, 0, 12, 12, 12]]
         assert retriever.refine_distance_evaluations == 5 * 12 + 3 * 12
 
-    def test_fully_cached_shard_gets_zero_evaluations(self, gaussian_split, trained_qs):
+    def test_partly_warm_store_charges_only_cold_candidates(
+        self, gaussian_split, trained_qs
+    ):
         context, retriever = self._context_retriever(gaussian_split, trained_qs)
         queries = list(gaussian_split.queries)[:4]
-        # Warm every (query, shard-0 member) pair: shard 0's refine work is
-        # then fully cached, so the store-aware split must evaluate exactly
-        # the candidates outside shard 0.
-        shard0 = retriever.shards[0]
-        warm_targets = np.arange(shard0.offset, shard0.offset + len(shard0))
+        # Warm every (query, database row < cut) pair: the refine must then
+        # evaluate exactly the candidates at or beyond the cut.
+        cut = len(gaussian_split.database) // 3
         for query in queries:
-            context.distances_to(query, warm_targets)
+            context.distances_to(query, np.arange(cut))
         before = context.distance_evaluations
         results = retriever.query_many(queries, k=3, p=15)
-        outside = sum(
-            int(np.count_nonzero(r.candidate_indices >= shard0.offset + len(shard0)))
-            for r in results
-        )
-        # The other shards did real work (the filter keeps 15 candidates
-        # spread across shards for these queries).
-        assert outside > 0
-        assert context.distance_evaluations - before == outside
-        assert sum(r.refine_distance_computations for r in results) == outside
-        # And results equal the unsharded pipeline exactly.
+        cold = sum(int(np.count_nonzero(r.candidate_indices >= cut)) for r in results)
+        # Both sides of the cut hold candidates for these queries.
+        assert 0 < cold < 4 * 15
+        assert context.distance_evaluations - before == cold
+        assert sum(r.refine_distance_computations for r in results) == cold
+        # And results equal the context-free pipeline exactly.
         flat = FilterRefineRetriever(
             L2Distance(), gaussian_split.database, trained_qs.model
         )
         for lhs, rhs in zip(results, flat.query_many(queries, k=3, p=15)):
             assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices)
             assert np.array_equal(lhs.neighbor_distances, rhs.neighbor_distances)
-
-    def test_sharded_context_counts_match_unsharded(self, gaussian_split, trained_qs):
-        context_a = DistanceContext(
-            L2Distance(),
-            list(gaussian_split.database) + list(gaussian_split.queries),
-        )
-        context_b = DistanceContext(
-            L2Distance(),
-            list(gaussian_split.database) + list(gaussian_split.queries),
-        )
-        queries = list(gaussian_split.queries)[:6]
-        sharded = ShardedRetriever(
-            context_a, gaussian_split.database, trained_qs.model, n_shards=4
-        )
-        flat = FilterRefineRetriever(
-            context_b, gaussian_split.database, trained_qs.model
-        )
-        for lhs, rhs in zip(
-            sharded.query_many(queries, k=3, p=12),
-            flat.query_many(queries, k=3, p=12),
-        ):
-            assert np.array_equal(lhs.neighbor_indices, rhs.neighbor_indices)
-            assert (
-                lhs.refine_distance_computations == rhs.refine_distance_computations
-            )
 
 
 class TestDynamicTieOrder:

@@ -7,13 +7,11 @@ they rank and what they cost.  This module runs the full cross product of
 * measure: a raw ``L2Distance``, a caller's ``CountingDistance``, a cold
   ``DistanceContext`` and a ``DistanceContext`` whose store already holds
   one query's full scan;
-* retriever: ``BruteForceRetriever``, ``FilterRefineRetriever``, a 3-shard
-  ``ShardedRetriever``, ``PlannedRetriever`` at an explicit ``p`` and
-  ``run_sweep``;
+* retriever: ``BruteForceRetriever``, ``FilterRefineRetriever``,
+  ``PlannedRetriever`` at an explicit ``p`` and ``run_sweep``;
 * call: ``query`` per object, ``query_many`` and ``query_many(n_jobs=2)``;
 
-plus the adaptive planner against fixed-``p'`` flat and sharded runs,
-and the ``EmbeddingIndex`` serving entry points (``query``,
+plus the adaptive planner against fixed-``p'`` flat runs, and the ``EmbeddingIndex`` serving entry points (``query``,
 ``query_many``, ``submit``, ``stream``, ``aquery_many``) on a freshly
 built index, on one reopened from its saved artifact and on a planned
 index at ``p=None``.  It asserts that
@@ -51,16 +49,14 @@ from repro.retrieval import (
     BruteForceRetriever,
     FilterRefineRetriever,
     PlannedRetriever,
-    ShardedRetriever,
 )
 from repro.retrieval.sweep import run_sweep
 
 K = 4
 P = 9
-N_SHARDS = 3
 
 MEASURES = ("raw", "counting", "context", "context_warm")
-RETRIEVERS = ("brute_force", "filter_refine", "sharded", "planned", "sweep")
+RETRIEVERS = ("brute_force", "filter_refine", "planned", "sweep")
 CALLS = ("query", "query_many", "query_many_jobs")
 
 
@@ -145,10 +141,6 @@ def _run(
         ), None
     if retriever == "filter_refine":
         engine: Any = FilterRefineRetriever(distance, database, embedding, vectors)
-    elif retriever == "sharded":
-        engine = ShardedRetriever(
-            distance, database, embedding, n_shards=N_SHARDS, database_vectors=vectors
-        )
     else:
         engine = PlannedRetriever(distance, database, embedding, vectors)
     if call == "query":
@@ -215,19 +207,11 @@ def test_retrievers_agree_with_brute_force_and_flat(data, measure, retriever, ca
             assert spent == expected_total
 
 
-@pytest.mark.parametrize(
-    "measure, backend",
-    [(measure, "flat") for measure in MEASURES]
-    + [("context", "sharded"), ("context_warm", "sharded")],
-)
+@pytest.mark.parametrize("measure", MEASURES)
 @pytest.mark.parametrize("call", ("query", "query_many"))
-def test_adaptive_planner_equals_fixed_p(data, measure, backend, call):
-    """The planner's chosen ``p'`` equals a fixed-``p'`` run, cost included.
-
-    ``backend`` names the fixed-``p'`` reference: the flat
-    ``FilterRefineRetriever``, or, over a cold or warm store, the
-    store-aware 3-shard ``ShardedRetriever``.
-    """
+def test_adaptive_planner_equals_fixed_p(data, measure, call):
+    """The planner's chosen ``p'`` equals a fixed-``p'`` flat
+    ``FilterRefineRetriever`` run, cost included."""
     database, queries, embedding, vectors = data
     distance, counter = _measure(measure, database, queries)
     planner = PlannedRetriever(distance, database, embedding, vectors)
@@ -239,12 +223,7 @@ def test_adaptive_planner_equals_fixed_p(data, measure, backend, call):
     spent = counter() - before if counter is not None else None
 
     reference, _ = _measure(measure, database, queries)
-    if backend == "flat":
-        fixed: Any = FilterRefineRetriever(reference, database, embedding, vectors)
-    else:
-        fixed = ShardedRetriever(
-            reference, database, embedding, n_shards=N_SHARDS, database_vectors=vectors
-        )
+    fixed = FilterRefineRetriever(reference, database, embedding, vectors)
     expected = _rows(
         [fixed.query(obj, K, r.stats["planned_p"]) for obj, r in zip(queries, results)]
     )

@@ -19,6 +19,7 @@ from repro.retrieval.evaluation import (
     cost_for_accuracy,
     filter_ranks,
     required_filter_sizes,
+    retrieval_recall,
     success_rate,
 )
 from repro.retrieval.knn import knn_from_distances
@@ -124,6 +125,8 @@ class TestFilterRefine:
             assert list(result.neighbor_indices) == list(
                 gaussian_ground_truth.indices[qi, :4]
             )
+        exact = retriever.query_many(list(gaussian_split.queries), k=5, p=n)
+        assert retrieval_recall(exact, gaussian_ground_truth, k=5) == 1.0
 
     def test_neighbors_sorted_by_exact_distance(self, gaussian_split, l2, trained_qs):
         retriever = FilterRefineRetriever(l2, gaussian_split.database, trained_qs.model)

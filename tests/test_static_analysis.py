@@ -665,139 +665,6 @@ def test_rp010_ignores_uncompiled_classes_and_other_packages(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# RP011 remote rim                                                            #
-# --------------------------------------------------------------------------- #
-
-REMOTE_DIR = "src/repro/remote"
-
-
-def test_rp011_flags_socket_without_settimeout(tmp_path):
-    source = """
-    import socket
-
-    def listen(port):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.bind(("127.0.0.1", port))
-        return sock
-    """
-    findings = lint_snippet(
-        tmp_path, source, name=f"{REMOTE_DIR}/srv.py", rule_ids=["RP011"]
-    )
-    assert rule_ids(findings) == ["RP011"]
-    assert "settimeout" in findings[0].message
-
-
-def test_rp011_accepts_socket_with_deadline(tmp_path):
-    source = """
-    import socket
-
-    def listen(port):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(1.0)
-        sock.bind(("127.0.0.1", port))
-        return sock
-    """
-    assert (
-        lint_snippet(tmp_path, source, name=f"{REMOTE_DIR}/srv.py", rule_ids=["RP011"])
-        == []
-    )
-
-
-def test_rp011_flags_create_connection_without_timeout(tmp_path):
-    source = """
-    import socket
-
-    def dial(address):
-        return socket.create_connection(address)
-    """
-    findings = lint_snippet(
-        tmp_path, source, name=f"{REMOTE_DIR}/cli.py", rule_ids=["RP011"]
-    )
-    assert rule_ids(findings) == ["RP011"]
-    assert "timeout" in findings[0].message
-    # Timeout via keyword or second positional argument both satisfy it.
-    for variant in (
-        "return socket.create_connection(address, timeout=5.0)",
-        "return socket.create_connection(address, 5.0)",
-    ):
-        assert (
-            lint_snippet(
-                tmp_path,
-                source.replace("return socket.create_connection(address)", variant),
-                name=f"{REMOTE_DIR}/cli.py",
-                rule_ids=["RP011"],
-            )
-            == []
-        )
-
-
-def test_rp011_flags_swallowed_socket_errors(tmp_path):
-    source = """
-    def read(sock):
-        try:
-            return sock.recv(4)
-        except OSError:
-            return None
-    """
-    findings = lint_snippet(
-        tmp_path, source, name=f"{REMOTE_DIR}/cli.py", rule_ids=["RP011"]
-    )
-    assert rule_ids(findings) == ["RP011"]
-    assert "Remote" in findings[0].message
-
-
-def test_rp011_accepts_typed_reraise_bare_raise_and_pragma(tmp_path):
-    typed = """
-    from repro.exceptions import RemoteConnectionError
-
-    def read(sock):
-        try:
-            return sock.recv(4)
-        except (OSError, TimeoutError) as exc:
-            raise RemoteConnectionError(str(exc)) from exc
-    """
-    bare = """
-    def read(sock):
-        try:
-            return sock.recv(4)
-        except ConnectionResetError:
-            raise
-    """
-    pragma = """
-    def close(sock):
-        try:
-            sock.close()
-        except OSError:  # repro-lint: disable=RP011 -- double-close guard
-            pass
-    """
-    for source in (typed, bare, pragma):
-        assert (
-            lint_snippet(
-                tmp_path, source, name=f"{REMOTE_DIR}/cli.py", rule_ids=["RP011"]
-            )
-            == []
-        )
-
-
-def test_rp011_is_scoped_to_the_remote_package(tmp_path):
-    source = """
-    import socket
-
-    def dial(address):
-        try:
-            return socket.create_connection(address)
-        except OSError:
-            return None
-    """
-    assert (
-        lint_snippet(
-            tmp_path, source, name="src/repro/index/pool.py", rule_ids=["RP011"]
-        )
-        == []
-    )
-
-
-# --------------------------------------------------------------------------- #
 # RP012 planner purity                                                        #
 # --------------------------------------------------------------------------- #
 
@@ -813,7 +680,7 @@ def test_rp012_flags_clock_in_decision_function(tmp_path):
         class CostModel:
             def choose_backend(self, p):
                 started = time.perf_counter()
-                return "flat" if started else "sharded"
+                return "flat" if started else "brute_force"
         """,
         name=PLANNER_FILE,
         rule_ids=["RP012"],
@@ -865,7 +732,7 @@ def test_rp012_is_scoped_to_planner_modules(tmp_path):
     import time
 
     def choose_backend(p):
-        return "flat" if time.perf_counter() else "sharded"
+        return "flat" if time.perf_counter() else "brute_force"
     """
     assert (
         lint_snippet(
