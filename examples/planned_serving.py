@@ -19,9 +19,9 @@ This walkthrough, on DTW time-series data:
    same answers,
 5. inspects ``explain(k)`` and ``health()["planner"]``,
 6. streams under a per-query cost *budget* — the cost-budgeted
-   ``stream(...)`` a latency-bound service would run.  The async paths
-   have no early exit: they serve every ``p=None`` query at the
-   planner's ceiling ``explain(k)["p"]``.
+   ``stream(...)`` a latency-bound service would run.  The stream serves
+   ``p=None`` exactly as ``query_many`` does: every query stops early at
+   the same step of ``explain(k)["schedule"]``, with the same answer.
 
 Run with:  PYTHONPATH=src python examples/planned_serving.py
 """
@@ -111,19 +111,26 @@ def main() -> None:
 
     # -- 6. a cost-budgeted stream -------------------------------------
     # Cap every query at 40 exact evaluations (embedding included); the
-    # planner clamps its ceiling to the budget, and the async stream
-    # serves every query at that ceiling (it has no early exit).
+    # planner clamps its ceiling to the budget, and the stream stops each
+    # query early exactly where query_many(p=None) does.
     index.enable_planner(target_accuracy=0.9, cost_budget=40)
-    ceiling = index.explain(k=3)["p"]
-    assert ceiling <= 40 - index.embedding_cost
+    plan = index.explain(k=3)
+    assert plan["p"] <= 40 - index.embedding_cost
+    blocking = index.query_many(served_queries, k=3)
     streamed = [None] * len(served_queries)
     for position, result in index.stream(served_queries, k=3, p=None):
         streamed[position] = result
-    assert all(len(r.candidate_indices) == ceiling for r in streamed)
+    for a, b in zip(streamed, blocking):
+        assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
+        assert np.array_equal(a.neighbor_distances, b.neighbor_distances)
+        assert a.stats["planned_p"] == b.stats["planned_p"]
+        assert a.stats["planned_p"] in plan["schedule"]
     print(
-        f"cost-budgeted stream served {len(streamed)} queries at "
-        f"p = {ceiling} (budget 40 including the "
-        f"{index.embedding_cost}-evaluation embedding)"
+        f"cost-budgeted stream served {len(streamed)} queries at p' in "
+        f"{sorted({r.stats['planned_p'] for r in streamed})} (schedule "
+        f"{plan['schedule']}; budget 40 including the "
+        f"{index.embedding_cost}-evaluation embedding), equal to "
+        "query_many(p=None)"
     )
     index.close()
 

@@ -91,7 +91,7 @@ REGRESSION_TOLERANCE = 1.20
 #: must deliver over the numpy backend for the kernel gate to pass.
 KERNEL_SPEEDUP_FLOOR = 5.0
 #: The adaptive planner must match the fixed-p pipeline's cold
-#: exact-evaluation spend — the cost model's currency — at the same
+#: exact-evaluation spend — the paper's cost metric — at the same
 #: backend and scale, and only when both measured equal recall.
 PLANNER_SPEEDUP_FLOOR = 1.0
 
@@ -799,8 +799,8 @@ def bench_planned_query_many(
     results are asserted bit-identical to the fixed run.  A second (warm)
     batch per path records the early exit's exact-evaluation savings on a
     warm store.  **Gated** at ``PLANNER_SPEEDUP_FLOOR`` on the cold
-    exact-evaluation ratio — the cost model's own currency, and the
-    paper's: the tracked micro-workload computes DTW through compiled
+    exact-evaluation ratio — the paper's cost metric: the tracked
+    micro-workload computes DTW through compiled
     kernels in microseconds, so wall-clock here measures Python slicing
     overhead, not the exact-distance work the planner exists to save.
     Wall-clock for both paths is recorded un-gated.  The gate applies
@@ -911,12 +911,12 @@ def bench_planner_calibration(
     k: int,
     probes: int,
 ) -> dict:
-    """Cost of calibrating the planner's cost model from probe queries.
+    """Cost of calibrating the planner's filter-rank profile from probes.
 
     Recorded in the history but never gated: the figure exists so the
     probe-scan price (full exact scans, charged honestly) and the fit time
     stay visible across PRs, next to the operating points the calibrated
-    model actually picks.
+    planner actually picks.
     """
     database, queries = make_timeseries_dataset(
         n_database=n_database,
@@ -951,7 +951,6 @@ def bench_planner_calibration(
         "probe_evaluations_per_probe": record["probe_evaluations"] / probes,
         "fit_seconds": record["fit_seconds"],
         "calibrate_seconds": calibrate_seconds,
-        "exact_eval_seconds": record["exact_eval_seconds"],
         "uncalibrated_p": uncalibrated_p,
         "calibrated_p": planner.choose_p(k),
     }

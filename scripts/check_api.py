@@ -154,15 +154,22 @@ def main() -> int:
         ),
         "every adaptive answer equals the fixed run at its chosen p'",
     )
-    ceiling = [None] * len(queries)
-    for position, result in index.stream(queries, k=3, p=None):
-        ceiling[position] = result
+    # Novel queries: the blocking batch is their first sighting (served
+    # transiently), the stream their second, so both start from the same
+    # store state and must charge the same pairs.
+    novel = list(make_gaussian_clusters(n_objects=8, n_clusters=4, n_dims=5, seed=23))
+    blocking = index.query_many(novel, k=3)
+    streamed = [None] * len(novel)
+    for position, result in index.stream(novel, k=3, p=None):
+        streamed[position] = result
     check(
         all(
             np.array_equal(a.neighbor_indices, b.neighbor_indices)
-            for a, b in zip(ceiling, index.query_many(queries, k=3, p=plan["p"]))
+            and a.stats["planned_p"] == b.stats["planned_p"]
+            and a.total_distance_computations == b.total_distance_computations
+            for a, b in zip(blocking, streamed)
         ),
-        "stream(p=None) serves the fixed run at the explained ceiling",
+        "stream(p=None) equals query_many(p=None): neighbors, p' and cost",
     )
     check(
         index.health()["planner"] is not None,

@@ -22,8 +22,8 @@ RP009     style               library packages never print
 RP010     kernels             compiled kernel entry points have a numpy
                               fallback and a parity test referencing them
 RP012     planner             no clock/RNG calls inside planner decision
-                              functions — plans are deterministic given
-                              the fitted cost-model state
+                              functions — plans are pure over the
+                              calibration profile and the targets
 ========  ==================  ===============================================
 """
 

@@ -1,19 +1,19 @@
-"""RP012 — planner purity: decisions are deterministic given the model.
+"""RP012 — planner purity: decisions are pure over the profile and targets.
 
 The query planner's exactness contract (see :mod:`repro.retrieval.planner`)
-rests on a strict split: cost-model *inputs* are wall-clock values measured
-by the serving code and fed in through ``observe_*`` methods, while every
-*decision* — which ``p``, what a query is predicted to cost — is a pure
-function of the fitted model and calibration state.  A clock or RNG call
-inside a decision function would make two identical queries plan
-differently, which breaks both the bit-identity story (RP004's concern,
-extended here) and the replayability of ``explain()`` output.
+rests on every *decision* — which ``p`` a query refines up to — being a
+pure function of the calibration profile and the configured targets
+(accuracy, cost budget).  A clock or RNG call inside a decision function
+would make two identical queries plan differently, which breaks both the
+bit-identity story (RP004's concern, extended here) and the replayability
+of ``explain()`` output.
 
 The rule flags ``time.*`` / ``random.*`` / ``np.random.*`` calls inside
 functions on the planner's decision path: functions (or methods) in
 planner-path modules whose name mentions ``choose``/``decide``/``predict``/
-``pick``/``select``/``score``.  Measurement code (``observe_*``,
-``calibrate``, the serving loops) deliberately does not match.
+``pick``/``select``/``score``.  Code that may read a clock —
+``calibrate`` (which times its own fit) and the serving loops —
+deliberately does not match.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class PlannerPurityRule(Rule):
     description = (
         "Planner decision functions (choose/decide/predict/pick/select/"
         "score paths in retrieval/planner modules) must be pure over the "
-        "fitted cost-model state: no clock or RNG calls — measurements "
-        "are taken by the caller and fed in via observe_* methods."
+        "calibration profile and the configured targets: no clock or RNG "
+        "calls."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -92,8 +92,8 @@ class PlannerPurityRule(Rule):
                     self,
                     node,
                     f"{name}() inside a planner decision function: decisions "
-                    "must be deterministic given the cost-model state, or "
-                    "identical queries plan differently and explain() output "
-                    "cannot be replayed; measure in the caller and fold the "
-                    "value in through an observe_* method.",
+                    "must be pure over the calibration profile and the "
+                    "configured targets, or identical queries plan "
+                    "differently and explain() output cannot be replayed; "
+                    "read clocks and RNGs outside the decision path.",
                 )

@@ -4,8 +4,8 @@ The figure curves report the *offline-optimal* cost per ``(k, accuracy)``
 target: an oracle sweep over the embedding dimensionality ``d`` and the
 filter size ``p`` picks the cheapest combination in hindsight.  The query
 planner (:mod:`repro.retrieval.planner`) has no oracle — it calibrates a
-cost model from a handful of probe queries and then chooses ``p`` per
-query.  This module computes, for one method of a finished comparison,
+filter-rank profile from a handful of probe queries and then chooses ``p``
+per query.  This module computes, for one method of a finished comparison,
 the operating points that calibrated planner would choose across the same
 ``(k, accuracy)`` grid, so they can be plotted on (or tabulated against)
 the figure curves.

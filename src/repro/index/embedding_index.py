@@ -108,8 +108,9 @@ class IndexConfig:
         trains its own model (ignored when a prebuilt embedder is supplied).
     backend:
         Retriever backend name, one of :func:`available_backends`.  The
-        set is closed: any other name, including one read from a saved
-        artifact, raises :class:`~repro.exceptions.ConfigurationError`.
+        set is closed: any other name raises
+        :class:`~repro.exceptions.ConfigurationError`, and an artifact
+        saved under one is refused at :meth:`EmbeddingIndex.open`.
     n_jobs:
         Default worker count for every parallel path the index drives
         (matrix builds, refine fan-out) and the size of the index's
@@ -143,11 +144,7 @@ class IndexConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.training, TrainingConfig):
             raise ConfigurationError("training must be a TrainingConfig")
-        if self.backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; available: "
-                f"{', '.join(available_backends())}"
-            )
+        _check_backend(self.backend)
         if self.max_sparse_entries is not None and self.max_sparse_entries < 1:
             raise ConfigurationError("max_sparse_entries must be positive")
         if not 0.0 < float(self.planner_target_accuracy) <= 1.0:
@@ -220,12 +217,8 @@ def _make_backend(
     database_vectors: np.ndarray,
     config: IndexConfig,
 ) -> Any:
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        )
-    return factory(distance, database, embedder, database_vectors, config)
+    _check_backend(name)
+    return _BACKENDS[name](distance, database, embedder, database_vectors, config)
 
 
 class _BruteForceBackend:
@@ -311,6 +304,14 @@ _BACKENDS: Dict[str, Callable[..., Any]] = {
 def available_backends() -> Tuple[str, ...]:
     """Names of the retriever backends, sorted."""
     return tuple(sorted(_BACKENDS))
+
+
+def _check_backend(name: str) -> None:
+    """Refuse a backend name outside the closed set."""
+    if name not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -509,7 +510,10 @@ class EmbeddingIndex:
             Optional measure instance to use instead of unpickling the
             persisted one; its ``name`` must match the artifact's.
         backend:
-            Optional backend-name override (defaults to the saved one).
+            Optional backend-name override (defaults to the saved one),
+            applied before the saved config is validated: it also opens
+            an artifact saved under a retired backend, which is otherwise
+            refused with :class:`~repro.exceptions.ArtifactError`.
         pool:
             Optional shared pool, as in :meth:`build`.
         store_mmap_mode:
@@ -523,9 +527,18 @@ class EmbeddingIndex:
         """
         directory = Path(directory)
         manifest = artifacts.read_manifest(directory)
-        config = IndexConfig.from_dict(manifest["config"])
+        payload = manifest["config"]
         if backend is not None:
-            config = config.with_overrides(backend=backend)
+            _check_backend(backend)
+            if isinstance(payload, dict):  # else from_dict refuses it
+                payload = {**payload, "backend": backend}
+        try:
+            config = IndexConfig.from_dict(payload)
+        except ConfigurationError as exc:
+            raise ArtifactError(
+                f"index artifact {directory} cannot be opened as saved: {exc} "
+                "(open(..., backend=...) serves it through another backend)"
+            ) from exc
         paths = artifacts.artifact_paths(directory)
 
         if not isinstance(database, Dataset):
@@ -769,12 +782,12 @@ class EmbeddingIndex:
         recomputed (or served serially), never answered wrongly.
         ``p=None`` on the ``"planned"`` backend refines each query's
         prefix slices serially whatever ``n_jobs`` is (one-query plans
-        stay serial).
+        stay serial) and stops early once the top-``k`` is stable; every
+        entry point serves ``p=None`` this way.
 
         With ``deadline``/``max_retries``/``allow_partial`` the batch runs
-        through the submission-ordered serving stream (bit-identical for
-        an explicit ``p``; see :meth:`stream` for ``p=None`` and for a
-        batch's duplicates): a query
+        through the submission-ordered serving stream (bit-identical, but
+        for a batch's duplicates; see :meth:`stream`): a query
         that misses its per-query deadline raises its typed
         :class:`~repro.exceptions.ServingError` — within the deadline,
         instead of hanging — unless ``allow_partial=True``, in which case
@@ -834,20 +847,21 @@ class EmbeddingIndex:
         refine batch is submitted to the index's persistent pool without
         waiting (or held for lazy serial evaluation when the index has no
         pool).  :meth:`~repro.index.serving.QueryTicket.result` completes
-        it — for an explicit ``p``, bit-identical to the blocking call,
-        including per-query cost accounting — and
+        it — bit-identical to the blocking call, including per-query cost
+        accounting — and
         :meth:`~repro.index.serving.QueryTicket.cancel` abandons work that
-        has not started.  With ``p=None`` on the ``"planned"`` backend
-        the ticket serves the fixed run at the planner's ceiling
-        ``explain(k)["p"]``, without the blocking path's early exit.  See
+        has not started.  With ``p=None`` on the ``"planned"`` backend the
+        query is served here, serially as ``query_many(p=None)`` serves it
+        whatever ``n_jobs`` is, and the ticket returned is complete.  See
         :mod:`repro.index.serving`.
 
         ``deadline`` (seconds from now) bounds the query's time in flight:
         on expiry the ticket resolves to a typed
         :class:`~repro.exceptions.ServingError` — or, with
         ``allow_partial=True``, to a ``partial=True`` result ranking the
-        candidates resolved in time.  ``max_retries`` overrides the pool's
-        worker-failure recovery budget for this query.
+        candidates resolved in time (a late ``p=None`` planned ticket keeps
+        its full result, ``partial=False``).  ``max_retries`` overrides the
+        pool's worker-failure recovery budget for this query.
         """
         self._check_open()
         return self.serving.submit(
@@ -879,14 +893,12 @@ class EmbeddingIndex:
         batch path cannot express.  ``max_in_flight`` bounds how many
         queries are outstanding (default: twice the pool width); ``order``
         is ``"completion"`` (yield each result as soon as its refine lands)
-        or ``"submission"`` (yield in input order).  For an explicit
-        ``p``, results — and their exact cost accounting — are
-        bit-identical to :meth:`query_many` over the same batch, except
+        or ``"submission"`` (yield in input order).  Results — and their
+        exact cost accounting, ``p=None`` included (see :meth:`submit`) —
+        are bit-identical to :meth:`query_many` over the same batch, except
         that a novel query present twice pays twice (each submission is its
         own request, so the first copy is served transiently where
-        ``query_many`` admits both at once); with ``p=None`` on the
-        ``"planned"`` backend every query is served at the planner's
-        ceiling ``explain(k)["p"]`` (see :meth:`submit`).
+        ``query_many`` admits both at once).
 
         ``deadline``/``max_retries``/``allow_partial`` apply per query (see
         :meth:`submit`).  A query that resolves to a
@@ -924,11 +936,9 @@ class EmbeddingIndex:
         """``asyncio``-friendly :meth:`query_many` over the pipelined stream.
 
         Drains :meth:`stream` on an executor thread (the event loop stays
-        responsive).  For an explicit ``p`` it resolves to the same list —
-        same order, same neighbors, same per-query costs (but for the
-        duplicates :meth:`stream` names) — that
-        ``query_many`` returns; with ``p=None`` on the ``"planned"``
-        backend it serves the fixed run at ``explain(k)["p"]``.
+        responsive).  It resolves to the same list — same order, same
+        neighbors, same per-query costs (but for the duplicates
+        :meth:`stream` names) — that ``query_many`` returns.
         With a ``deadline``, a query that misses it appears in the list as
         its :class:`~repro.exceptions.ServingError` (or a ``partial=True``
         result when ``allow_partial``), never as a hang.
@@ -996,13 +1006,12 @@ class EmbeddingIndex:
         Rewires the query path onto a
         :class:`~repro.retrieval.planner.PlannedRetriever` (embeddings and
         the distance store are reused, zero exact evaluations); afterwards
-        ``query``/``query_many`` accept ``p=None`` and plan the per-query
-        operating point, and ``submit``/``stream``/``aquery_many`` serve
-        ``p=None`` at the planner's ceiling.  Call
-        :meth:`calibrate_planner` to fit the cost model from probe
-        queries; uncalibrated, the planner uses a deterministic fallback
-        ceiling.  On an index already on ``"planned"`` the live planner is
-        retargeted and keeps its calibration.
+        every serving entry point accepts ``p=None``, plans the per-query
+        refine ceiling and stops early at the same ``p'``.  Call
+        :meth:`calibrate_planner` to fit the planner's filter-rank profile
+        from probe queries; uncalibrated, the planner uses a deterministic
+        fallback ceiling.  On an index already on ``"planned"`` the live
+        planner is retargeted and keeps its calibration.
         """
         overrides: Dict[str, Any] = {}
         if target_accuracy is not None:
@@ -1019,9 +1028,10 @@ class EmbeddingIndex:
             self._backend.cost_budget = self.config.planner_cost_budget
 
     def calibrate_planner(self, probes: Sequence[Any], **kwargs) -> Dict[str, Any]:
-        """Fit the planner's cost model from probe queries (charged honestly).
+        """Fit the planner's filter-rank profile from probe queries.
 
-        See :meth:`repro.retrieval.planner.PlannedRetriever.calibrate`.
+        Charged honestly; returns the calibration record (see
+        :meth:`repro.retrieval.planner.PlannedRetriever.calibrate`).
         """
         self._check_open()
         calibrate = getattr(self._backend, "calibrate", None)
@@ -1037,7 +1047,9 @@ class EmbeddingIndex:
         """The plan one query at ``k`` would execute, without running it.
 
         Requires the ``"planned"`` backend (see :meth:`enable_planner`);
-        deterministic given the fitted cost-model state.
+        pure over the calibration profile and the targets.  Returns
+        ``adaptive``, ``k``, ``p`` (the refine ceiling), ``schedule`` (the
+        ``p'`` the early exit may stop at) and ``calibrated``.
         """
         self._check_open()
         explain = getattr(self._backend, "explain", None)
@@ -1079,8 +1091,8 @@ class EmbeddingIndex:
         exists.  ``degraded=True`` means refine work currently bypasses
         the pool and runs serially in the parent — slower, never wrong.
         ``planner`` (``None`` unless the ``"planned"`` backend is active)
-        reports the query planner's calibration state, fitted cost-model
-        snapshot and last decision.
+        reports the query planner's calibration state, targets, query and
+        early-exit counters and last decision.
         """
         planner = None
         planner_health = getattr(self._backend, "planner_health", None)

@@ -17,17 +17,17 @@ back at once.  This module adds the *pipelined* serving shape the ROADMAP's
   ``(position, result)`` pairs in completion or submission order, so the
   parent embeds/filters query ``i+1`` while the pool refines query ``i``.
 * :meth:`EmbeddingIndex.aquery_many` — the ``asyncio``-friendly wrapper:
-  drains a stream on an executor thread and, for an explicit ``p``,
-  resolves to the same list ``query_many`` returns.
+  drains a stream on an executor thread and resolves to the same list
+  ``query_many`` returns.
 
 Bit-identity
 ------------
-For an explicit ``p``, results are bit-identical to the blocking path: the
+Results are bit-identical to the blocking path.  For an explicit ``p`` the
 same engine stages prepare the candidates, the same store resolves cached
-pairs, and the same merge orders the survivors.  With ``p=None`` on the
-``"planned"`` backend a ticket serves the fixed run at the planner's
-ceiling (``explain(k)["p"]``) without the blocking path's early exit, so
-its ``p'``, cost and (rarely) neighbors can differ from ``query_many``'s.
+pairs, and the same merge orders the survivors.  ``p=None`` on the
+``"planned"`` backend has nothing to ship ahead (the early exit decides
+slice by slice), so such a ticket runs the blocking path's early exit at
+submission, serially in the parent, and stops at ``query_many``'s ``p'``.
 Per-query cost accounting follows the
 in-flight dedup rule of
 :meth:`~repro.distances.context.DistanceContext.distances_to_many` for
@@ -95,9 +95,9 @@ class QueryTicket:
     Returned by :meth:`EmbeddingIndex.submit`.  The embed/filter work is
     already done; :meth:`result` completes the refine (waiting on the pool
     futures if needed) and returns the
-    :class:`~repro.retrieval.engine.RetrievalResult` — for an explicit
-    ``p``, bit-identical to what the blocking ``query`` call would have
-    returned (see the module docstring for ``p=None``).
+    :class:`~repro.retrieval.engine.RetrievalResult` — bit-identical to
+    what the blocking ``query`` call would have returned (a ``p=None``
+    ticket of the ``"planned"`` backend is complete on submission).
     """
 
     def __init__(
@@ -421,13 +421,8 @@ class AsyncServer:
         index = self._index
         index._check_open()
         index._check_p(p)
-        choose_p = getattr(index._backend, "choose_p", None)
-        if p is None and callable(choose_p):
-            # A ticket has no early exit: it runs the fixed pipeline at the
-            # planner's ceiling (``explain(k)["p"]``), bit-identical to a
-            # fixed-p submit at that p but not to a p=None ``query_many``,
-            # which may stop at a shorter prefix.
-            p = choose_p(k)
+        backend = index._backend
+        planned = p is None and callable(getattr(backend, "choose_p", None))
         if p is None and k < 1:
             raise RetrievalError(f"k must be a positive integer, got {k}")
         if deadline is not None and deadline <= 0:
@@ -449,6 +444,10 @@ class AsyncServer:
         # sighting's refine then reuses its embedding's anchor distances,
         # and its ticket completes outside the store.
         with self._lock, index._register([obj]):
+            if planned:
+                self._serve_planned(ticket, backend)
+                self.submitted += 1
+                return ticket
             engine = self._engine()
             plan = engine.make_plan([obj], k, p, n_jobs=effective_jobs)
             engine.prepare(plan)
@@ -479,6 +478,25 @@ class AsyncServer:
             self._submit_misses(ticket, effective_jobs)
             self.submitted += 1
         return ticket
+
+    def _serve_planned(self, ticket: QueryTicket, planner: Any) -> None:
+        """Serve a planned ``p=None`` ticket now through the early exit.
+
+        Past its deadline the ticket raises, or with ``allow_partial``
+        keeps its result, which is not partial: every candidate it ranks
+        was refined.
+        """
+        result = planner.query(ticket.obj, ticket.k)
+        if ticket._deadline_expired() and not ticket.allow_partial:
+            ticket._error = ServingTimeout(
+                f"query deadline of {ticket.deadline}s expired before the "
+                "planned refine completed"
+            )
+            ticket._state = "error"
+        else:
+            ticket._result = result
+            ticket._state = "done"
+        ticket._event.set()
 
     def _submit_misses(self, ticket: QueryTicket, n_jobs: Optional[int]) -> None:
         """Plan the ticket's refine items and ship them to the pool.

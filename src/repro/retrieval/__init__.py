@@ -45,7 +45,6 @@ from repro.retrieval.sweep import (
     run_sweep,
 )
 from repro.retrieval.planner import (
-    CostModel,
     PlannedRetriever,
     choose_operating_point,
     refine_schedule,
@@ -77,7 +76,6 @@ __all__ = [
     "SweepEntry",
     "optimal_cost_curve",
     "run_sweep",
-    "CostModel",
     "PlannedRetriever",
     "choose_operating_point",
     "refine_schedule",

@@ -38,7 +38,6 @@ way and refine their prefix slices through :meth:`RefineStage.run`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -66,7 +65,6 @@ __all__ = [
     "refine_order",
     "build_retrieval_result",
     "build_scan_result",
-    "collect_plan_stats",
     "refine_candidates",
 ]
 
@@ -237,10 +235,10 @@ class RetrievalResult:
         neighbors — and must not be compared bit-for-bit with a full
         result.
     stats:
-        Optional per-stage wall-clock and evaluation counters (the batch's
-        shared ``plan.stats`` dict, attached by :meth:`QueryEngine.run`;
-        the cost-based planner adds its per-query decision fields).
-        ``None`` on paths that do not collect timings.  Diagnostic only —
+        The query planner's per-query decision (``planned_p``,
+        ``early_exit``, the ceiling ``p``, the charged
+        ``refine_evaluations``, ...) on results served at ``p=None`` by the
+        ``"planned"`` backend; ``None`` everywhere else.  Diagnostic only —
         never part of the bit-identity contract.
     """
 
@@ -286,9 +284,6 @@ class QueryPlan:
     #: Exact evaluations actually performed per query.
     refine_costs: List[int] = field(default_factory=list)
     results: List[RetrievalResult] = field(default_factory=list)
-    #: Per-stage wall-clock seconds and evaluation counters, filled by
-    #: :meth:`QueryEngine.run` (and partially by :meth:`QueryEngine.prepare`).
-    stats: Optional[Dict[str, Any]] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -298,9 +293,6 @@ class QueryPlan:
 
 class EmbedStage:
     """Embed the query objects (cost: ``embedder.cost`` exact distances each)."""
-
-    #: Key this stage's wall-clock is recorded under in ``plan.stats``.
-    stat_name = "embed"
 
     def __init__(self, embedder: Union[QuerySensitiveModel, Embedding]) -> None:
         self.embedder = embedder
@@ -326,8 +318,6 @@ class EmbedStage:
 
 class FilterStage:
     """Stable top-``p`` cut of the database by the cheap filter distance."""
-
-    stat_name = "filter"
 
     def __init__(
         self,
@@ -361,8 +351,6 @@ class FilterStage:
 class ScanStage:
     """The degenerate filter of brute force: every position is a candidate."""
 
-    stat_name = "filter"
-
     def __init__(self, n_database: int) -> None:
         # One shared candidate array (read-only by convention), so a large
         # batch does not allocate O(batch x database) identical arrays.
@@ -384,8 +372,6 @@ class RefineStage:
     retriever, the planner's prefix slices and the sweep refine through
     :meth:`run`, so accounting can never drift between them.
     """
-
-    stat_name = "refine"
 
     def __init__(self, binding: Binding) -> None:
         self.binding = binding
@@ -432,8 +418,6 @@ def refine_candidates(
 class MergeStage:
     """Order refined candidates into results (ties by database index)."""
 
-    stat_name = "merge"
-
     def run(self, plan: QueryPlan) -> QueryPlan:
         """Assemble per-query RetrievalResults from the refined distances."""
         plan.results = [
@@ -450,31 +434,6 @@ class MergeStage:
             )
         ]
         return plan
-
-
-def collect_plan_stats(
-    plan: QueryPlan,
-    stage_seconds: Dict[str, float],
-    refine_evaluations: int,
-) -> Dict[str, Any]:
-    """Assemble the ``plan.stats`` dict from measured stage timings.
-
-    Pure bookkeeping over values measured by the caller (no clocks here):
-    per-stage wall-clock seconds plus the evaluation counters the
-    cost-based planner fits its model from.  ``refine_evaluations`` is the
-    refine stage's exact-evaluation delta across the batch.
-    """
-    n_queries = len(plan.objects)
-    candidates = int(sum(c.shape[0] for c in plan.candidate_lists))
-    return {
-        "n_queries": n_queries,
-        "k_eff": int(plan.k_eff),
-        "p_eff": int(plan.p_eff),
-        "stage_seconds": dict(stage_seconds),
-        "embedding_evaluations": int(plan.embedding_cost) * n_queries,
-        "refine_evaluations": int(refine_evaluations),
-        "candidates": candidates,
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -570,48 +529,22 @@ class QueryEngine:
         return plan
 
     def run(self, plan: QueryPlan) -> QueryPlan:
-        """Run every stage over the plan, in order, timing each stage.
-
-        Fills ``plan.stats`` with per-stage wall-clock seconds and
-        evaluation counters (the cost-model inputs of the query planner)
-        and attaches the shared dict to every result.  Timing lives here —
-        not inside the stages — so merge/rank/order code stays clock-free
-        (the RP004 determinism invariant).
-        """
-        stage_seconds: Dict[str, float] = {}
-        refine_before = self.refine.calls
+        """Run every stage over the plan, in order."""
         for stage in self.stages:
-            started = time.perf_counter()
             plan = stage.run(plan)
-            key = getattr(stage, "stat_name", type(stage).__name__)
-            stage_seconds[key] = (
-                stage_seconds.get(key, 0.0) + time.perf_counter() - started
-            )
-        plan.stats = collect_plan_stats(
-            plan, stage_seconds, self.refine.calls - refine_before
-        )
-        for result in plan.results:
-            result.stats = plan.stats
         return plan
 
     def prepare(self, plan: QueryPlan) -> QueryPlan:
-        """Run only the parent-CPU stages (embed + filter), timed.
+        """Run only the parent-CPU stages (embed + filter).
 
         This is the async serving split: the serving layer prepares query
         ``i+1`` here while query ``i``'s refine batch runs on the worker
-        pool, then completes the refine/merge itself.  ``plan.stats`` gets
-        the embed/filter timings (no refine/merge entries).
+        pool, then completes the refine/merge itself.  The planner and the
+        ``p`` sweep prepare their batches here too, then refine in slices.
         """
-        stage_seconds: Dict[str, float] = {}
         if self.embed is not None:
-            started = time.perf_counter()
             plan = self.embed.run(plan)
-            stage_seconds["embed"] = time.perf_counter() - started
-        started = time.perf_counter()
-        plan = self.filter.run(plan)
-        stage_seconds["filter"] = time.perf_counter() - started
-        plan.stats = collect_plan_stats(plan, stage_seconds, 0)
-        return plan
+        return self.filter.run(plan)
 
     # -- conveniences ----------------------------------------------------
 

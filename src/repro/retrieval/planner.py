@@ -1,17 +1,16 @@
-"""Cost-model planning of the filter size ``p`` with an early-exit refine.
+"""Per-query planning of the filter size ``p`` with an early-exit refine.
 
 The paper's filter-and-refine operating point — the filter size ``p`` behind
 the Figure 4/5 accuracy-vs-cost curves — is a single knob tuned offline.
 This module turns it into a per-query decision:
 
-* :class:`CostModel` — fitted online from *observed* stage timings: exact
-  evaluations per second, filter scan seconds per row and the store hit
-  rate.  Calibrated from a few probe queries
-  (:meth:`PlannedRetriever.calibrate`) and updated from every served
-  batch.  :meth:`CostModel.observe_batch` ingests values measured by the
-  caller; every ``predict_*`` method is a pure function of the fitted
-  state — no clocks, no RNG (analysis rule RP012) — so ``explain()`` is
-  deterministic given the model.
+* :func:`choose_operating_point` — the refine ceiling ``p`` for one query:
+  the accuracy quantile of a filter-rank profile calibrated from a few
+  probe queries (:meth:`PlannedRetriever.calibrate`), capped by an
+  optional per-query evaluation budget.  It is pure over the calibration
+  profile and the configured targets — no clocks, no RNG (analysis rule
+  RP012) — so ``explain()`` is deterministic and identical queries plan
+  identically.
 * :class:`PlannedRetriever` — the ``"planned"`` index backend.  With
   ``p=None`` it (a) picks the refine ceiling ``p`` from the calibrated
   rank profile to hit a target accuracy or cost budget and (b) shrinks
@@ -32,10 +31,10 @@ length at the deterministic stopping point; because a stable filter cut at
 ``p_max`` (stable top-``p`` cuts are prefix-closed), the result —
 neighbors, tie order, candidate list and per-query accounting — is
 bit-identical *by construction* to the flat fixed-``p'`` run over the same
-store state.  The async serving layer has no early exit: a ``p=None``
-ticket runs the fixed pipeline at the ceiling
-:meth:`PlannedRetriever.choose_p` (``explain(k)["p"]``), so its bit-identity
-with ``query_many`` holds for explicit ``p``.
+store state.  Every serving entry point of
+:class:`~repro.index.embedding_index.EmbeddingIndex` serves ``p=None``
+through this early exit (the async ones one query at a time), so they all
+stop at the same ``p'``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from repro.retrieval.evaluation import (
 from repro.retrieval.knn import knn_from_distances
 
 __all__ = [
-    "CostModel",
     "PlannedRetriever",
     "choose_operating_point",
     "refine_schedule",
@@ -143,122 +141,15 @@ def choose_operating_point(
     return int(p)
 
 
-class CostModel:
-    """Per-stage cost coefficients, fitted online from observed timings.
-
-    The split between measurement and decision is strict:
-    :meth:`observe_batch` ingests wall-clock values its *caller* measured
-    (it never reads clocks itself), and ``predict_*`` methods are pure
-    functions of the fitted state — analysis rule RP012 enforces that they
-    call no clocks and no RNG, so the same model state always produces the
-    same ``explain()`` output.
-
-    Fitted quantities (exponentially-weighted moving averages):
-
-    * ``exact_eval_seconds`` — seconds per exact refine evaluation (the
-      active kernel backend's throughput shows up here);
-    * ``embed_seconds`` — seconds to embed one query;
-    * ``filter_row_seconds`` — filter scan seconds per database row;
-    * ``store_hit_rate`` — fraction of routed refine pairs absorbed by the
-      distance store.
-    """
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise RetrievalError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self.observations = 0
-        self.exact_eval_seconds = 0.0
-        self.embed_seconds = 0.0
-        self.filter_row_seconds = 0.0
-        self.store_hit_rate = 0.0
-        #: Calibration record of the last :meth:`PlannedRetriever.calibrate`
-        #: run (probe cost, fit seconds), ``None`` until calibrated.
-        self.calibration: Optional[Dict[str, Any]] = None
-
-    # -- fitting (values measured by the caller; no clocks here) ---------
-
-    def _blend(self, old: float, new: float) -> float:
-        """EWMA update; the first observation replaces the zero prior."""
-        if old == 0.0:
-            return float(new)
-        return float(old + self.alpha * (new - old))
-
-    def observe_batch(
-        self,
-        *,
-        n_queries: int,
-        n_rows: int,
-        embed_seconds: float,
-        filter_seconds: float,
-        refine_seconds: float,
-        refine_evaluations: int,
-        refine_pairs: int,
-    ) -> None:
-        """Fold one served batch's measured stage costs into the model.
-
-        ``n_rows`` is the total filter rows scanned (database size times
-        queries), ``refine_pairs`` the candidate pairs routed to refine,
-        ``refine_evaluations`` how many of those the store did not absorb.
-        """
-        if n_queries <= 0:
-            return
-        if embed_seconds > 0.0:
-            self.embed_seconds = self._blend(
-                self.embed_seconds, embed_seconds / n_queries
-            )
-        if n_rows > 0 and filter_seconds > 0.0:
-            self.filter_row_seconds = self._blend(
-                self.filter_row_seconds, filter_seconds / n_rows
-            )
-        if refine_evaluations > 0 and refine_seconds > 0.0:
-            self.exact_eval_seconds = self._blend(
-                self.exact_eval_seconds, refine_seconds / refine_evaluations
-            )
-        if refine_pairs > 0:
-            hit_rate = 1.0 - refine_evaluations / refine_pairs
-            self.store_hit_rate = self._blend(self.store_hit_rate, hit_rate)
-        self.observations += 1
-
-    # -- prediction (pure over fitted state; RP012) ----------------------
-
-    def predict_filter_seconds(self, n_rows: int) -> float:
-        """Predicted scan seconds for ``n_rows`` filter rows."""
-        return n_rows * self.filter_row_seconds
-
-    def predict_refine_seconds(self, n_candidates: int) -> float:
-        """Predicted refine seconds: store-miss fraction times eval cost."""
-        misses = (1.0 - self.store_hit_rate) * n_candidates
-        return misses * self.exact_eval_seconds
-
-    def predict_query_seconds(self, p: int, n_rows: int) -> float:
-        """Predicted wall-clock of one local filter-and-refine query."""
-        return (
-            self.embed_seconds
-            + self.predict_filter_seconds(n_rows)
-            + self.predict_refine_seconds(p)
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly snapshot of the fitted state (health / explain)."""
-        return {
-            "observations": self.observations,
-            "exact_eval_seconds": self.exact_eval_seconds,
-            "embed_seconds": self.embed_seconds,
-            "filter_row_seconds": self.filter_row_seconds,
-            "store_hit_rate": self.store_hit_rate,
-            "calibrated": self.calibration is not None,
-        }
-
-
 class PlannedRetriever:
     """The ``"planned"`` backend: filter-and-refine at a planned ``p``.
 
-    Wraps one flat :class:`~repro.retrieval.engine.QueryEngine` pipeline
-    behind a :class:`CostModel`.  With an explicit ``p`` every call
-    delegates to the engine and is bit-identical to
+    Wraps one flat :class:`~repro.retrieval.engine.QueryEngine` pipeline.
+    With an explicit ``p`` every call delegates to the engine and is
+    bit-identical to
     :class:`~repro.retrieval.filter_refine.FilterRefineRetriever`; with
-    ``p=None`` the planner picks the refine ceiling per query and refines
+    ``p=None`` the planner picks the refine ceiling per query from its
+    calibration profile and targets (:meth:`choose_p`) and refines
     incrementally (see the module docstring for the exactness contract).
 
     Parameters
@@ -297,7 +188,6 @@ class PlannedRetriever:
         )
         self.target_accuracy = float(target_accuracy)
         self.cost_budget = None if cost_budget is None else int(cost_budget)
-        self.model = CostModel()
         #: Accuracy profile fitted by :meth:`calibrate` (``None`` = the
         #: deterministic uncalibrated fallback ceiling is used).
         self.rank_profile: Optional[FilterRankResult] = None
@@ -328,8 +218,9 @@ class PlannedRetriever:
         """The planner's refine ceiling for one query at ``k``.
 
         Pure over the calibration profile and configured targets (see
-        :func:`choose_operating_point`); the async serving layer serves
-        ``p=None`` submissions at this ceiling.
+        :func:`choose_operating_point`): the last step of every ``p=None``
+        query's refine schedule, where the early exit stops if nothing
+        earlier does.
         """
         if k < 1:
             raise RetrievalError(f"k must be a positive integer, got {k}")
@@ -342,23 +233,6 @@ class PlannedRetriever:
             cost_budget=self.cost_budget,
         )
 
-    # -- measurement -----------------------------------------------------
-
-    def _observe_stats(self, stats: Optional[Dict[str, Any]]) -> None:
-        """Fold an engine batch's ``plan.stats`` into the cost model."""
-        if not stats:
-            return
-        seconds = stats.get("stage_seconds", {})
-        self.model.observe_batch(
-            n_queries=int(stats.get("n_queries", 0)),
-            n_rows=self.engine.n_database * int(stats.get("n_queries", 0)),
-            embed_seconds=float(seconds.get("embed", 0.0)),
-            filter_seconds=float(seconds.get("filter", 0.0)),
-            refine_seconds=float(seconds.get("refine", 0.0)),
-            refine_evaluations=int(stats.get("refine_evaluations", 0)),
-            refine_pairs=int(stats.get("candidates", 0)),
-        )
-
     # -- calibration -----------------------------------------------------
 
     def calibrate(
@@ -367,18 +241,18 @@ class PlannedRetriever:
         k_max: int = CALIBRATION_KMAX,
         n_jobs: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Fit the cost model and accuracy profile from a few probe queries.
+        """Fit the accuracy profile from a few probe queries.
 
         Each probe is embedded, filter-scanned and exact-scanned against
         the whole database through the engine's stages — charged honestly
         through its accounting (through a shared store the scans also warm
-        it).  The filter timing the cost model sees includes the stage's
-        cut, here a full-length sort.  The exact scans yield ground truth,
-        from which the filter-rank profile
+        it).  The exact scans yield ground truth, from which the
+        filter-rank profile
         (:func:`~repro.retrieval.evaluation.filter_ranks`) drives the
         accuracy-targeted ``p`` choice for any ``k`` up to ``k_max``.
-        Returns the calibration record (probe cost, fit seconds), which is
-        also kept on ``model.calibration``.
+        Returns the calibration record: ``probes``, ``k_max``,
+        ``probe_evaluations`` (the exact evaluations charged, embeddings
+        included) and ``fit_seconds``.
         """
         probes = list(probes)
         n = self.engine.n_database
@@ -391,12 +265,7 @@ class PlannedRetriever:
         # At p = n every probe's candidate list is the whole database in
         # filter order, so the refine is an exact scan: the ground truth.
         plan = self.engine.prepare(self.engine.make_plan(probes, 1, n, n_jobs=n_jobs))
-        t0 = time.perf_counter()
         self.engine.refine.run(plan)
-        spent_total = int(sum(plan.refine_costs))
-        plan.stats["stage_seconds"]["refine"] = time.perf_counter() - t0
-        plan.stats["refine_evaluations"] = spent_total
-        self._observe_stats(plan.stats)
 
         exact = np.empty((len(probes), n))
         for row, candidates, values in zip(exact, plan.candidate_lists, plan.exact_lists):
@@ -405,39 +274,34 @@ class PlannedRetriever:
         self.rank_profile = filter_ranks(
             self.embedder, self.database_vectors, plan.query_vectors, ground_truth
         )
-        record = {
+        return {
             "probes": len(probes),
             "k_max": k_max,
-            "probe_evaluations": spent_total
+            "probe_evaluations": int(sum(plan.refine_costs))
             + self.engine.embed.cost * len(probes),
             "fit_seconds": time.perf_counter() - started,
-            "exact_eval_seconds": self.model.exact_eval_seconds,
-            "filter_row_seconds": self.model.filter_row_seconds,
         }
-        self.model.calibration = record
-        return record
 
     # -- explain / health ------------------------------------------------
 
     def explain(self, k: int, p: Optional[int] = None) -> Dict[str, Any]:
         """Describe the plan one query at ``k`` would execute, without running it.
 
-        Deterministic given the model state (RP012).  With an explicit
-        ``p`` the plan is the fixed pass-through; with ``p=None`` it is
-        the adaptive plan the next query would get.
+        Deterministic given the calibration profile and targets (RP012).
+        With an explicit ``p`` the plan is the fixed pass-through; with
+        ``p=None`` it is the adaptive plan every entry point serves next:
+        the ceiling ``p`` and the prefix ``schedule`` whose steps are the
+        only ``p'`` the early exit can stop at.
         """
-        n = self.engine.n_database
         adaptive = p is None
         ceiling = self.choose_p(k) if adaptive else int(p)
-        k_eff, p_eff = clamp_query_params(k, ceiling, n)
+        k_eff, p_eff = clamp_query_params(k, ceiling, self.engine.n_database)
         return {
             "adaptive": adaptive,
             "k": k_eff,
             "p": p_eff,
             "schedule": refine_schedule(p_eff, k_eff) if adaptive else [p_eff],
-            "predicted_seconds": self.model.predict_query_seconds(p_eff, n),
             "calibrated": self.rank_profile is not None,
-            "model": self.model.to_dict(),
         }
 
     def planner_health(self) -> Dict[str, Any]:
@@ -449,7 +313,6 @@ class PlannedRetriever:
             "planned_queries": self.planned_queries,
             "early_exits": self.early_exits,
             "last_decision": self._last_decision,
-            "model": self.model.to_dict(),
         }
 
     # -- querying --------------------------------------------------------
@@ -473,10 +336,7 @@ class PlannedRetriever:
         objects = list(objects)
         if p is None:
             return self._run_adaptive(objects, k)
-        results = self.engine.query_many(objects, k, p, n_jobs=n_jobs)
-        if results:
-            self._observe_stats(results[0].stats)
-        return results
+        return self.engine.query_many(objects, k, p, n_jobs=n_jobs)
 
     # -- the adaptive path -----------------------------------------------
 
@@ -499,16 +359,9 @@ class PlannedRetriever:
         }
         self._last_decision = decision
         plan = self.engine.prepare(self.engine.make_plan(objects, k_eff, p_eff))
-        refine_seconds = 0.0
-        charged_total = 0
-        refined_total = 0
         results: List[RetrievalResult] = []
         for obj, candidates in zip(plan.objects, plan.candidate_lists):
-            t0 = time.perf_counter()
             exact, charged, chosen, early = self._refine_slices(obj, candidates, k_eff)
-            refine_seconds += time.perf_counter() - t0
-            charged_total += charged
-            refined_total += chosen
             self.planned_queries += 1
             if early:
                 self.early_exits += 1
@@ -528,10 +381,6 @@ class PlannedRetriever:
                 "refine_evaluations": charged,
             }
             results.append(result)
-        plan.stats["stage_seconds"]["refine"] = refine_seconds
-        plan.stats["refine_evaluations"] = charged_total
-        plan.stats["candidates"] = refined_total
-        self._observe_stats(plan.stats)
         return results
 
     def _refine_slices(

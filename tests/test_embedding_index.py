@@ -268,15 +268,30 @@ class TestArtifactLifecycle:
         self, tmp_path, built_index, l2_split
     ):
         """An artifact saved under the deleted ``"sharded"`` backend is
-        refused at open with the unknown-backend error, naming it."""
+        refused at open with an artifact error naming the directory and the
+        backend; a ``backend=`` override opens it and serves like the
+        original index, while an unknown override stays a configuration
+        error."""
         directory = tmp_path / "artifact"
         built_index.save(directory)
         manifest = read_manifest(directory)
         manifest["config"]["backend"] = manifest["backend"] = "sharded"
         manifest["config"]["n_shards"] = 4
         write_manifest(directory, manifest)
-        with pytest.raises(ConfigurationError, match="unknown backend 'sharded'"):
+        with pytest.raises(ArtifactError, match="unknown backend 'sharded'") as info:
             EmbeddingIndex.open(directory, l2_split.database)
+        assert str(directory) in str(info.value)
+        assert isinstance(info.value.__cause__, ConfigurationError)
+        with pytest.raises(ConfigurationError, match="unknown backend 'nope'"):
+            EmbeddingIndex.open(directory, l2_split.database, backend="nope")
+
+        queries = list(l2_split.queries)
+        with EmbeddingIndex.open(
+            directory, l2_split.database, backend="filter_refine"
+        ) as reopened:
+            assert reopened.backend == "filter_refine"
+            served = reopened.query_many(queries, k=3, p=10)
+        assert_results_identical(served, built_index.query_many(queries, k=3, p=10))
 
     def test_open_checks_supplied_distance_name(
         self, tmp_path, built_index, l2_split

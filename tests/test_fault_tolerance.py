@@ -341,6 +341,33 @@ class TestDeadlines:
                 result.neighbor_distances, expected.neighbor_distances
             )
 
+    def test_planned_p_none_deadline_is_checked_when_its_refine_ends(
+        self, chaos_split, chaos_config
+    ):
+        query = list(chaos_split.queries)[0]
+        with _build(chaos_split, chaos_config) as reference_index:
+            reference_index.enable_planner()
+            expected = reference_index.query(query, k=3)
+        with _build(chaos_split, chaos_config) as index:
+            index.enable_planner()
+            # The planned refine runs at submission and always ends past a
+            # one-nanosecond deadline.
+            late = index.submit(query, k=3, deadline=1e-9)
+            assert late.done()
+            with pytest.raises(ServingTimeout):
+                late.result()
+            with pytest.raises(ServingTimeout):
+                late.result()  # terminal
+        with _build(chaos_split, chaos_config) as index:
+            index.enable_planner()
+            ticket = index.submit(query, k=3, deadline=1e-9, allow_partial=True)
+            result = ticket.result()
+            # Every candidate it ranks was refined: the full result.
+            assert result.partial is False
+            _assert_same_results([result], [expected])
+            assert np.array_equal(result.candidate_indices, expected.candidate_indices)
+            assert result.stats["planned_p"] == expected.stats["planned_p"]
+
     def test_cancel_races_completion_and_loses(self, chaos_split, chaos_config):
         queries = list(chaos_split.queries)
         with _build(chaos_split, chaos_config) as index:
@@ -403,20 +430,30 @@ class TestPlannerUnderFaults:
             healthy.enable_planner()
             expected = healthy.query_many(queries, k=3)
             expected_evaluations = healthy.distance_evaluations
-        with _build(chaos_split, chaos_config) as index:
-            index.enable_planner()
-            pool = PersistentPool(2, faults=FaultPlan(kill_after_chunks=1))
-            _attach(index, pool)
-            # p=None refines each query's slices serially whatever n_jobs
-            # is, so the pool's injected worker kill never fires.
-            results = index.query_many(queries, k=3, n_jobs=2)
-            _assert_same_results(results, expected)
-            assert [r.stats["planned_p"] for r in results] == [
-                r.stats["planned_p"] for r in expected
-            ]
-            assert index.distance_evaluations == expected_evaluations
-            assert pool.started is False
-            assert pool.runs == 0 and pool.restarts == 0
+        serves = {
+            "query_many": lambda index: index.query_many(queries, k=3, n_jobs=2),
+            "stream": lambda index: [
+                r
+                for _, r in index.stream(
+                    queries, k=3, n_jobs=2, order="submission"
+                )
+            ],
+        }
+        for entry, serve in serves.items():
+            with _build(chaos_split, chaos_config) as index:
+                index.enable_planner()
+                pool = PersistentPool(2, faults=FaultPlan(kill_after_chunks=1))
+                _attach(index, pool)
+                # p=None refines each query's slices serially whatever
+                # n_jobs is, so the pool's injected worker kill never fires.
+                results = serve(index)
+                _assert_same_results(results, expected)
+                assert [r.stats["planned_p"] for r in results] == [
+                    r.stats["planned_p"] for r in expected
+                ], entry
+                assert index.distance_evaluations == expected_evaluations, entry
+                assert pool.started is False, entry
+                assert pool.runs == 0 and pool.restarts == 0, entry
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
-"""Tests for the cost-based query planner (``repro.retrieval.planner``).
+"""Tests for the query planner (``repro.retrieval.planner``).
 
 The planner's acceptance bar is the exactness contract: with an explicit
 ``p`` it is a bit-identical pass-through; with ``p=None`` every served
 result must equal the fixed-``p`` run whose ``p`` is the planner's chosen
 ``p'`` — same neighbors, same distances, same honest per-query evaluation
 charge.  The suite asserts that contract on cold and warm stores, plus the
-pure decision layer (schedules, operating points, the cost model) and the
-sweep-parity property that anchors it to ``run_sweep``.
+pure decision layer (schedules, operating points) and the sweep-parity
+property that anchors it to ``run_sweep``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro import (
 from repro.distances.context import DistanceContext
 from repro.exceptions import RetrievalError
 from repro.retrieval import (
-    CostModel,
     PlannedRetriever,
     choose_operating_point,
     refine_schedule,
@@ -140,66 +139,6 @@ class TestChooseOperatingPoint:
             cost_budget=None,
         )
         assert p == 40
-
-
-class TestCostModel:
-    def test_blend_replaces_zero_prior_then_ewma(self):
-        model = CostModel(alpha=0.5)
-        assert model._blend(0.0, 4.0) == 4.0
-        assert model._blend(4.0, 8.0) == 6.0
-
-    def test_observe_batch_fits_per_unit_rates(self):
-        model = CostModel()
-        model.observe_batch(
-            n_queries=2,
-            n_rows=200,
-            embed_seconds=2.0,
-            filter_seconds=4.0,
-            refine_seconds=3.0,
-            refine_evaluations=30,
-            refine_pairs=60,
-        )
-        assert model.embed_seconds == 1.0
-        assert model.filter_row_seconds == 0.02
-        assert model.exact_eval_seconds == 0.1
-        assert model.store_hit_rate == 0.5
-        assert model.observations == 1
-
-    def test_predictions_are_pure_over_the_fitted_state(self):
-        model = CostModel()
-        model.observe_batch(
-            n_queries=2,
-            n_rows=200,
-            embed_seconds=2.0,
-            filter_seconds=4.0,
-            refine_seconds=3.0,
-            refine_evaluations=30,
-            refine_pairs=60,
-        )
-        # 1 s per embed, 0.02 s per filter row, 0.1 s per exact evaluation
-        # and half of the routed pairs absorbed by the store.
-        assert model.predict_filter_seconds(100) == pytest.approx(2.0)
-        assert model.predict_refine_seconds(40) == pytest.approx(2.0)
-        assert model.predict_query_seconds(40, 100) == pytest.approx(5.0)
-        observations = model.observations
-        assert model.predict_query_seconds(40, 100) == pytest.approx(5.0)
-        assert model.observations == observations
-
-    def test_to_dict_snapshot(self):
-        snapshot = CostModel().to_dict()
-        assert set(snapshot) == {
-            "observations",
-            "exact_eval_seconds",
-            "embed_seconds",
-            "filter_row_seconds",
-            "store_hit_rate",
-            "calibrated",
-        }
-        assert snapshot["calibrated"] is False
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(RetrievalError):
-            CostModel(alpha=0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -332,7 +271,6 @@ class TestAdaptiveFlat:
         assert record["probes"] == 4
         assert record["probe_evaluations"] == 4 * (n + planner.embedding_cost)
         assert record["fit_seconds"] > 0.0
-        assert planner.model.calibration is record
         # The calibrated choice is pure: repeated calls agree.
         assert planner.choose_p(K) == planner.choose_p(K)
 
@@ -372,18 +310,7 @@ class TestAdaptiveFlat:
             "refine_evaluations",
         }
         plan = planner.explain(K)
-        assert set(plan) == {
-            "adaptive",
-            "k",
-            "p",
-            "schedule",
-            "predicted_seconds",
-            "calibrated",
-            "model",
-        }
-        assert plan["predicted_seconds"] == planner.model.predict_query_seconds(
-            plan["p"], len(gaussian_split.database)
-        )
+        assert set(plan) == {"adaptive", "k", "p", "schedule", "calibrated"}
         assert set(planner.planner_health()) == {
             "calibrated",
             "target_accuracy",
@@ -391,7 +318,6 @@ class TestAdaptiveFlat:
             "planned_queries",
             "early_exits",
             "last_decision",
-            "model",
         }
 
     def test_planner_health_reports_counters(
@@ -439,7 +365,6 @@ class TestAdaptiveWarmStore:
         for a, b in zip(cold, warm):
             assert np.array_equal(a.neighbor_indices, b.neighbor_indices)
             assert np.array_equal(a.neighbor_distances, b.neighbor_distances)
-        assert planner.model.store_hit_rate > 0.5
 
 
 # --------------------------------------------------------------------- #

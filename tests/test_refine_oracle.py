@@ -250,7 +250,14 @@ INDEX_CONFIG = IndexConfig(
     ),
     backend="filter_refine",
 )
-ENTRY_POINTS = ("query", "query_many", "submit", "stream", "aquery_many")
+ENTRY_POINTS = (
+    "query",
+    "query_many",
+    "submit",
+    "stream",
+    "aquery_many",
+    "query_many_deadline",
+)
 
 
 def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: Optional[int]):
@@ -262,8 +269,11 @@ def _serve(index: EmbeddingIndex, entry: str, queries: List[Any], p: Optional[in
         results = [index.submit(obj, K, p).result() for obj in queries]
     elif entry == "stream":
         results = [r for _, r in index.stream(queries, K, p, order="submission")]
-    else:
+    elif entry == "aquery_many":
         results = asyncio.run(index.aquery_many(queries, K, p))
+    else:
+        # A deadline routes the batch through the serving stream.
+        results = index.query_many(queries, K, p, deadline=60)
     return results
 
 
@@ -321,24 +331,25 @@ def test_index_entry_points_agree(data, saved_index, reopen):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_planned_index_entry_points_at_p_none(data, entry):
-    """``p=None`` on a planned index: blocking calls plan, async ones do not.
+    """``p=None`` on a planned index means one thing on every entry point.
 
-    ``query``/``query_many`` refine with the early exit and equal the flat
-    run at each result's ``planned_p``; ``submit``/``stream``/
-    ``aquery_many`` have no early exit and equal the flat run at the
-    planner's ceiling ``explain(k)["p"]``.  Candidate lists and per-query
-    costs are compared too.
+    Each refines with the early exit and equals the flat run at its
+    result's ``planned_p``, a step of ``explain(k)["schedule"]``, with
+    ``query_many(p=None)``'s ``p'``.  Candidate lists and per-query costs
+    are compared too.
     """
     database, queries, _, _ = data
     with EmbeddingIndex.build(L2Distance(), database, INDEX_CONFIG) as index:
         index.enable_planner(cost_budget=index.embedding_cost + 2 * P)
-        ceiling = index.explain(K)["p"]
+        plan = index.explain(K)
         results = _serve(index, entry, queries, None)
-    assert ceiling == 2 * P
-    if entry in ("query", "query_many"):
-        ps = [r.stats["planned_p"] for r in results]
-    else:
-        ps = [ceiling] * len(queries)
+    with EmbeddingIndex.build(L2Distance(), database, INDEX_CONFIG) as index:
+        index.enable_planner(cost_budget=index.embedding_cost + 2 * P)
+        blocking = index.query_many(queries, K)
+    assert plan["p"] == 2 * P
+    ps = [r.stats["planned_p"] for r in results]
+    assert ps == [r.stats["planned_p"] for r in blocking]
+    assert set(ps) <= set(plan["schedule"])
     # A fresh flat index over the same config: equal embedder, and equal
     # store state per query, so per-query costs are comparable too.
     with EmbeddingIndex.build(L2Distance(), database, INDEX_CONFIG) as flat:
